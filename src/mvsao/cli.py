@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 
@@ -27,6 +28,7 @@ from .estimators import (
 from .experiment import DIRICHLET, ExperimentSpec, MomentEstimate, PotentialSpec
 from .matrix_oracle import oracle_moment
 from .noise_model import load_noise, sao_variances
+from .records import ArchiveError
 from .stochastic_paths import DomainConfig
 
 CSV_COLUMNS = ["experiment_id", "kind", "t1", "t2", "t3", "t4", "estimate",
@@ -41,6 +43,8 @@ _POTENTIAL_KEYS = {"kind", "kappa", "nu", "table_x", "table_v"}
 _NOISE_KEYS = {"eps", "zeta"}
 _COV_KEYS = {"t1", "t2"}
 _ORACLE_KEYS = {"draws", "grid", "eps", "zeta", "noise_archive", "spectra_out"}
+# far above any color count a run can afford; parsing allocates r-long vectors
+_MAX_COLORS = 1024
 
 
 class ConfigError(ValueError):
@@ -77,12 +81,27 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _positive_number(cfg: dict, key: str):
+    v = cfg.get(key)
+    if v is not None and not (type(v) in (int, float) and 0 < v < math.inf):
+        raise ConfigError(f"'{key}' must be a positive number")
+    return v
+
+
 def parse_config(cfg: dict, overrides: dict | None = None) -> dict:
     """Validate the raw mapping, apply presets and CLI overrides; returns a
-    normalized mapping with an ExperimentSpec under 'spec'."""
-    cfg = dict(cfg)
+    normalized mapping with an ExperimentSpec under 'spec'.  Every malformed
+    mapping raises ConfigError."""
+    try:
+        return _parse_config(dict(cfg), overrides or {})
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _parse_config(cfg: dict, overrides: dict) -> dict:
     _check_keys(cfg, _TOP_KEYS, "config")
-    overrides = overrides or {}
     if overrides.get("seed") is not None:
         cfg["seed"] = overrides["seed"]
     if overrides.get("t") is not None:
@@ -112,6 +131,8 @@ def parse_config(cfg: dict, overrides: dict | None = None) -> dict:
     seed = int(_require(cfg, "seed"))
     case = int(_require(cfg, "case"))
     r = int(cfg.get("r", 1))
+    if r > _MAX_COLORS:
+        raise ConfigError(f"color count r = {r} above {_MAX_COLORS}")
     theta = cfg.get("theta")
     domain = DomainConfig(case=case, theta=theta if case == 3 else None, r=r)
     field = cfg.get("field", "R")
@@ -135,17 +156,15 @@ def parse_config(cfg: dict, overrides: dict | None = None) -> dict:
         eps = tuple(float(v) for v in noise.get("eps", [0.0] * len(ts)))
         zetas = tuple(float(v) for v in noise.get("zeta", [0.0] * len(ts)))
 
-    try:
-        spec = ExperimentSpec(
-            domain=domain, kind=field, sigma2=sigma2, upsilon2=upsilon2, ts=ts,
-            seed=seed, potential=potential,
-            alphas=_boundary_vector(cfg.get("alpha"), r, "alpha"),
-            betas=_boundary_vector(cfg.get("beta"), r, "beta"),
-            eps=eps, zetas=zetas, n_paths=int(cfg.get("paths", 10_000)),
-            dt=cfg.get("dt"), h=cfg.get("h"), x_max=cfg.get("x_max"),
-            n_quad=int(cfg.get("n_quad", 48)), n_max=int(cfg.get("n_max", 12)))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = ExperimentSpec(
+        domain=domain, kind=field, sigma2=sigma2, upsilon2=upsilon2, ts=ts,
+        seed=seed, potential=potential,
+        alphas=_boundary_vector(cfg.get("alpha"), r, "alpha"),
+        betas=_boundary_vector(cfg.get("beta"), r, "beta"),
+        eps=eps, zetas=zetas, n_paths=int(cfg.get("paths", 10_000)),
+        dt=_positive_number(cfg, "dt"), h=_positive_number(cfg, "h"),
+        x_max=_positive_number(cfg, "x_max"),
+        n_quad=int(cfg.get("n_quad", 48)), n_max=int(cfg.get("n_max", 12)))
 
     out = {"experiment": kind, "spec": spec, "white": noise == "white"}
     if kind == "covariance":
@@ -155,6 +174,9 @@ def parse_config(cfg: dict, overrides: dict | None = None) -> dict:
     if kind == "oracle":
         orc = dict(cfg.get("oracle", {}))
         _check_keys(orc, _ORACLE_KEYS, "oracle")
+        if any(orc.get(k) is not None and not isinstance(orc[k], str)
+               for k in ("noise_archive", "spectra_out")):
+            raise ConfigError("oracle file paths must be strings")
         out["oracle"] = {
             "draws": int(orc.get("draws", 100)), "grid": int(orc.get("grid", 500)),
             "eps": float(orc.get("eps", 0.0)), "zeta": float(orc.get("zeta", 0.0)),
@@ -320,6 +342,8 @@ def main(argv=None) -> int:
         if args.config:
             with open(args.config) as fh:
                 raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ConfigError("the config must be a JSON object")
             raw["experiment"] = args.experiment
         overrides = {
             "seed": args.seed,
@@ -329,10 +353,11 @@ def main(argv=None) -> int:
         }
         parsed = parse_config(raw, overrides)
         records = run(parsed, workers=args.workers, timing=args.timing)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, ArchiveError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, AssertionError) as exc:
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

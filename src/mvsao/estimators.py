@@ -16,6 +16,10 @@ transition kernels.  Every sample's weight is assembled from
   * a survival factor for Dirichlet-colored boundary contact, using the
     per-step bridge crossing correction exp(-2 d1 d2 / dt).
 
+The colored walk and the self-intersection sampler are those of
+jump_process, and all three estimators read their boundary terms and
+survival factors from one BoundaryWeights object per batch of paths.
+
 Seed policy: every (starting tuple, grid node, chunk) triple owns the rng
 stream SeedSequence(entropy=seed, spawn_key=(stream, node, chunk)), which
 makes results bit-identical for a fixed configuration regardless of how
@@ -33,8 +37,15 @@ from functools import lru_cache
 
 from .algebra import FieldElement, N_COMPONENTS, UNIT_NORMALIZATION, from_components, mul, one
 from .combinatorics import constant_c, enumerate_matchings
-from .experiment import ExperimentSpec, MomentEstimate
-from .jump_process import JumpPath, draw_jumps_along, uniform_other_color
+from .experiment import ExperimentSpec, InvariantError, MomentEstimate
+from .jump_process import (  # draw_jumps_along: perfbench traces this binding
+    JumpPath,
+    SelfIntersectionSampler,
+    draw_free_walk,
+    draw_jumps_along,
+    singular_jump_counts,
+    walk_jump_counts,
+)
 from .noise_model import NoiseField, mollified_profiles, pair_index, rho
 from .stochastic_paths import (
     interpolate_free,
@@ -120,15 +131,78 @@ class _Boundary:
 
     @staticmethod
     def build(spec: ExperimentSpec) -> list["_Boundary"]:
+        """Case 1 has no wall, case 2 the lower one, case 3 both."""
+        walls = [(0.0, "lower", spec.alphas), (spec.domain.theta, "upper", spec.betas)]
         out = []
-        if spec.domain.case in (2, 3) and spec.alphas is not None:
-            w = np.asarray(spec.alphas, dtype=float)
-            out.append(_Boundary(0.0, "lower", np.where(np.isneginf(w), 0.0, w),
+        for point, side, w in walls[:spec.domain.case - 1]:
+            w = np.asarray(w, dtype=float)
+            out.append(_Boundary(point, side, np.where(np.isneginf(w), 0.0, w),
                                  np.isneginf(w)))
-        if spec.domain.case == 3 and spec.betas is not None:
-            w = np.asarray(spec.betas, dtype=float)
-            out.append(_Boundary(spec.domain.theta, "upper",
-                                 np.where(np.isneginf(w), 0.0, w), np.isneginf(w)))
+        return out
+
+
+class BoundaryWeights:
+    """Log boundary weights of a batch of concatenated paths, the single
+    implementation behind every estimator.
+
+    folded holds the segments' paths, shape (n, steps_k + 1) each, and
+    step_values the left endpoints of all steps, concatenated.  A Robin
+    color contributes its weight times the boundary local time, the
+    near-wall step count times dt / (2 eps), eps = boundary_width sqrt(dt).
+    A Dirichlet color contributes log(1 - q) for each step it holds, q the
+    crossing probability of step_crossing_probs (q = 1 at the wall kills).
+    """
+
+    def __init__(self, spec: ExperimentSpec, folded: list[np.ndarray],
+                 step_values: np.ndarray, dt: float):
+        self.boundaries = _Boundary.build(spec)
+        self.step_values = step_values
+        self.dt = dt
+        self.eps = spec.boundary_width * np.sqrt(dt)
+        self.seg_lt = []             # per boundary: (n, segments) local times
+        self.seg_log_survival = []   # per boundary: (n, segments), or None
+        self.step_log_survival = []  # per boundary: (n, steps), or None
+        for b in self.boundaries:
+            self.seg_lt.append(np.stack(
+                [self._near(b, f[:, :-1]).sum(axis=1) * dt / (2.0 * self.eps)
+                 for f in folded], axis=1))
+            seg_logs = steps = None
+            if b.killing.any():
+                steps = [np.log1p(-np.minimum(
+                    step_crossing_probs(f, b.point, dt, side=b.side), 1.0 - 1e-300))
+                    for f in folded]
+                seg_logs = np.stack([p.sum(axis=1) for p in steps], axis=1)
+                steps = steps[0] if len(steps) == 1 else np.concatenate(steps, axis=1)
+            self.seg_log_survival.append(seg_logs)
+            self.step_log_survival.append(steps)
+
+    def _near(self, b: _Boundary, vals: np.ndarray) -> np.ndarray:
+        if b.side == "lower":
+            return (vals >= b.point) & (vals < b.point + self.eps)
+        return (vals > b.point - self.eps) & (vals <= b.point)
+
+    def exponent_constant(self, colors: tuple[int, ...]) -> np.ndarray:
+        """Every sample's log weight when segment k holds colors[k]
+        throughout."""
+        out = np.zeros(len(self.step_values))
+        for b, lt, logs in zip(self.boundaries, self.seg_lt, self.seg_log_survival):
+            for k, c in enumerate(colors):
+                if b.killing[c - 1]:
+                    out += logs[:, k]
+                else:
+                    out += b.finite[c - 1] * lt[:, k]
+        return out
+
+    def exponent_sample(self, s: int, step_colors: np.ndarray) -> float:
+        """Sample s's log weight when step m holds color step_colors[m]."""
+        out = 0.0
+        for b, logs in zip(self.boundaries, self.step_log_survival):
+            near = self._near(b, self.step_values[s])
+            out += float(b.finite[step_colors[near] - 1].sum() * self.dt / (2.0 * self.eps))
+            if logs is not None:
+                kill_mask = b.killing[step_colors - 1]
+                if kill_mask.any():
+                    out += float(logs[s][kill_mask].sum())
         return out
 
 
@@ -182,39 +256,8 @@ class _PathBatch:
             counts = np.bincount(flat, minlength=n * self.n_bins)
             self.seg_hist[:, k, :] = counts.reshape(n, self.n_bins)
         self.full_hist = self.seg_hist.sum(axis=1)
-        self._prepare_boundaries()
+        self.boundary = BoundaryWeights(spec, self.folded, self.step_values, self.dt)
         self._prepare_potential()
-
-    # -- boundary machinery ------------------------------------------------
-    def _prepare_boundaries(self):
-        spec = self.spec
-        self.boundaries = _Boundary.build(spec)
-        eps_b = spec.boundary_width * np.sqrt(self.dt)
-        self.seg_boundary_lt = {}
-        self.seg_log_survival = {}
-        for b in self.boundaries:
-            lt = np.zeros((self.n, len(spec.ts)))
-            logs = np.zeros((self.n, len(spec.ts)))
-            for k, fold in enumerate(self.folded):
-                vals = fold[:, :-1]
-                if b.side == "lower":
-                    near = (vals >= b.point) & (vals < b.point + eps_b)
-                else:
-                    near = (vals > b.point - eps_b) & (vals <= b.point)
-                lt[:, k] = near.sum(axis=1) * self.dt / (2.0 * eps_b)
-                if b.killing.any():
-                    p = step_crossing_probs(fold, b.point, self.dt, side=b.side)
-                    logs[:, k] = np.log1p(-np.minimum(p, 1.0 - 1e-300)).sum(axis=1)
-            self.seg_boundary_lt[(b.point, b.side)] = lt
-            self.seg_log_survival[(b.point, b.side)] = logs
-        # per-step crossing probabilities, for jump-colored survival
-        self.step_cross = {}
-        for b in self.boundaries:
-            if not b.killing.any():
-                continue
-            rows = [step_crossing_probs(f, b.point, self.dt, side=b.side)
-                    for f in self.folded]
-            self.step_cross[(b.point, b.side)] = np.concatenate(rows, axis=1)
 
     # -- potential ----------------------------------------------------------
     def _prepare_potential(self):
@@ -241,41 +284,6 @@ class _PathBatch:
                                        self.spec.domain.r)
         return float(v.sum() * self.dt)
 
-    # -- boundary weight for constant colors --------------------------------
-    def boundary_exponent_constant(self, colors: tuple[int, ...]) -> np.ndarray:
-        """log of the boundary weight (finite part + Dirichlet survival)
-        when segment k holds color colors[k] throughout."""
-        out = np.zeros(self.n)
-        for b in self.boundaries:
-            lt = self.seg_boundary_lt[(b.point, b.side)]
-            logs = self.seg_log_survival[(b.point, b.side)]
-            for k, c in enumerate(colors):
-                if b.killing[c - 1]:
-                    out += logs[:, k]
-                else:
-                    out += b.finite[c - 1] * lt[:, k]
-        return out
-
-    def boundary_exponent_sample(self, s: int, step_colors: np.ndarray) -> float:
-        """Same weight for one sample with per-step colors."""
-        out = 0.0
-        eps_b = self.spec.boundary_width * np.sqrt(self.dt)
-        vals = self.step_values[s]
-        for b in self.boundaries:
-            if b.side == "lower":
-                near = (vals >= b.point) & (vals < b.point + eps_b)
-            else:
-                near = (vals > b.point - eps_b) & (vals <= b.point)
-            finite_w = b.finite[step_colors - 1]
-            out += float((finite_w[near] * ~b.killing[step_colors[near] - 1]).sum()
-                         * self.dt / (2.0 * eps_b))
-            if b.killing.any():
-                kill_mask = b.killing[step_colors - 1]
-                if kill_mask.any():
-                    p = self.step_cross[(b.point, b.side)][s]
-                    out += float(np.log1p(-np.minimum(p[kill_mask], 1.0 - 1e-300)).sum())
-        return out
-
     # -- local-time norms ----------------------------------------------------
     def colored_norm2_constant(self, colors: tuple[int, ...]) -> np.ndarray:
         """sum_i ||L^(i)||_2^2 for constant segment colors, every sample."""
@@ -290,10 +298,14 @@ class _PathBatch:
             out += (hist**2).sum(axis=1) * scale
         return out
 
-    def colored_norm2_sample(self, s: int, step_colors: np.ndarray) -> float:
+    def colored_hist(self, s: int, step_colors: np.ndarray) -> np.ndarray:
+        """Step counts of sample s per color and bin, shape (r, n_bins)."""
         r = self.spec.domain.r
         flat = (step_colors - 1) * self.n_bins + self.step_bins[s]
-        counts = np.bincount(flat, minlength=r * self.n_bins)
+        return np.bincount(flat, minlength=r * self.n_bins).reshape(r, self.n_bins)
+
+    def colored_norm2_sample(self, s: int, step_colors: np.ndarray) -> float:
+        counts = self.colored_hist(s, step_colors)
         return float((counts.astype(float) ** 2).sum() * (self.dt / self.h) ** 2 * self.h)
 
     def full_norm2(self) -> np.ndarray:
@@ -462,7 +474,7 @@ def _run_moment(spec: ExperimentSpec, white: bool, workers: int = 1) -> MomentEs
                                            if abs_contrib > 0 else 0.0),
                          warnings=tuple(warnings))
     if n == 1 and est.value <= 0.0:
-        raise AssertionError("single-trace estimate must be positive; "
+        raise InvariantError("single-trace estimate must be positive; "
                              f"got {est.value} (insufficient sampling?)")
     return est
 
@@ -474,11 +486,10 @@ def _smooth_weights(spec: ExperimentSpec, batch: _PathBatch,
     m = batch.n
     zetas = spec.zeta_vector()
     eps = spec.eps_vector()
-    rate = r - 1
-    counts = (rng.poisson(rate * np.asarray(spec.ts)[None, :], size=(m, len(spec.ts)))
-              if r > 1 else np.zeros((m, len(spec.ts)), dtype=np.int64))
+    counts = walk_jump_counts(r, spec.ts, m, rng)
     totals = counts.sum(axis=1)
-    prefactor = math.exp(rate * sum(spec.ts))
+    prefactor = math.exp((r - 1) * sum(spec.ts))
+    segments = tuple(zip(spec.ts, colors))
 
     kernels = [_mollifier_kernel(e, batch.h) for e in eps]
     weights = np.zeros(m)
@@ -487,7 +498,7 @@ def _smooth_weights(spec: ExperimentSpec, batch: _PathBatch,
         idx = np.flatnonzero(zero)
         expo = (-batch.potential_integral_constant_colors(colors)[idx]
                 + spec.sigma2 / 2.0 * _smoothed_norm2_constant(batch, colors, kernels)[idx]
-                + batch.boundary_exponent_constant(colors)[idx])
+                + batch.boundary.exponent_constant(colors)[idx])
         weights[idx] = prefactor * np.exp(expo)
     discarded = 0
     for s in np.flatnonzero(~zero):
@@ -499,7 +510,7 @@ def _smooth_weights(spec: ExperimentSpec, batch: _PathBatch,
         if n_jumps % 2 == 1:
             weights[s] = 0.0
             continue
-        jp = _draw_free_walk(spec, counts[s], colors, rng)
+        jp = draw_free_walk(segments, counts[s], r, rng)
         if jp.endpoint_colors() != list(colors):
             weights[s] = 0.0
             continue
@@ -510,22 +521,10 @@ def _smooth_weights(spec: ExperimentSpec, batch: _PathBatch,
         step_colors = jp.color_at_steps(batch.dt, batch.total_steps)
         expo = (-batch.potential_integral_per_sample(s, step_colors)
                 + spec.sigma2 / 2.0 * _smoothed_norm2_sample(batch, s, step_colors, kernels)
-                + batch.boundary_exponent_sample(s, step_colors))
+                + batch.boundary.exponent_sample(s, step_colors))
         weights[s] = prefactor * pair_sum * math.exp(expo)
     w = weights[~np.isnan(weights)]
     return w, discarded
-
-
-def _draw_free_walk(spec: ExperimentSpec, seg_counts, colors,
-                    rng: np.random.Generator) -> JumpPath:
-    segments = tuple((t, c) for t, c in zip(spec.ts, colors))
-    starts = np.concatenate([[0.0], np.cumsum(spec.ts)[:-1]])
-    times = []
-    for k, (t, nk) in enumerate(zip(spec.ts, seg_counts)):
-        times.append(np.sort(rng.uniform(0.0, t, int(nk))) + starts[k])
-    times = np.concatenate(times) if times else np.zeros(0)
-    jumps = draw_jumps_along(times, segments, spec.domain.r, rng)
-    return JumpPath(r=spec.domain.r, segments=segments, times=times, jumps=jumps)
 
 
 def _matching_sum(spec: ExperimentSpec, batch: _PathBatch, s: int, jp: JumpPath,
@@ -613,9 +612,7 @@ def _white_weights(spec: ExperimentSpec, batch: _PathBatch,
     r = spec.domain.r
     m = batch.n
     l2 = batch.full_norm2()
-    lam = (r - 1) ** 2 * l2 / 2.0
-    pair_counts = rng.poisson(lam) if r > 1 else np.zeros(m, dtype=np.int64)
-    n_hats = 2 * pair_counts
+    n_hats = singular_jump_counts(r, l2, rng)
     base = (r - 1) ** 2 / 2.0 * l2
 
     weights = np.zeros(m)
@@ -625,7 +622,7 @@ def _white_weights(spec: ExperimentSpec, batch: _PathBatch,
         expo = (base[idx]
                 + spec.sigma2 / 2.0 * batch.colored_norm2_constant(colors)[idx]
                 - batch.potential_integral_constant_colors(colors)[idx]
-                + batch.boundary_exponent_constant(colors)[idx])
+                + batch.boundary.exponent_constant(colors)[idx])
         weights[idx] = np.exp(expo)
     discarded = 0
     segments = tuple((t, c) for t, c in zip(spec.ts, colors))
@@ -635,7 +632,8 @@ def _white_weights(spec: ExperimentSpec, batch: _PathBatch,
             discarded += 1
             weights[s] = np.nan
             continue
-        jp = _sample_hat_from_batch(spec, batch, s, n_hat, segments, rng)
+        sampler = SelfIntersectionSampler(batch.step_bins[s], batch.full_hist[s], batch.dt)
+        jp = sampler.sample(n_hat, segments, r, rng)
         if jp.endpoint_colors() != list(colors):
             weights[s] = 0.0
             continue
@@ -648,40 +646,10 @@ def _white_weights(spec: ExperimentSpec, batch: _PathBatch,
         expo = (base[s]
                 + spec.sigma2 / 2.0 * batch.colored_norm2_sample(s, step_colors)
                 - batch.potential_integral_per_sample(s, step_colors)
-                + batch.boundary_exponent_sample(s, step_colors))
+                + batch.boundary.exponent_sample(s, step_colors))
         weights[s] = moment_factor * math.exp(expo)
     w = weights[~np.isnan(weights)]
     return w, discarded
-
-
-def _sample_hat_from_batch(spec: ExperimentSpec, batch: _PathBatch, s: int,
-                           n_hat: int, segments, rng: np.random.Generator):
-    """Singular jump path for sample s using the chunk's precomputed bins."""
-    from .combinatorics import random_matching
-    from .jump_process import SingularJumpPath
-
-    counts = batch.full_hist[s]
-    probs = counts**2
-    probs = probs / probs.sum()
-    order = np.argsort(batch.step_bins[s], kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    q_hat = random_matching(n_hat, rng)
-    times = np.empty(n_hat)
-    for l1, l2 in q_hat:
-        b = int(rng.choice(len(probs), p=probs))
-        lo, hi = bounds[b], bounds[b + 1]
-        picks = order[rng.integers(lo, hi, size=2)]
-        times[l1] = picks[0] * batch.dt
-        times[l2] = picks[1] * batch.dt
-    perm = np.argsort(times, kind="stable")
-    rank = np.empty(n_hat, dtype=np.int64)
-    rank[perm] = np.arange(n_hat)
-    p_hat = tuple(tuple(sorted((int(rank[l1]), int(rank[l2])))) for l1, l2 in q_hat)
-    sorted_times = times[perm]
-    jumps = draw_jumps_along(sorted_times, segments, spec.domain.r, rng)
-    return SingularJumpPath(r=spec.domain.r, segments=segments, times=sorted_times,
-                            jumps=jumps, matching=p_hat, presort_matching=q_hat,
-                            sort_permutation=rank)
 
 
 # --------------------------------------------------------------------------
@@ -711,32 +679,25 @@ def fk_kernel_regular(spec: ExperimentSpec, t: float, a: tuple[int, float],
     dt = t / n_steps
     profiles = mollified_profiles(noise, eps) if noise is not None else None
     pidx = pair_index(r) if noise is not None else None
-    rate = r - 1
-    prefactor = math.exp(rate * t)
+    prefactor = math.exp((r - 1) * t)
 
     comp_sum = np.zeros(4)
     comp_sq = np.zeros(4)
     chunk_size = max(64, int(_MAX_CHUNK_FLOATS // n_steps))
     done = 0
     chunk_idx = 0
-    boundaries = _Boundary.build(spec)
     while done < n_paths:
         mchunk = min(chunk_size, n_paths - done)
         rng = derived_rng(spec.seed, _STREAM_FK, 0, chunk_idx)
         fold, free = sample_bridge_ensemble(spec.domain, x0, y0, t, dt, mchunk, rng,
                                             return_free=True)
         vals = fold[:, :-1]
-        counts = rng.poisson(rate * t, size=mchunk) if r > 1 else np.zeros(mchunk, int)
+        counts = walk_jump_counts(r, (t,), mchunk, rng)[:, 0]
         v_of_color = _diag_potential_table(spec, noise, profiles, pidx, vals, dt)
-        cross = {}
-        for bd in boundaries:
-            if bd.killing.any():
-                cross[(bd.point, bd.side)] = step_crossing_probs(fold, bd.point, dt,
-                                                                 side=bd.side)
+        boundary = BoundaryWeights(spec, [fold], vals, dt)
         for s in range(mchunk):
-            w = _fk_single(spec, noise, profiles, pidx, eps, t, dt, i0, j0,
-                           free[s], vals[s], int(counts[s]), v_of_color, s,
-                           boundaries, cross, rng)
+            w = _fk_single(spec, noise, profiles, pidx, t, dt, i0, j0, free[s], vals[s],
+                           int(counts[s]), v_of_color, s, boundary, rng)
             comps = np.array(w.components)
             comp_sum += comps
             comp_sq += comps**2
@@ -765,26 +726,15 @@ def _diag_potential_table(spec, noise, profiles, pidx, vals, dt):
     return out
 
 
-def _fk_single(spec, noise, profiles, pidx, eps, t, dt, i0, j0, free_row, vals_row,
-               n_jumps, v_of_color, s, boundaries, cross, rng):
+def _fk_single(spec, noise, profiles, pidx, t, dt, i0, j0, free_row, vals_row,
+               n_jumps, v_of_color, s, boundary, rng):
     from .stochastic_paths import fold_to_domain
 
     r = spec.domain.r
-    zero = FieldElement(spec.kind, 0.0)
-    # walk colors
-    times = np.sort(rng.uniform(0.0, t, n_jumps))
-    color = i0
-    jumps = []
-    for _ in range(n_jumps):
-        nxt = uniform_other_color(color, r, rng)
-        jumps.append((color, nxt))
-        color = nxt
-    if color != j0:
-        return zero
-    # step colors for the diagonal integral and boundary terms
-    step_colors = np.full(len(vals_row), i0, dtype=np.int64)
-    for tau, (_, to) in zip(times, jumps):
-        step_colors[int(np.ceil(tau / dt - 1e-9)):] = to
+    jp = draw_free_walk(((t, i0),), (n_jumps,), r, rng)
+    if jp.endpoint_colors() != [j0]:
+        return FieldElement(spec.kind, 0.0)
+    step_colors = jp.color_at_steps(dt, len(vals_row))
     if len(set(step_colors.tolist())) == 1:
         s_int = v_of_color[i0 - 1, s]
     else:
@@ -798,28 +748,15 @@ def _fk_single(spec, noise, profiles, pidx, eps, t, dt, i0, j0, free_row, vals_r
                 v = v + np.sqrt(spec.sigma2) * np.interp(vals_row[mask], centers, prof)
             vs[mask] = v
         s_int = vs.sum() * dt
-    expo = -s_int
-    # boundary weight
-    eps_b = spec.boundary_width * np.sqrt(dt)
-    for bd in boundaries:
-        if bd.side == "lower":
-            near = (vals_row >= bd.point) & (vals_row < bd.point + eps_b)
-        else:
-            near = (vals_row > bd.point - eps_b) & (vals_row <= bd.point)
-        finite_w = bd.finite[step_colors - 1]
-        expo += float((finite_w[near]).sum() * dt / (2.0 * eps_b))
-        kill_mask = bd.killing[step_colors - 1]
-        if kill_mask.any():
-            p = cross[(bd.point, bd.side)][s]
-            expo += float(np.log1p(-np.minimum(p[kill_mask], 1.0 - 1e-300)).sum())
+    expo = -s_int + boundary.exponent_sample(s, step_colors)
     weight = math.exp(expo) * (-1.0) ** n_jumps
     # ordered product of off-diagonal noise at the jump points
     prod = one(spec.kind)
     if n_jumps:
-        zvals = fold_to_domain(interpolate_free(free_row, times, dt, rng), spec.domain)
+        zvals = fold_to_domain(interpolate_free(free_row, jp.times, dt, rng), spec.domain)
         centers = noise.cell_centers()
         norm = UNIT_NORMALIZATION[spec.kind] * np.sqrt(spec.upsilon2)
-        for (frm, to), z in zip(jumps, zvals):
+        for (frm, to), z in zip(jp.jumps, zvals):
             lo, hi = min(frm, to), max(frm, to)
             comps = np.array([np.interp(z, centers, profiles[pidx[(lo, hi)], c])
                               for c in range(4)]) * norm

@@ -14,6 +14,11 @@ from .stochastic_paths import DomainConfig
 DIRICHLET = float("-inf")
 
 
+class InvariantError(RuntimeError):
+    """A computed result broke an invariant that correct code guarantees on
+    well-formed input, such as a positive single trace."""
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Deterministic diagonal potential: zero, linear growth kappa|x| - nu,

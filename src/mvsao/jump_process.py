@@ -1,7 +1,9 @@
 """The colored jump process riding on top of the spatial path: the uniform
-continuous-time walk on r colors, its concatenations, colored local and
-boundary local times, and the singular sampler whose jump times are drawn
-from the spatial path's self-intersection measure.
+continuous-time walk on r colors over concatenated segments, and the
+singular process whose jump times are drawn from the spatial path's
+self-intersection measure.  These are the only implementations of the walk,
+its step and endpoint colors and the self-intersection sampler; the smooth,
+white and kernel estimators all draw from them.
 
 A path may consist of several independent segments (one per trace factor);
 the color resets to the segment's initial color at each segment start and
@@ -14,8 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .combinatorics import Matching, random_matching
-from .stochastic_paths import DomainConfig, LocalTimeField, PathSample
+from .combinatorics import Matching
+
+
+def _segment_starts(segments) -> np.ndarray:
+    return np.concatenate([[0.0], np.cumsum([t for t, _ in segments])[:-1]])
 
 
 @dataclass
@@ -37,33 +42,16 @@ class JumpPath:
 
     @property
     def segment_starts(self) -> np.ndarray:
-        durations = [t for t, _ in self.segments]
-        return np.concatenate([[0.0], np.cumsum(durations)[:-1]])
-
-    @property
-    def horizon(self) -> float:
-        return float(sum(t for t, _ in self.segments))
+        return _segment_starts(self.segments)
 
     def color_at_steps(self, dt: float, n_steps: int) -> np.ndarray:
         """Color at the step left endpoints m*dt, m = 0..n_steps-1."""
         out = np.empty(n_steps, dtype=np.int64)
-        starts = self.segment_starts
-        events = []  # (time, priority, color); resets beat jumps at equal times
-        for start, (_, color) in zip(starts, self.segments):
-            events.append((start, 0, color))
-        for tau, (_, to) in zip(self.times, self.jumps):
-            events.append((float(tau), 1, to))
-        events.sort()
-        color = self.segments[0][1]
-        pos = 0
-        for etime, _, ecolor in events:
-            upto = min(n_steps, int(np.ceil(etime / dt - 1e-9)))
-            if upto > pos:
-                out[pos:upto] = color
-                pos = upto
-            color = ecolor
-        if pos < n_steps:
-            out[pos:] = color
+        # (time, priority, color); resets beat jumps at equal times
+        events = sorted([(start, 0, c) for start, (_, c) in zip(self.segment_starts, self.segments)]
+                        + [(float(tau), 1, to) for tau, (_, to) in zip(self.times, self.jumps)])
+        for etime, _, color in events:
+            out[int(np.ceil(etime / dt - 1e-9)):] = color
         return out
 
     def endpoint_colors(self) -> list[int]:
@@ -88,33 +76,24 @@ class SingularJumpPath(JumpPath):
     matching: Matching = ()           # pairs in sorted-time indexing
     presort_matching: Matching = ()   # pairs as drawn, before time-sorting
     sort_permutation: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    pair_bins: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
 
-def sample_U(r: int, segments, rng: np.random.Generator) -> JumpPath:
-    """Concatenated uniform walk: per segment a Poisson((r-1) t) number of
-    sorted uniform jump times, each jump to a uniform other color."""
-    segments = tuple((float(t), int(i)) for t, i in segments)
-    for t, i in segments:
-        if t <= 0:
-            raise ValueError("segment durations must be positive")
-        if not (1 <= i <= r):
-            raise ValueError(f"initial color {i} outside 1..{r}")
-    all_times = []
-    all_jumps = []
-    offset = 0.0
-    for duration, init in segments:
-        n = int(rng.poisson((r - 1) * duration)) if r > 1 else 0
-        taus = np.sort(rng.uniform(0.0, duration, n)) + offset
-        color = init
-        for tau in taus:
-            nxt = uniform_other_color(color, r, rng)
-            all_times.append(tau)
-            all_jumps.append((color, nxt))
-            color = nxt
-        offset += duration
-    return JumpPath(r=r, segments=segments,
-                    times=np.array(all_times), jumps=all_jumps)
+def walk_jump_counts(r: int, ts, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Per-segment jump counts of n uniform walks, shape (n, len(ts)):
+    independent Poisson((r-1) t_k) counts; a single color never jumps."""
+    if r == 1:
+        return np.zeros((n, len(ts)), dtype=np.int64)
+    return rng.poisson((r - 1) * np.asarray(ts)[None, :], size=(n, len(ts)))
+
+
+def draw_free_walk(segments, seg_counts, r: int, rng: np.random.Generator) -> JumpPath:
+    """The uniform walk given its per-segment jump counts: sorted uniform
+    jump times within each segment, each jump to a uniform other color."""
+    times = np.concatenate([np.sort(rng.uniform(0.0, t, int(nk))) + start
+                            for (t, _), nk, start
+                            in zip(segments, seg_counts, _segment_starts(segments))])
+    return JumpPath(r=r, segments=segments, times=times,
+                    jumps=draw_jumps_along(times, segments, r, rng))
 
 
 def uniform_other_color(current: int, r: int, rng: np.random.Generator) -> int:
@@ -123,159 +102,9 @@ def uniform_other_color(current: int, r: int, rng: np.random.Generator) -> int:
     return nxt if nxt <= r else nxt - r
 
 
-def endpoint_indicator(path: JumpPath, targets) -> bool:
-    """True iff each segment ends (left limit) in its prescribed color."""
-    return all(c == int(t) for c, t in zip(path.endpoint_colors(), targets))
-
-
-def colored_local_time(jump_path: JumpPath, path: PathSample, h: float) -> list[LocalTimeField]:
-    """Per-color occupation fields on a common bin grid.
-
-    Sums over the colors reproduce the total local time bin by bin, exactly.
-    """
-    n_steps = path.n_steps
-    colors = jump_path.color_at_steps(path.dt, n_steps)
-    vals = path.values[:-1]
-    idx = np.floor(vals / h).astype(np.int64)
-    offset = int(idx.min())
-    width = int(idx.max()) - offset + 1
-    masses = np.zeros((jump_path.r, width))
-    np.add.at(masses, (colors - 1, idx - offset), path.dt / h)
-    return [LocalTimeField(h=h, offset=offset, masses=masses[i],
-                           window_length=float(masses[i].sum() * h))
-            for i in range(jump_path.r)]
-
-
-def colored_boundary_local_time(jump_path: JumpPath, path: PathSample, c: float,
-                                domain: DomainConfig, width_mult: float = 1.0) -> np.ndarray:
-    """Boundary local time at c split by the color holding at each step."""
-    if c not in domain.boundary_points():
-        raise ValueError(f"{c} is not a boundary point")
-    n_steps = path.n_steps
-    colors = jump_path.color_at_steps(path.dt, n_steps)
-    eps = width_mult * np.sqrt(path.dt)
-    vals = path.values[:-1]
-    if c == 0.0:
-        near = (vals >= 0.0) & (vals < eps)
-    else:
-        near = (vals > c - eps) & (vals <= c)
-    out = np.zeros(jump_path.r)
-    np.add.at(out, colors[near] - 1, path.dt / (2.0 * eps))
-    return out
-
-
-def boundary_term(jump_path: JumpPath, path: PathSample, alphas, betas,
-                  domain: DomainConfig, width_mult: float = 1.0) -> float:
-    """Weighted sum of colored boundary local times; -inf weights act as a
-    kill switch whenever the corresponding colored local time is positive."""
-    if domain.case == 1:
-        return 0.0
-    total = 0.0
-    lt0 = colored_boundary_local_time(jump_path, path, 0.0, domain, width_mult)
-    total += _weighted_boundary_sum(np.asarray(alphas, dtype=float), lt0)
-    if domain.case == 3:
-        ltt = colored_boundary_local_time(jump_path, path, domain.theta, domain, width_mult)
-        total += _weighted_boundary_sum(np.asarray(betas, dtype=float), ltt)
-    return total
-
-
-def _weighted_boundary_sum(weights: np.ndarray, local_times: np.ndarray) -> float:
-    out = 0.0
-    for w, lt in zip(weights, local_times):
-        if np.isneginf(w):
-            if lt > 0.0:
-                return float("-inf")
-        else:
-            out += w * lt
-    return out
-
-
-class SelfIntersectionSampler:
-    """Draws time pairs concentrated on bin-coincidences of a frozen path.
-
-    A spatial bin is chosen with probability proportional to the square of
-    its occupation count, then the two times of a pair are independent
-    uniform picks among the discrete steps in that bin.
-    """
-
-    def __init__(self, path: PathSample, h: float):
-        self.dt = path.dt
-        self.h = h
-        vals = path.values[:-1]
-        idx = np.floor(vals / h).astype(np.int64)
-        self.offset = int(idx.min())
-        counts = np.bincount(idx - self.offset)
-        self.bin_probs = counts.astype(float) ** 2
-        norm = self.bin_probs.sum()
-        if norm <= 0:
-            raise RuntimeError("degenerate local-time field")
-        self.bin_probs /= norm
-        order = np.argsort(idx, kind="stable")
-        self.sorted_steps = order
-        self.bin_bounds = np.concatenate([[0], np.cumsum(counts)])
-        # ||L||_2^2 of the underlying field, for the Poisson intensity
-        self.norm2_squared = float(np.sum((counts * (path.dt / h)) ** 2) * h)
-
-    def sample_pair(self, rng: np.random.Generator) -> tuple[float, float, int]:
-        b = int(rng.choice(len(self.bin_probs), p=self.bin_probs))
-        lo, hi = self.bin_bounds[b], self.bin_bounds[b + 1]
-        picks = self.sorted_steps[rng.integers(lo, hi, size=2)]
-        t1, t2 = picks * self.dt
-        return float(t1), float(t2), b + self.offset
-
-
-def sample_si_times(sampler: SelfIntersectionSampler, q: Matching,
-                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Times for every index matched by q, drawn pair by pair; returns the
-    time tuple (indexed as q indexes it) and the bin chosen for each pair."""
-    n = 2 * len(q)
-    times = np.empty(n)
-    bins = np.empty(len(q), dtype=np.int64)
-    for u, (l1, l2) in enumerate(q):
-        t1, t2, b = sampler.sample_pair(rng)
-        times[l1] = t1
-        times[l2] = t2
-        bins[u] = b
-    return times, bins
-
-
-def sample_hat_U(r: int, path: PathSample, segments, h: float, n_max: int,
-                 rng: np.random.Generator) -> SingularJumpPath | None:
-    """One realization of the singular jump process for a frozen path.
-
-    The jump count is twice a Poisson with mean (r-1)^2 ||L||_2^2 / 2, the
-    pre-sort matching is uniform, times come from the self-intersection
-    sampler, and the post-sort matching is the image of the pre-sort one
-    under the sorting permutation.  Returns None when the jump count
-    exceeds n_max (callers count discards).
-    """
-    segments = tuple((float(t), int(i)) for t, i in segments)
-    if r == 1:
-        return SingularJumpPath(r=1, segments=segments, times=np.zeros(0),
-                                jumps=[], matching=(), presort_matching=(),
-                                sort_permutation=np.zeros(0, dtype=np.int64),
-                                pair_bins=np.zeros(0, dtype=np.int64))
-    sampler = SelfIntersectionSampler(path, h)
-    lam = (r - 1) ** 2 * sampler.norm2_squared / 2.0
-    n_hat = 2 * int(rng.poisson(lam))
-    if n_hat > n_max:
-        return None
-    q_hat = random_matching(n_hat, rng)
-    times, pair_bins = sample_si_times(sampler, q_hat, rng)
-    perm = np.argsort(times, kind="stable")
-    sorted_times = times[perm]
-    rank = np.empty(n_hat, dtype=np.int64)
-    rank[perm] = np.arange(n_hat)
-    p_hat = tuple(tuple(sorted((int(rank[l1]), int(rank[l2])))) for l1, l2 in q_hat)
-    jumps = draw_jumps_along(sorted_times, segments, r, rng)
-    return SingularJumpPath(r=r, segments=segments, times=sorted_times,
-                            jumps=jumps, matching=p_hat, presort_matching=q_hat,
-                            sort_permutation=rank, pair_bins=pair_bins)
-
-
 def draw_jumps_along(sorted_times: np.ndarray, segments, r: int,
                       rng: np.random.Generator) -> list[tuple[int, int]]:
-    starts = np.concatenate([[0.0], np.cumsum([t for t, _ in segments])[:-1]])
+    starts = _segment_starts(segments)
     jumps = []
     seg = 0
     color = segments[0][1]
@@ -287,3 +116,59 @@ def draw_jumps_along(sorted_times: np.ndarray, segments, r: int,
         jumps.append((color, nxt))
         color = nxt
     return jumps
+
+
+def singular_jump_counts(r: int, norm2: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Jump counts of the singular process for paths whose local times have
+    squared L2 norms norm2: twice a Poisson with mean (r-1)^2 ||L||_2^2 / 2."""
+    lam = (r - 1) ** 2 * norm2 / 2.0
+    return 2 * (rng.poisson(lam) if r > 1 else np.zeros(len(norm2), dtype=np.int64))
+
+
+class SelfIntersectionSampler:
+    """Draws jump times concentrated on the bin coincidences of one frozen
+    path, given the spatial bin of each of its steps (step_bins, counted
+    from 0) and the number of steps in each bin (bin_counts).
+
+    A bin is chosen with probability proportional to the square of its
+    count, then the two times of a pair are independent uniform picks
+    among the steps in that bin.
+    """
+
+    def __init__(self, step_bins: np.ndarray, bin_counts: np.ndarray, dt: float):
+        self.dt = dt
+        probs = bin_counts**2
+        self.bin_probs = probs / probs.sum()
+        self.sorted_steps = np.argsort(step_bins, kind="stable")
+        self.bin_bounds = np.concatenate([[0], np.cumsum(bin_counts)]).astype(np.int64)
+
+    def sample_pair(self, rng: np.random.Generator) -> tuple[float, float, int]:
+        """Two step times in one bin, and that bin."""
+        b = int(rng.choice(len(self.bin_probs), p=self.bin_probs))
+        lo, hi = self.bin_bounds[b], self.bin_bounds[b + 1]
+        picks = self.sorted_steps[rng.integers(lo, hi, size=2)]
+        return picks[0] * self.dt, picks[1] * self.dt, b
+
+    def sample(self, n_hat: int, segments, r: int,
+               rng: np.random.Generator) -> SingularJumpPath:
+        """The singular jump path with n_hat jumps.
+
+        The pre-sort matching is uniform, each of its pairs takes its times
+        from sample_pair, and the post-sort matching is the image of the
+        pre-sort one under the time-sorting permutation.
+        """
+        from .combinatorics import random_matching
+
+        q_hat = random_matching(n_hat, rng)
+        times = np.empty(n_hat)
+        for l1, l2 in q_hat:
+            times[l1], times[l2], _ = self.sample_pair(rng)
+        perm = np.argsort(times, kind="stable")
+        rank = np.empty(n_hat, dtype=np.int64)
+        rank[perm] = np.arange(n_hat)
+        p_hat = tuple(tuple(sorted((int(rank[l1]), int(rank[l2])))) for l1, l2 in q_hat)
+        sorted_times = times[perm]
+        jumps = draw_jumps_along(sorted_times, segments, r, rng)
+        return SingularJumpPath(r=r, segments=segments, times=sorted_times,
+                                jumps=jumps, matching=p_hat, presort_matching=q_hat,
+                                sort_permutation=rank)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .experiment import ExperimentSpec, MomentEstimate
+from .experiment import ExperimentSpec, InvariantError, MomentEstimate
 from .noise_model import (
     UNIT_NORMALIZATION,
     NoiseField,
@@ -26,7 +26,7 @@ from .noise_model import (
     pair_index,
     sample_noise,
 )
-from .records import read_records, write_records
+from .records import ArchiveError, read_records, write_records
 
 
 @dataclass
@@ -151,7 +151,7 @@ def discretize(spec: ExperimentSpec, noise: NoiseField | None, n: int,
     op = DiscreteOperator(kind=spec.kind, matrix=matrix, r=r, nodes=nodes,
                           kept=kept, weights=np.repeat(weights, asm.mult))
     if op.asymmetry() > 1e-10 * max(1.0, float(np.abs(op.matrix).max())):
-        raise AssertionError("assembled operator lost Hermitian symmetry")
+        raise InvariantError("assembled operator lost Hermitian symmetry")
     return op
 
 
@@ -275,6 +275,6 @@ def load_spectra(path) -> list[np.ndarray]:
     out = []
     for header, payload in read_records(path):
         if header.get("record") != "spectra":
-            raise ValueError("expected a spectra record")
+            raise ArchiveError(f"{path}: expected a spectra record")
         out.append(payload)
     return out

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import N_COMPONENTS, UNIT_NORMALIZATION, FieldElement, conj, from_components
-from .records import read_records, write_records
+from .records import ArchiveError, read_records, write_records
 
 BUMP_NORM = 15.0 / 16.0
 
@@ -134,8 +134,9 @@ def sample_noise(kind: str, r: int, sigma2: float, upsilon2: float,
 
 def sao_variances(kind: str) -> tuple[float, float]:
     """Diagonal and off-diagonal variances of the stochastic Airy preset."""
-    sigma2 = {"R": 1.0, "C": 0.5, "H": 0.25}[kind]
-    return sigma2, 0.5
+    if kind not in ("R", "C", "H"):
+        raise ValueError(f"unknown field kind {kind!r}")
+    return {"R": 1.0, "C": 0.5, "H": 0.25}[kind], 0.5
 
 
 @dataclass
@@ -327,7 +328,7 @@ def load_noise(path) -> list[NoiseField]:
     out = []
     for header, payload in read_records(path):
         if header.get("record") != "noise":
-            raise ValueError(f"expected a noise record, got {header.get('record')!r}")
+            raise ArchiveError(f"{path}: expected a noise record, got {header.get('record')!r}")
         out.append(NoiseField(kind=header["kind"], r=header["r"],
                               sigma2=header["sigma2"], upsilon2=header["upsilon2"],
                               x_lo=header["x_lo"], dx=header["dx"],

@@ -15,6 +15,10 @@ import numpy as np
 MAGIC = b"MVSAO1"
 
 
+class ArchiveError(ValueError):
+    """A file that is not a complete, well-formed MVSAO1 archive."""
+
+
 def write_records(path, records: list[tuple[dict, np.ndarray]]) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -30,16 +34,27 @@ def write_records(path, records: list[tuple[dict, np.ndarray]]) -> None:
 
 def read_records(path) -> list[tuple[dict, np.ndarray]]:
     with open(path, "rb") as fh:
-        magic = fh.read(6)
+        def read(n: int) -> bytes:
+            blob = fh.read(n)
+            if len(blob) != n:
+                raise ArchiveError(f"{path}: truncated archive, wanted {n} bytes "
+                                   f"at offset {fh.tell() - len(blob)}, got {len(blob)}")
+            return blob
+
+        magic = fh.read(len(MAGIC))
         if magic != MAGIC:
-            raise ValueError(f"not a MVSAO1 archive: bad magic {magic!r}")
-        (count,) = struct.unpack("<I", fh.read(4))
+            raise ArchiveError(f"{path}: not a MVSAO1 archive: bad magic {magic!r}")
+        (count,) = struct.unpack("<I", read(4))
         out = []
         for _ in range(count):
-            (hlen,) = struct.unpack("<I", fh.read(4))
-            header = json.loads(fh.read(hlen).decode())
-            shape = tuple(header.pop("shape"))
-            n = int(np.prod(shape)) if shape else 1
-            payload = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape)
+            (hlen,) = struct.unpack("<I", read(4))
+            blob = read(hlen)
+            try:
+                header = json.loads(blob)
+                shape = tuple(header.pop("shape"))
+                n = int(np.prod(shape)) if shape else 1
+            except (ValueError, TypeError, KeyError, AttributeError) as exc:
+                raise ArchiveError(f"{path}: bad record header {blob[:80]!r}") from exc
+            payload = np.frombuffer(read(8 * n), dtype="<f8").reshape(shape)
             out.append((header, payload.copy()))
         return out

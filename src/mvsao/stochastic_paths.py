@@ -1,6 +1,6 @@
 """Spatial process simulation: Brownian bridges on the line, the half line
 and a bounded interval, their transition densities, occupation local times
-and boundary local times.
+and per-step boundary crossing probabilities.
 
 The reflected processes are simulated by folding a free Brownian path:
 on the half line Z = |x + W|, on the interval Z is the triangle-wave fold
@@ -217,24 +217,6 @@ def local_time(path: PathSample, window: tuple[float, float], h: float) -> Local
     masses = np.bincount(idx - offset).astype(float) * (path.dt / h)
     return LocalTimeField(h=h, offset=offset, masses=masses,
                           window_length=(m1 - m0) * path.dt)
-
-
-def boundary_local_time(path: PathSample, c: float, window: tuple[float, float],
-                        domain: DomainConfig, width_mult: float = 1.0) -> float:
-    """Rescaled time spent within eps = width_mult * sqrt(dt) of the
-    boundary point c, using the step left endpoints."""
-    if c not in domain.boundary_points():
-        raise ValueError(f"{c} is not a boundary point of the domain")
-    m0, m1 = _window_steps(path, window)
-    if m1 == m0:
-        return 0.0
-    eps = width_mult * np.sqrt(path.dt)
-    vals = path.values[m0:m1]
-    if c == 0.0:
-        count = int(np.count_nonzero((vals >= 0.0) & (vals < eps)))
-    else:
-        count = int(np.count_nonzero((vals > c - eps) & (vals <= c)))
-    return count * path.dt / (2.0 * eps)
 
 
 def inner_product(l1: LocalTimeField, l2: LocalTimeField) -> float:

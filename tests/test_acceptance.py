@@ -13,12 +13,12 @@ from mvsao.estimators import (
     whitenoise_trace_moment,
 )
 from mvsao.experiment import DIRICHLET, ExperimentSpec
-from mvsao.jump_process import sample_U
 from mvsao.matrix_oracle import discretize, eigenvalues, oracle_moment, trace_semigroup
 from mvsao.noise_model import covariance_table, load_noise, sample_noise, save_noise
 from mvsao.stochastic_paths import DomainConfig, sample_bridge
 from noise_probe import conj_components, embed_entries, mean_with_se, two_point_components
 from test_combinatorics import WALK_1_AND_4, WALK_2, random_jumps
+from test_jump_process import walk
 from wick_oracle import pairing_moment_mc
 
 PI = np.pi
@@ -307,7 +307,7 @@ class TestCriterion9PoissonConditioning:
         n = 50_000
         prods = np.empty(n)
         for s in range(n):
-            u = sample_U(3, [(t, 1)], rng)
+            u = walk(3, [(t, 1)], rng)
             if u.n_jumps == 0:
                 prods[s] = 1.0
             else:

@@ -3,9 +3,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvsao.cli import CSV_COLUMNS, ConfigError, main, parse_config, run, write_results
+from mvsao.cli import (
+    _TOP_KEYS,
+    CSV_COLUMNS,
+    ConfigError,
+    main,
+    parse_config,
+    run,
+    write_results,
+)
 from mvsao.experiment import DIRICHLET
+from mvsao.noise_model import sample_noise, save_noise
+from mvsao.records import ArchiveError, read_records
 
 BASE_CONFIG = {
     "experiment": "trace",
@@ -146,10 +158,41 @@ class TestRunner:
         assert records[0]["kind"] == "covariance"
         assert abs(records[0]["estimate"]) < 0.2
 
-    def test_malformed_config_exit_code(self, tmp_path):
-        cfgp = write_config(tmp_path, dict(BASE_CONFIG, bogus=1))
-        assert main(["trace", "--config", str(cfgp), "--out",
-                     str(tmp_path / "x.csv")]) == 2
+    def test_malformed_config_exit_code(self, tmp_path, capsys):
+        no_theta = {k: v for k, v in BASE_CONFIG.items() if k != "theta"}
+        bad = [("trace", dict(BASE_CONFIG, bogus=1)), ("trace", no_theta),
+               ("trace", dict(BASE_CONFIG, r=0)), ("trace", dict(BASE_CONFIG, case=7)),
+               ("trace", dict(BASE_CONFIG, potential={"kind": "cubic"})),
+               ("trace", dict(BASE_CONFIG, alpha=0.5)),
+               ("trace", dict(BASE_CONFIG, r=2, alpha=[None, None])),
+               ("trace", dict(BASE_CONFIG, noise=3)),
+               ("oracle", dict(BASE_CONFIG, noise="white", oracle=[1])),
+               ("trace", dict(BASE_CONFIG, t="0.5")), ("trace", dict(BASE_CONFIG, dt=0.0)),
+               ("trace", dict(BASE_CONFIG, dt=-1e-3)), ("trace", [BASE_CONFIG])]
+        for k, (experiment, cfg) in enumerate(bad):
+            cfgp = write_config(tmp_path, cfg, f"bad{k}.json")
+            assert main([experiment, "--config", str(cfgp), "--out",
+                         str(tmp_path / "x.csv")]) == 2, cfg
+            assert capsys.readouterr().err.startswith("error: ")
+        (tmp_path / "latin1.json").write_bytes(b"\xff{}")
+        assert main(["trace", "--config", str(tmp_path / "latin1.json")]) == 2
+
+    def test_bad_noise_archive_exit_code(self, tmp_path, capsys):
+        good = tmp_path / "good.mvsao"
+        save_noise(good, [sample_noise("R", 1, 0.5, 0.5, (0.0, 1.0, 64),
+                                       np.random.default_rng(0))])
+        blob = good.read_bytes()
+        for name, data in [("short", blob[:8]), ("truncated", blob[:-8]),
+                           ("magic", b"XXXXXX" + blob[6:])]:
+            path = tmp_path / f"{name}.mvsao"
+            path.write_bytes(data)
+            with pytest.raises(ArchiveError, match=f"{name}.mvsao"):
+                read_records(path)
+            cfg = dict(BASE_CONFIG, noise="white",
+                       oracle={"draws": 1, "grid": 50, "noise_archive": str(path)})
+            assert main(["oracle", "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(tmp_path / "o.csv")]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {path}")
 
     def test_selftest_exit_zero(self, capsys):
         assert main(["selftest"]) == 0
@@ -159,3 +202,21 @@ class TestRunner:
 def test_write_results_rejects_bad_format(tmp_path):
     with pytest.raises(ConfigError):
         write_results([], tmp_path / "x.bin", "parquet")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["white", "dirichlet", "R", "H", "sao", "zero", "tabulated"]),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids,
+                                                              max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.dictionaries(st.sampled_from(sorted(_TOP_KEYS)), _JSON))
+def test_parse_config_raises_only_config_error(from_base, entries):
+    cfg = dict(BASE_CONFIG, **entries) if from_base else entries
+    try:
+        parse_config(cfg)
+    except ConfigError:
+        pass

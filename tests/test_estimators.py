@@ -4,6 +4,7 @@ from dataclasses import replace
 
 from mvsao.algebra import conj
 from mvsao.estimators import (
+    _PathBatch,
     child_seed,
     color_patterns,
     derived_rng,
@@ -14,9 +15,9 @@ from mvsao.estimators import (
     whitenoise_trace_moment,
 )
 from mvsao.experiment import DIRICHLET, ExperimentSpec, PotentialSpec
-from mvsao.jump_process import sample_U
 from mvsao.noise_model import sample_noise
 from mvsao.stochastic_paths import DomainConfig, sample_bridge
+from test_jump_process import walk
 
 PI = np.pi
 SERIES = sum(np.exp(-(k**2) / 2.0) for k in range(1, 60))
@@ -200,7 +201,7 @@ class TestPoissonConditioningIdentity:
         r = 3
         prods = np.empty(n)
         for s in range(n):
-            u = sample_U(r, [(t, 1)], rng)
+            u = walk(r, [(t, 1)], rng)
             if u.n_jumps == 0:
                 prods[s] = 1.0
             else:
@@ -209,6 +210,32 @@ class TestPoissonConditioningIdentity:
         want = np.exp((r - 1) * (eta(path.values[:-1]).sum() * dt - t))
         se = prods.std(ddof=1) / np.sqrt(n)
         assert abs(prods.mean() - want) <= 4 * se
+
+
+class TestConstantColorFastPaths:
+    """A batch's constant-color weights agree with its per-step weights fed
+    the same constant step colors."""
+
+    @pytest.mark.parametrize("alphas,betas", [
+        ((0.0, 0.0), (0.0, 0.0)), ((1.0, 1.0), (1.0, 1.0)), ((-1.0, -1.0), (-1.0, -1.0)),
+        ((DIRICHLET,) * 2, (DIRICHLET,) * 2), ((0.7, DIRICHLET), (DIRICHLET, -1.0))])
+    def test_constant_colors_match_per_step(self, alphas, betas):
+        spec = two_color_spec(alphas=alphas, betas=betas, ts=(0.25, 0.25), dt=5e-4)
+        batch = _PathBatch(spec, (0.02, 0.97), 6, np.random.default_rng(3))
+        for colors in ((1, 1), (1, 2), (2, 1)):
+            steps = np.repeat(colors, batch.seg_steps)
+            np.testing.assert_allclose(
+                [batch.boundary.exponent_sample(s, steps) for s in range(batch.n)],
+                batch.boundary.exponent_constant(colors), rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(
+                [batch.colored_norm2_sample(s, steps) for s in range(batch.n)],
+                batch.colored_norm2_constant(colors), rtol=1e-12)
+            for s in range(batch.n):
+                hist = batch.colored_hist(s, steps)
+                np.testing.assert_array_equal(hist.sum(axis=0), batch.full_hist[s])
+                for i in (1, 2):
+                    ks = [k for k, c in enumerate(colors) if c == i]
+                    np.testing.assert_array_equal(hist[i - 1], batch.seg_hist[s, ks].sum(axis=0))
 
 
 class TestRigidityCovariance:

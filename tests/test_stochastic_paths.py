@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from mvsao.estimators import BoundaryWeights
+from mvsao.experiment import ExperimentSpec
 from mvsao.stochastic_paths import (
     DomainConfig,
     PathSample,
-    boundary_local_time,
     inner_product,
     local_time,
     sample_bridge,
@@ -13,6 +14,7 @@ from mvsao.stochastic_paths import (
     step_crossing_probs,
     transition_density,
 )
+from test_jump_process import frozen_weights
 
 LINE = DomainConfig(case=1)
 HALF = DomainConfig(case=2)
@@ -151,37 +153,33 @@ class TestLocalTime:
 
 
 class TestBoundaryLocalTime:
+    """Robin local times of the shared boundary weights."""
+
     def test_far_path_zero(self):
-        assert boundary_local_time(constant_path(0.5), 0.0, (0.0, 1.0), HALF) == 0.0
+        assert frozen_weights(constant_path(0.5), HALF, (1.0,)).seg_lt[0][0, 0] == 0.0
 
     def test_reflected_expectation(self):
         # E[boundary local time at 0 by time 1] = sqrt(2/pi) for reflected BM
         rng = np.random.default_rng(9)
         t, dt, n = 1.0, 2.5e-4, 60_000
-        eps = np.sqrt(dt)
+        spec = ExperimentSpec(domain=HALF, kind="R", sigma2=0.0, upsilon2=0.0, ts=(t,),
+                              seed=0, alphas=(1.0,), x_max=1.0)
         acc = []
         for start in range(0, n, 10_000):
             m = min(10_000, n - start)
             incs = rng.standard_normal((m, int(t / dt))) * np.sqrt(dt)
             paths = np.abs(np.cumsum(np.pad(incs, ((0, 0), (1, 0))), axis=1))
-            counts = (paths[:, :-1] < eps).sum(axis=1)
-            acc.append(counts * dt / (2 * eps))
+            acc.append(BoundaryWeights(spec, [paths], paths[:, :-1], dt).seg_lt[0][:, 0])
         est = np.concatenate(acc)
         assert est.mean() == pytest.approx(np.sqrt(2 / np.pi), rel=0.03)
 
     def test_window_additivity(self):
         rng = np.random.default_rng(10)
         path = sample_bridge(HALF, 0.1, 0.2, 1.0, 1e-3, rng)
-        full = boundary_local_time(path, 0.0, (0.0, 1.0), HALF)
-        split = (boundary_local_time(path, 0.0, (0.0, 0.4), HALF)
-                 + boundary_local_time(path, 0.0, (0.4, 1.0), HALF))
-        assert full == pytest.approx(split, abs=1e-12)
-
-    def test_bad_boundary_point(self):
-        with pytest.raises(ValueError):
-            boundary_local_time(constant_path(0.5), 0.3, (0.0, 1.0), HALF)
-        with pytest.raises(ValueError):
-            boundary_local_time(constant_path(0.5), 0.0, (0.0, 1.0), LINE)
+        full = frozen_weights(path, HALF, (1.0,)).seg_lt[0]
+        split = frozen_weights(path, HALF, (1.0,), cuts=(400,)).seg_lt[0]
+        assert full[0, 0] > 0 and split.shape == (1, 2)
+        assert full[0, 0] == pytest.approx(split.sum(), abs=1e-12)
 
 
 class TestInnerProduct:
