@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .estimators import (
     whitenoise_trace_moment,
 )
 from .experiment import DIRICHLET, ExperimentSpec, MomentEstimate, PotentialSpec
-from .matrix_oracle import oracle_moment
+from .matrix_oracle import check_draws, check_grid, oracle_moment
 from .noise_model import load_noise, sao_variances
 from .records import ArchiveError
 from .stochastic_paths import DomainConfig
@@ -183,6 +184,18 @@ def _parse_config(cfg: dict, overrides: dict) -> dict:
             "noise_archive": orc.get("noise_archive"),
             "spectra_out": orc.get("spectra_out"),
         }
+        opts = out["oracle"]
+        check_grid(spec, opts["grid"], opts["eps"], opts["zeta"])
+        if opts["noise_archive"] is None:
+            check_draws(opts["draws"])
+    else:
+        # dt, or its default for the times at hand, must divide the factor
+        # times of each path estimate: one time per trace, all of them in a
+        # moment, t1 and t2 in the covariance's second moment (its first
+        # moments then pass too)
+        time_sets = [(t,) for t in ts] if kind == "trace" else [out.get("covariance", ts)]
+        for sub in time_sets:
+            replace(spec, ts=sub, eps=None, zetas=None).step_counts()
     return out
 
 
@@ -220,8 +233,6 @@ def run(parsed: dict, workers: int = 1, timing: bool = False) -> list[dict]:
 
     run_hash = spec.config_hash()
     if kind == "trace":
-        from dataclasses import replace
-
         for idx, t in enumerate(spec.ts):
             sub = replace(spec, ts=(t,),
                           eps=None if spec.eps is None else (spec.eps[idx],),

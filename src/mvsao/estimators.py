@@ -216,11 +216,8 @@ class _PathBatch:
         self.n = n
         self.dt = spec.resolved_dt()
         self.h = spec.resolved_h()
-        self.seg_steps = [max(1, int(round(t / self.dt))) for t in spec.ts]
-        self.seg_dts = [t / m for t, m in zip(spec.ts, self.seg_steps)]
         # a common step width keeps the global step grid aligned
-        if max(abs(d - self.dt) for d in self.seg_dts) > 1e-9 * self.dt:
-            raise ValueError("dt must divide every factor time; adjust dt")
+        self.seg_steps = spec.step_counts()
         self.total_steps = sum(self.seg_steps)
         self.seg_bounds = np.concatenate([[0], np.cumsum(self.seg_steps)])
         self.folded = []

@@ -122,6 +122,16 @@ class ExperimentSpec:
     def resolved_dt(self) -> float:
         return self.dt if self.dt is not None else 1e-3 * min(self.ts)
 
+    def step_counts(self) -> list[int]:
+        """Steps of the common width resolved_dt() in each factor time;
+        ValueError naming a time that the width does not divide."""
+        dt = self.resolved_dt()
+        counts = [max(1, int(round(t / dt))) for t in self.ts]
+        for t, m in zip(self.ts, counts):
+            if abs(t / m - dt) > 1e-9 * dt:
+                raise ValueError(f"dt = {dt:g} does not divide the factor time {t:g}; adjust dt")
+        return counts
+
     def resolved_h(self) -> float:
         return self.h if self.h is not None else float(np.sqrt(self.resolved_dt()))
 

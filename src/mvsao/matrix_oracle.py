@@ -1,13 +1,15 @@
 """Finite-difference discretization route to the same trace moments: build
-the operator matrix on a grid, eigensolve densely, sum the spectral
-exponentials, average over noise draws.
+the operator on a grid as a Hermitian band matrix, eigensolve it, sum the
+spectral exponentials, average over noise draws.
 
-Everything is assembled in quadratic-form units with a lumped (trapezoid)
-mass, then symmetrized by the inverse square-root mass, which keeps Robin
-rows second-order accurate and the matrix exactly Hermitian.  Quaternion
-entries go in through their 2x2 complex embedding (the matrix dimension
-doubles); eigenvalues are de-duplicated afterwards since the embedding
-doubles every multiplicity.
+Rows are node-major, row = (node, color, and for H the 2x2 complex
+embedding component), so the operator lies within r (R, C) or 2r (H) rows
+of the diagonal and is written straight into LAPACK upper band storage;
+with only the upper band stored and a real diagonal it is Hermitian by
+construction.  Entries come from the quadratic form with a lumped
+(trapezoid) mass, symmetrized by the inverse square-root mass, which keeps
+Robin rows second-order accurate.  Quaternion eigenvalues are
+de-duplicated since the embedding doubles every multiplicity.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .experiment import ExperimentSpec, InvariantError, MomentEstimate
+from .experiment import ExperimentSpec, MomentEstimate
 from .noise_model import (
     UNIT_NORMALIZATION,
     NoiseField,
@@ -31,61 +33,41 @@ from .records import ArchiveError, read_records, write_records
 
 @dataclass
 class DiscreteOperator:
-    """Dense symmetric/Hermitian matrix representation of the operator."""
+    """Hermitian operator matrix in LAPACK upper band storage: entry (i, j)
+    with j - u <= i <= j sits at band[u + i - j, j], u = band.shape[0] - 1."""
 
     kind: str
-    matrix: np.ndarray
+    band: np.ndarray
     r: int
     nodes: np.ndarray           # spatial nodes shared by all colors
-    kept: list[np.ndarray]      # per color: node indices that survive Dirichlet rows
-    weights: np.ndarray         # lumped mass per matrix row (post-embedding)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def asymmetry(self) -> float:
-        return float(np.abs(self.matrix - self.matrix.conj().T).max())
+        return self.band.shape[1]
 
 
-class _Assembler:
-    """Kind-aware Hermitian accumulation in quadratic-form units."""
+def check_grid(spec: ExperimentSpec, n: int, eps: float = 0.0,
+               zeta: float = 0.0) -> float:
+    """Step of the n-node grid; ValueError when the grid is too coarse or
+    under-resolves a mollification scale."""
+    if n < 16:
+        raise ValueError("grid too coarse, need n >= 16")
+    lo, hi = spec.spatial_bounds()
+    hg = (hi - lo) / (n - 1)
+    for scale in (eps, zeta):
+        if scale > 0.0 and scale < 2.0 * hg:
+            raise ValueError(f"mollification scale {scale} under-resolved by grid step {hg}")
+    return hg
 
-    def __init__(self, kind: str, dim: int):
-        self.kind = kind
-        self.mult = 2 if kind == "H" else 1
-        dtype = np.float64 if kind == "R" else np.complex128
-        self.m = np.zeros((dim * self.mult, dim * self.mult), dtype=dtype)
 
-    def add_real(self, row: int, col: int, v: float) -> None:
-        """A real scalar at (row, col) and, when off-diagonal, at (col, row)."""
-        k = self.mult
-        for s in range(k):
-            self.m[k * row + s, k * col + s] += v
-            if row != col:
-                self.m[k * col + s, k * row + s] += v
-
-    def add_entry(self, row: int, col: int, comps) -> None:
-        """A field-valued entry at (row, col) plus its conjugate transpose."""
-        a, b, c, d = comps
-        if self.kind == "R":
-            self.m[row, col] += a
-            self.m[col, row] += a
-            return
-        if self.kind == "C":
-            self.m[row, col] += a + 1j * b
-            self.m[col, row] += a - 1j * b
-            return
-        r2, c2 = 2 * row, 2 * col
-        block = np.array([[a + 1j * b, c + 1j * d],
-                          [-c + 1j * d, a - 1j * b]])
-        self.m[r2:r2 + 2, c2:c2 + 2] += block
-        self.m[c2:c2 + 2, r2:r2 + 2] += block.conj().T
+def check_draws(n_draws: int) -> None:
+    if n_draws < 2:
+        raise ValueError("need at least 2 draws for a standard error")
 
 
 def discretize(spec: ExperimentSpec, noise: NoiseField | None, n: int,
                eps: float = 0.0, zeta: float = 0.0) -> DiscreteOperator:
-    """Assemble the operator matrix on an n-node grid.
+    """Assemble the operator on an n-node grid in banded form.
 
     eps and zeta are the diagonal and off-diagonal mollification scales for
     this single operator; zero selects the lattice white-noise route, where
@@ -93,118 +75,104 @@ def discretize(spec: ExperimentSpec, noise: NoiseField | None, n: int,
     width.  In cases 1 and 2 the domain is truncated at x_max with
     Dirichlet walls at the artificial boundary.
     """
-    if n < 16:
-        raise ValueError("grid too coarse, need n >= 16")
+    hg = check_grid(spec, n, eps, zeta)
     lo, hi = spec.spatial_bounds()
     nodes = np.linspace(lo, hi, n)
-    hg = float(nodes[1] - nodes[0])
-    for scale in (eps, zeta):
-        if scale > 0.0 and scale < 2.0 * hg:
-            raise ValueError(f"mollification scale {scale} under-resolved by grid step {hg}")
     r = spec.domain.r
-    alphas = spec.alphas if spec.alphas is not None else (0.0,) * r
-    betas = spec.betas if spec.betas is not None else (0.0,) * r
+    case = spec.domain.case
+    alphas = np.asarray(spec.alphas if spec.alphas is not None else (0.0,) * r)
+    betas = np.asarray(spec.betas if spec.betas is not None else (0.0,) * r)
 
-    kept = []
-    for i in range(r):
-        drop_lo = spec.domain.case == 1 or np.isneginf(alphas[i])
-        drop_hi = spec.domain.case in (1, 2) or np.isneginf(betas[i])
-        idx = np.arange(n)
-        if drop_lo:
-            idx = idx[1:]
-        if drop_hi:
-            idx = idx[:-1]
-        kept.append(idx)
+    # kept[g, i]: node g carries a row of color i+1; Dirichlet rows are eliminated
+    kept = np.ones((n, r), dtype=bool)
+    kept[0] = (case != 1) & ~np.isneginf(alphas)
+    kept[-1] = (case == 3) & ~np.isneginf(betas)
+    row = np.cumsum(kept.ravel()).reshape(n, r) - 1
+    w = np.full(n, hg)
+    w[0] = w[-1] = hg / 2.0
 
-    offsets = np.cumsum([0] + [len(k) for k in kept])
-    dim = int(offsets[-1])
-    asm = _Assembler(spec.kind, dim)
-    weights = np.empty(dim)
-    node_w = np.full(n, hg)
-    node_w[0] = node_w[-1] = hg / 2.0
-    row_of = [{int(g): offsets[i] + k for k, g in enumerate(idx)}
-              for i, idx in enumerate(kept)]
-
-    for i, idx in enumerate(kept):
-        vk = spec.potential.values(i + 1, nodes[idx], r)
-        for k, g in enumerate(idx):
-            g = int(g)
-            row = row_of[i][g]
-            weights[row] = node_w[g]
-            asm.add_real(row, row, float(vk[k]) * node_w[g])
-            for gn in (g - 1, g + 1):
-                if gn < 0 or gn > n - 1:
-                    continue
-                asm.add_real(row, row, 1.0 / (2.0 * hg))
-                if gn in row_of[i] and gn > g:
-                    asm.add_real(row, row_of[i][gn], -1.0 / (2.0 * hg))
-        if spec.domain.case in (2, 3) and not np.isneginf(alphas[i]) and 0 in row_of[i]:
-            asm.add_real(row_of[i][0], row_of[i][0], -alphas[i] / 2.0)
-        if spec.domain.case == 3 and not np.isneginf(betas[i]) and (n - 1) in row_of[i]:
-            asm.add_real(row_of[i][n - 1], row_of[i][n - 1], -betas[i] / 2.0)
-
+    # the form's diagonal over the lumped mass: 1/(2 hg) per grid edge over
+    # hg (hg/2 at an end node, which has one edge) is 1/hg^2 at every node,
+    # and a Robin term -alpha/2 over hg/2 is -alpha/hg
+    diag = spec.potential.values(np.arange(1, r + 1)[None, :], nodes[:, None], r) + 1.0 / hg**2
+    if case != 1:
+        diag[0] -= np.where(kept[0], alphas, 0.0) / hg
+        diag[-1] -= np.where(kept[-1], betas, 0.0) / hg
+    # the mass scaling turns a form-level noise entry back into its point value
     if noise is not None:
-        _add_noise(asm, spec, noise, nodes, node_w, row_of, eps, zeta)
+        values = _noise_values(spec, noise, nodes, w, eps, zeta)
+        index = pair_index(noise.r)
+        diag += values[[index[(i, i)] for i in range(1, r + 1)], 0].T
+    kinetic = -1.0 / (2.0 * hg * np.sqrt(w[:-1] * w[1:]))
+    linked = kept[:-1] & kept[1:]
 
-    scale_vec = np.repeat(1.0 / np.sqrt(weights), asm.mult)
-    matrix = asm.m * np.outer(scale_vec, scale_vec)
-    op = DiscreteOperator(kind=spec.kind, matrix=matrix, r=r, nodes=nodes,
-                          kept=kept, weights=np.repeat(weights, asm.mult))
-    if op.asymmetry() > 1e-10 * max(1.0, float(np.abs(op.matrix).max())):
-        raise InvariantError("assembled operator lost Hermitian symmetry")
-    return op
+    mult = 2 if spec.kind == "H" else 1
+    u = r * mult
+    band = np.zeros((u + 1, int(kept.sum()) * mult),
+                    dtype=np.float64 if spec.kind == "R" else np.complex128)
+
+    def put(rows, cols, vals):
+        band[u + rows - cols, cols] = vals
+
+    for s in range(mult):
+        put(mult * row[kept] + s, mult * row[kept] + s, diag[kept])
+        put(mult * row[:-1][linked] + s, mult * row[1:][linked] + s,
+            np.broadcast_to(kinetic[:, None], linked.shape)[linked])
+    if noise is not None:
+        for i in range(1, r + 1):
+            for j in range(i + 1, r + 1):
+                shared = kept[:, i - 1] & kept[:, j - 1]
+                a, b, c, d = values[index[(i, j)]][:, shared]
+                ri, rj = row[shared, i - 1], row[shared, j - 1]
+                if spec.kind == "R":
+                    put(ri, rj, a)
+                elif spec.kind == "C":
+                    put(ri, rj, a + 1j * b)
+                else:
+                    for si, sj, v in ((0, 0, a + 1j * b), (0, 1, c + 1j * d),
+                                      (1, 0, -c + 1j * d), (1, 1, a - 1j * b)):
+                        put(2 * ri + si, 2 * rj + sj, v)
+    return DiscreteOperator(kind=spec.kind, band=band, r=r, nodes=nodes)
 
 
-def _entry_values(spec: ExperimentSpec, noise: NoiseField, nodes: np.ndarray,
-                  node_w: np.ndarray, scale: float, i: int, j: int) -> np.ndarray:
-    """Standardized noise entry (i, j) components at every node, (4, n).
+def _noise_values(spec: ExperimentSpec, noise: NoiseField, nodes: np.ndarray,
+                  w: np.ndarray, eps: float, zeta: float) -> np.ndarray:
+    """Standardized noise components of every entry pair at every node,
+    (n_pairs, 4, n); each distinct scale is evaluated once for all pairs.
 
     Mollified entries are point evaluations; white entries are the raw cell
-    increments divided by the cell width (the lumped form then multiplies
+    increments divided by the cell width w (the lumped form then multiplies
     the width back in, so the form-level entry is the bare increment).
     """
-    p = pair_index(noise.r)[(i, j)]
-    amp = np.sqrt(spec.sigma2) if i == j else np.sqrt(spec.upsilon2)
-    norm = 1.0 if i == j else UNIT_NORMALIZATION[spec.kind]
-    if scale > 0.0:
-        if nodes[0] < noise.x_lo + scale - 1e-9 or nodes[-1] > noise.x_hi - scale + 1e-9:
-            raise ValueError("noise grid does not cover the domain plus mollifier margin")
-        profiles = mollified_profiles(noise, scale)
-        centers = noise.cell_centers()
-        comps = np.stack([np.interp(nodes, centers, profiles[p, c]) for c in range(4)])
-        return amp * norm * comps
-    edges = np.concatenate([[nodes[0] - node_w[0]],
-                            0.5 * (nodes[:-1] + nodes[1:]),
-                            [nodes[-1] + node_w[-1]]])
-    agg = lattice_white_values(noise, edges)
-    return amp * norm * agg[p] / node_w
-
-
-def _add_noise(asm, spec, noise, nodes, node_w, row_of, eps, zeta):
-    r = spec.domain.r
-    for i in range(r):
-        for j in range(i, r):
-            scale = eps if i == j else zeta
-            comps = _entry_values(spec, noise, nodes, node_w, scale, i + 1, j + 1)
-            shared = sorted(set(row_of[i]) & set(row_of[j]))
-            for g in shared:
-                val = comps[:, g] * node_w[g]
-                if i == j:
-                    asm.add_real(row_of[i][g], row_of[i][g], float(val[0]))
-                else:
-                    asm.add_entry(row_of[i][g], row_of[j][g], val)
+    diagonal = np.array([i == j for i, j in pair_index(noise.r)])
+    amp = np.where(diagonal, np.sqrt(spec.sigma2),
+                   np.sqrt(spec.upsilon2) * UNIT_NORMALIZATION[spec.kind])
+    scales = np.where(diagonal, eps, zeta)
+    out = np.empty((len(diagonal), 4, len(nodes)))
+    for scale in np.unique(scales):
+        use = scales == scale
+        if scale > 0.0:
+            if nodes[0] < noise.x_lo + scale - 1e-9 or nodes[-1] > noise.x_hi - scale + 1e-9:
+                raise ValueError("noise grid does not cover the domain plus mollifier margin")
+            centers = noise.cell_centers()
+            out[use] = [[np.interp(nodes, centers, comp) for comp in pair]
+                        for pair in mollified_profiles(noise, scale)[use]]
+        else:
+            cells = np.concatenate([[nodes[0] - w[0]], 0.5 * (nodes[:-1] + nodes[1:]),
+                                    [nodes[-1] + w[-1]]])
+            out[use] = lattice_white_values(noise, cells)[use] / w
+    return amp[:, None, None] * out
 
 
 def eigenvalues(op: DiscreteOperator) -> np.ndarray:
     """Ascending spectrum; quaternion spectra are de-duplicated by halving
     the doubled multiplicities of the complex embedding."""
     try:
-        eigs = scipy.linalg.eigh(op.matrix, eigvals_only=True)
+        eigs = scipy.linalg.eig_banded(op.band, eigvals_only=True)
     except scipy.linalg.LinAlgError as exc:
         raise RuntimeError(
-            f"eigensolve failed for {op.dim}x{op.dim} matrix "
-            f"(asymmetry {op.asymmetry():.2e}, max entry "
-            f"{np.abs(op.matrix).max():.2e})") from exc
+            f"eigensolve failed for {op.dim}x{op.dim} band matrix "
+            f"(max entry {np.abs(op.band).max():.2e})") from exc
     if op.kind != "H":
         return eigs
     spread = max(1.0, float(np.abs(eigs).max()))
@@ -244,8 +212,7 @@ def oracle_moment(spec: ExperimentSpec, n_draws: int, n_grid: int,
     sampled on a grid sized for the requested mollification scales.
     """
     if noise_fields is None:
-        if n_draws < 2:
-            raise ValueError("need at least 2 draws for a standard error")
+        check_draws(n_draws)
         grid = default_noise_grid(spec, min((s for s in (eps, zeta) if s > 0), default=0.0))
         noise_fields = [sample_noise(spec.kind, spec.domain.r, spec.sigma2,
                                      spec.upsilon2, grid, rng)

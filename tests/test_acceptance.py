@@ -21,6 +21,8 @@ from test_combinatorics import WALK_1_AND_4, WALK_2, random_jumps
 from test_jump_process import walk
 from wick_oracle import pairing_moment_mc
 
+pytestmark = pytest.mark.acceptance
+
 PI = np.pi
 DIRICHLET_SERIES = sum(np.exp(-(k**2) / 2.0) for k in range(1, 60))
 

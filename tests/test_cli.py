@@ -160,6 +160,8 @@ class TestRunner:
 
     def test_malformed_config_exit_code(self, tmp_path, capsys):
         no_theta = {k: v for k, v in BASE_CONFIG.items() if k != "theta"}
+        uneven_cov = dict(BASE_CONFIG, experiment="covariance", noise="white", dt=1e-4,
+                          covariance={"t1": 0.5, "t2": 0.12345})
         bad = [("trace", dict(BASE_CONFIG, bogus=1)), ("trace", no_theta),
                ("trace", dict(BASE_CONFIG, r=0)), ("trace", dict(BASE_CONFIG, case=7)),
                ("trace", dict(BASE_CONFIG, potential={"kind": "cubic"})),
@@ -168,12 +170,22 @@ class TestRunner:
                ("trace", dict(BASE_CONFIG, noise=3)),
                ("oracle", dict(BASE_CONFIG, noise="white", oracle=[1])),
                ("trace", dict(BASE_CONFIG, t="0.5")), ("trace", dict(BASE_CONFIG, dt=0.0)),
-               ("trace", dict(BASE_CONFIG, dt=-1e-3)), ("trace", [BASE_CONFIG])]
+               ("trace", dict(BASE_CONFIG, dt=-1e-3)), ("trace", [BASE_CONFIG]),
+               # dt, given or defaulted, must divide every factor time
+               ("moment", dict(BASE_CONFIG, t=[0.5, 0.3], noise="white")),
+               ("trace", dict(BASE_CONFIG, dt=3e-4)),
+               ("covariance", uneven_cov),
+               # oracle inputs that discretize or oracle_moment would reject
+               ("oracle", dict(BASE_CONFIG, noise="white", oracle={"grid": 8})),
+               ("oracle", dict(BASE_CONFIG, noise="white", oracle={"draws": 1, "grid": 50})),
+               ("oracle", dict(BASE_CONFIG, noise="white", oracle={"eps": 0.01, "grid": 64}))]
         for k, (experiment, cfg) in enumerate(bad):
             cfgp = write_config(tmp_path, cfg, f"bad{k}.json")
             assert main([experiment, "--config", str(cfgp), "--out",
                          str(tmp_path / "x.csv")]) == 2, cfg
             assert capsys.readouterr().err.startswith("error: ")
+        with pytest.raises(ConfigError, match="factor time 0.12345"):
+            parse_config(uneven_cov)
         (tmp_path / "latin1.json").write_bytes(b"\xff{}")
         assert main(["trace", "--config", str(tmp_path / "latin1.json")]) == 2
 

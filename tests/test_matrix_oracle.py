@@ -77,25 +77,40 @@ class TestDeterministicSpectra:
         np.testing.assert_allclose(eigs[:3], airy_zeros / 2.0, rtol=2e-3)
 
 
+def _dense(op):
+    """The full Hermitian matrix held in the operator's upper band storage."""
+    u = op.band.shape[0] - 1
+    m = np.zeros((op.dim, op.dim), dtype=op.band.dtype)
+    for k in range(u + 1):
+        cols = np.arange(k, op.dim)
+        m[cols - k, cols] = op.band[u - k, k:]
+    return m + np.triu(m, 1).conj().T
+
+
 class TestEigenvalues:
     def test_plain_diagonal(self):
-        op = DiscreteOperator(kind="R", matrix=np.diag([3.0, 1.0, 2.0]), r=1,
-                              nodes=np.arange(3.0), kept=[np.arange(3)],
-                              weights=np.ones(3))
+        op = DiscreteOperator(kind="R", band=np.array([[3.0, 1.0, 2.0]]), r=1,
+                              nodes=np.arange(3.0))
+        np.testing.assert_array_equal(_dense(op), np.diag([3.0, 1.0, 2.0]))
         np.testing.assert_allclose(eigenvalues(op), [1.0, 2.0, 3.0])
 
     def test_self_adjointness(self):
-        rng = np.random.default_rng(0)
-        spec = make_spec(r=2, kind="C", sigma2=1.0, upsilon2=0.5, theta=1.0)
-        field = sample_noise("C", 2, 1.0, 0.5, (-0.5, 1.5, 2048), rng)
-        op = discretize(spec, field, 200, eps=0.1, zeta=0.1)
-        assert op.asymmetry() < 1e-12
+        # the banded solve sees the same Hermitian matrix as a dense one
+        for kind in ("C", "H"):
+            rng = np.random.default_rng(0)
+            spec = make_spec(r=2, kind=kind, sigma2=1.0, upsilon2=0.5, theta=1.0)
+            field = sample_noise(kind, 2, 1.0, 0.5, (-0.5, 1.5, 2048), rng)
+            op = discretize(spec, field, 200, eps=0.1, zeta=0.1)
+            dense = np.linalg.eigvalsh(_dense(op))
+            if kind == "H":
+                dense = dense.reshape(-1, 2).mean(axis=1)
+            np.testing.assert_allclose(eigenvalues(op), dense, rtol=1e-10, atol=1e-10)
 
     def test_quaternion_doubling_and_dedup(self):
         spec = make_spec(r=2, kind="H", theta=1.0)
         op = discretize(spec, None, 64)
-        raw = np.linalg.eigvalsh(op.matrix)
-        assert op.matrix.shape[0] == 2 * 2 * 62
+        raw = np.linalg.eigvalsh(_dense(op))
+        assert op.dim == 2 * 2 * 62
         gaps = raw.reshape(-1, 2)
         assert np.abs(gaps[:, 0] - gaps[:, 1]).max() < 1e-8 * abs(raw).max()
         eigs = eigenvalues(op)
@@ -107,12 +122,77 @@ class TestEigenvalues:
         rng = np.random.default_rng(1)
         field = sample_noise("H", 2, 0.5, 0.5, (-0.5, 1.5, 2048), rng)
         op = discretize(spec, field, 128, eps=0.1, zeta=0.1)
-        embedded = np.linalg.eigvalsh(op.matrix)
+        embedded = np.linalg.eigvalsh(_dense(op))
         t = 0.7
         reported = trace_semigroup(eigenvalues(op), t)
         assert np.exp(-t * embedded).sum() == pytest.approx(2 * reported, rel=1e-10)
         # and the real 4x4 representation would double once more
         assert 2 * np.exp(-t * embedded).sum() == pytest.approx(4 * reported, rel=1e-10)
+
+
+NOISY = {"sigma2": 0.5, "upsilon2": 0.5, "theta": 1.0}
+
+
+def _pinned_cases():
+    """Operators whose low spectra are pinned: (spec, noise seed, grid, eps =
+    zeta).  Where the case has walls, Robin and Dirichlet colors are mixed."""
+    d = DIRICHLET
+    table = PotentialSpec(kind="tabulated", table_x=(-2.0, 0.0, 2.0),
+                          table_v=((1.0, 0.0, 1.0), (0.5, 2.0, -0.5)))
+    cases = {f"white_{kind}": (make_spec(r=2, kind=kind, alphas=(d, 0.7), betas=(-1.0, d),
+                                         **NOISY), 11 + k, 48, 0.0)
+             for k, kind in enumerate("RCH")}
+    cases["mollified_H3"] = (make_spec(r=3, kind="H", alphas=(d, 0.7, 0.0),
+                                       betas=(-1.0, d, 0.3), **NOISY), 14, 64, 0.1)
+    cases["sao_case2_C"] = (make_spec(case=2, r=2, kind="C", alphas=(d, 0.7), x_max=3.0,
+                                      potential=PotentialSpec(kind="sao"), **NOISY), 15, 56, 0.0)
+    cases["tabulated_case1_R"] = (make_spec(case=1, r=2, x_max=2.0, potential=table, **NOISY),
+                                  16, 40, 0.0)
+    return cases
+
+
+# (dimension, lowest eight eigenvalues) of each pinned operator as the dense
+# color-major assembly computed them; a node-major build that mixed up
+# colors, rows or embedding components would move them
+PINNED_SPECTRA = {
+    "white_R": (94, [
+        0.54343324592493, 1.6484602189365767, 12.317490564544743,
+        12.641863259008828, 31.38145372376009, 31.84132137298057,
+        60.82967264512356, 61.24874504584479]),
+    "white_C": (94, [
+        0.11362506968771707, 2.1330648050517587, 11.347816407251429,
+        11.794227049663574, 30.904393343877285, 31.696889424572735,
+        59.71579245285181, 61.8072457703135]),
+    "white_H": (188, [
+        0.7899373935282783, 1.8273729978187063, 9.311938918082067,
+        11.871747327043103, 29.585344412075035, 30.98904651361309,
+        59.98627260527075, 61.28988311151333]),
+    "mollified_H3": (380, [
+        -1.493502493364688, -0.047749076405223405, 1.4343956626596897,
+        4.392897214861321, 9.855339872423288, 10.774060773622951,
+        19.445673087899415, 29.538983027998967]),
+    "sao_case2_C": (109, [
+        0.11430117205341461, 1.6309442156094998, 2.879724377825213,
+        4.164344101807042, 5.089692624488699, 7.146814140993846,
+        8.323053103784481, 10.615518474797021]),
+    "tabulated_case1_R": (76, [
+        -0.11727387373070523, 0.6499333406724404, 1.095048160914893,
+        2.1601276530956603, 2.39110282680636, 3.386785507844225,
+        5.07224661917458, 5.43525014389426]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SPECTRA))
+def test_spectra_pinned(name):
+    spec, seed, n, scale = _pinned_cases()[name]
+    lo, hi = spec.spatial_bounds()
+    field = sample_noise(spec.kind, spec.domain.r, 0.5, 0.5, (lo - 0.5, hi + 0.5, 2048),
+                         np.random.default_rng(seed))
+    op = discretize(spec, field, n, eps=scale, zeta=scale)
+    dim, want = PINNED_SPECTRA[name]
+    assert op.dim == dim
+    np.testing.assert_allclose(eigenvalues(op)[:8], want, rtol=1e-9,
+                               atol=1e-9 * np.abs(want).max())
 
 
 class TestSemigroup:
