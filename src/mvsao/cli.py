@@ -21,6 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from .estimators import (
+    check_covariance_times,
     child_seed,
     rigidity_covariance,
     smooth_trace_moment,
@@ -172,6 +173,7 @@ def _parse_config(cfg: dict, overrides: dict) -> dict:
         cov = _require(cfg, "covariance")
         _check_keys(cov, _COV_KEYS, "covariance")
         out["covariance"] = (float(_require(cov, "t1")), float(_require(cov, "t2")))
+        check_covariance_times(*out["covariance"])
     if kind == "oracle":
         orc = dict(cfg.get("oracle", {}))
         _check_keys(orc, _ORACLE_KEYS, "oracle")

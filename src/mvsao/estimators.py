@@ -12,13 +12,13 @@ transition kernels.  Every sample's weight is assembled from
 
   * the pairing sum over matchings of the realized jumps (smooth route) or
     the sampled matching weight (white route),
-  * the exponential of -int V + self-intersection terms + boundary terms,
-  * a survival factor for Dirichlet-colored boundary contact, using the
-    per-step bridge crossing correction exp(-2 d1 d2 / dt).
+  * the exponential of -int V + self-intersection terms, and
+  * per step, the exact wall factor E[exp(alpha L) | step endpoints] of
+    the color held, whose Dirichlet limit is the survival probability.
 
 The colored walk and the self-intersection sampler are those of
-jump_process, and all three estimators read their boundary terms and
-survival factors from one BoundaryWeights object per batch of paths.
+jump_process, and all three estimators read their wall factors from one
+BoundaryWeights object per batch of paths.
 
 Seed policy: every (starting tuple, grid node, chunk) triple owns the rng
 stream SeedSequence(entropy=seed, spawn_key=(stream, node, chunk)), which
@@ -49,6 +49,7 @@ from .jump_process import (  # draw_jumps_along: perfbench traces this binding
 from .noise_model import NoiseField, mollified_profiles, pair_index, rho
 from .stochastic_paths import (
     interpolate_free,
+    log_wall_factor,
     sample_bridge_ensemble,
     step_crossing_probs,
     transition_density,
@@ -119,90 +120,66 @@ def start_quadrature(spec: ExperimentSpec) -> tuple[np.ndarray, float]:
     return xs, hq
 
 
-@dataclass
-class _Boundary:
-    """Per-boundary split of the weights into finite (Robin) and killing
-    (Dirichlet) colors."""
-
-    point: float
-    side: str
-    finite: np.ndarray    # weight per color, 0 where Dirichlet
-    killing: np.ndarray   # bool per color
-
-    @staticmethod
-    def build(spec: ExperimentSpec) -> list["_Boundary"]:
-        """Case 1 has no wall, case 2 the lower one, case 3 both."""
-        walls = [(0.0, "lower", spec.alphas), (spec.domain.theta, "upper", spec.betas)]
-        out = []
-        for point, side, w in walls[:spec.domain.case - 1]:
-            w = np.asarray(w, dtype=float)
-            out.append(_Boundary(point, side, np.where(np.isneginf(w), 0.0, w),
-                                 np.isneginf(w)))
-        return out
+def _wall_terms(folded, bounds, point, side, dt, weights) -> list[tuple]:
+    """(colors holding the weight, per-step logs, per-segment sums) for each
+    distinct nonzero weight of one wall.  Its own scope frees the temporaries
+    before the next wall's, which keeps the peak memory of a batch down."""
+    near = []  # per segment: rows, steps, distances at both step ends
+    for f, lo in zip(folded, bounds):
+        # a factor whose q is 1e-17 or less is 1 to double precision
+        rows, cols = np.nonzero(step_crossing_probs(f, point, dt, side=side) > 1e-17)
+        near.append((rows, lo + cols, np.abs(f[rows, cols] - point),
+                     np.abs(f[rows, cols + 1] - point)))
+    terms = []
+    for alpha in np.unique(weights[weights != 0.0]):
+        logs = np.zeros((folded[0].shape[0], bounds[-1]))
+        for rows, steps, a, b in near:
+            logs[rows, steps] = log_wall_factor(a, b, dt, alpha)
+        segs = np.stack([logs[:, lo:hi].sum(axis=1) for lo, hi in zip(bounds, bounds[1:])], 1)
+        terms.append((weights == alpha, logs, segs))
+    return terms
 
 
 class BoundaryWeights:
     """Log boundary weights of a batch of concatenated paths, the single
     implementation behind every estimator.
 
-    folded holds the segments' paths, shape (n, steps_k + 1) each, and
-    step_values the left endpoints of all steps, concatenated.  A Robin
-    color contributes its weight times the boundary local time, the
-    near-wall step count times dt / (2 eps), eps = boundary_width sqrt(dt).
-    A Dirichlet color contributes log(1 - q) for each step it holds, q the
-    crossing probability of step_crossing_probs (q = 1 at the wall kills).
+    folded holds the segments' paths, shape (n, steps_k + 1) each.  In each
+    step a wall's weight alpha for the color held contributes the exact
+    log_wall_factor of the step's distances to the wall (for a Dirichlet
+    color, the log survival probability).  Each (wall, distinct nonzero
+    weight) pair keeps its per-step logs, shape (n, steps), and their
+    per-segment sums; a zero (Neumann) weight costs nothing.
     """
 
-    def __init__(self, spec: ExperimentSpec, folded: list[np.ndarray],
-                 step_values: np.ndarray, dt: float):
-        self.boundaries = _Boundary.build(spec)
-        self.step_values = step_values
-        self.dt = dt
-        self.eps = spec.boundary_width * np.sqrt(dt)
-        self.seg_lt = []             # per boundary: (n, segments) local times
-        self.seg_log_survival = []   # per boundary: (n, segments), or None
-        self.step_log_survival = []  # per boundary: (n, steps), or None
-        for b in self.boundaries:
-            self.seg_lt.append(np.stack(
-                [self._near(b, f[:, :-1]).sum(axis=1) * dt / (2.0 * self.eps)
-                 for f in folded], axis=1))
-            seg_logs = steps = None
-            if b.killing.any():
-                steps = [np.log1p(-np.minimum(
-                    step_crossing_probs(f, b.point, dt, side=b.side), 1.0 - 1e-300))
-                    for f in folded]
-                seg_logs = np.stack([p.sum(axis=1) for p in steps], axis=1)
-                steps = steps[0] if len(steps) == 1 else np.concatenate(steps, axis=1)
-            self.seg_log_survival.append(seg_logs)
-            self.step_log_survival.append(steps)
-
-    def _near(self, b: _Boundary, vals: np.ndarray) -> np.ndarray:
-        if b.side == "lower":
-            return (vals >= b.point) & (vals < b.point + self.eps)
-        return (vals > b.point - self.eps) & (vals <= b.point)
+    def __init__(self, spec: ExperimentSpec, folded: list[np.ndarray], dt: float):
+        self.n = folded[0].shape[0]
+        bounds = np.cumsum([0] + [f.shape[1] - 1 for f in folded])
+        self.terms = []  # (colors holding the weight, step logs, segment sums)
+        walls = [(0.0, "lower", spec.alphas), (spec.domain.theta, "upper", spec.betas)]
+        # case 1 has no wall, case 2 the lower one, case 3 both
+        for point, side, weights in walls[:spec.domain.case - 1]:
+            weights = np.asarray(weights, dtype=float)
+            if weights.any():
+                self.terms += _wall_terms(folded, bounds, point, side, dt, weights)
 
     def exponent_constant(self, colors: tuple[int, ...]) -> np.ndarray:
         """Every sample's log weight when segment k holds colors[k]
         throughout."""
-        out = np.zeros(len(self.step_values))
-        for b, lt, logs in zip(self.boundaries, self.seg_lt, self.seg_log_survival):
+        out = np.zeros(self.n)
+        for held, _, segs in self.terms:
             for k, c in enumerate(colors):
-                if b.killing[c - 1]:
-                    out += logs[:, k]
-                else:
-                    out += b.finite[c - 1] * lt[:, k]
+                if held[c - 1]:
+                    out += segs[:, k]
         return out
 
     def exponent_sample(self, s: int, step_colors: np.ndarray) -> float:
         """Sample s's log weight when step m holds color step_colors[m]."""
         out = 0.0
-        for b, logs in zip(self.boundaries, self.step_log_survival):
-            near = self._near(b, self.step_values[s])
-            out += float(b.finite[step_colors[near] - 1].sum() * self.dt / (2.0 * self.eps))
-            if logs is not None:
-                kill_mask = b.killing[step_colors - 1]
-                if kill_mask.any():
-                    out += float(logs[s][kill_mask].sum())
+        for held, logs, _ in self.terms:
+            mask = held[step_colors - 1]
+            if mask.any():
+                out += float(logs[s][mask].sum())
         return out
 
 
@@ -253,7 +230,7 @@ class _PathBatch:
             counts = np.bincount(flat, minlength=n * self.n_bins)
             self.seg_hist[:, k, :] = counts.reshape(n, self.n_bins)
         self.full_hist = self.seg_hist.sum(axis=1)
-        self.boundary = BoundaryWeights(spec, self.folded, self.step_values, self.dt)
+        self.boundary = BoundaryWeights(spec, self.folded, self.dt)
         self._prepare_potential()
 
     # -- potential ----------------------------------------------------------
@@ -691,7 +668,7 @@ def fk_kernel_regular(spec: ExperimentSpec, t: float, a: tuple[int, float],
         vals = fold[:, :-1]
         counts = walk_jump_counts(r, (t,), mchunk, rng)[:, 0]
         v_of_color = _diag_potential_table(spec, noise, profiles, pidx, vals, dt)
-        boundary = BoundaryWeights(spec, [fold], vals, dt)
+        boundary = BoundaryWeights(spec, [fold], dt)
         for s in range(mchunk):
             w = _fk_single(spec, noise, profiles, pidx, t, dt, i0, j0, free[s], vals[s],
                            int(counts[s]), v_of_color, s, boundary, rng)
@@ -767,6 +744,11 @@ def _fk_single(spec, noise, profiles, pidx, t, dt, i0, j0, free_row, vals_row,
 # covariance experiment and extrapolation helpers
 # --------------------------------------------------------------------------
 
+def check_covariance_times(t1: float, t2: float) -> None:
+    if not (0 < t1 <= 1 and 0 < t2 <= 1):
+        raise ValueError("covariance experiment expects t1, t2 in (0, 1]")
+
+
 def rigidity_covariance(spec: ExperimentSpec, t1: float, t2: float,
                         workers: int = 1) -> MomentEstimate:
     """Cov[Tr exp(-t1 H), Tr exp(-t2 H)] from three independent estimates.
@@ -774,8 +756,7 @@ def rigidity_covariance(spec: ExperimentSpec, t1: float, t2: float,
     The second moment and both first moments are estimated on disjoint
     seeds; the error bar is the delta-method combination.
     """
-    if not (0 < t1 <= 1 and 0 < t2 <= 1):
-        raise ValueError("covariance experiment expects t1, t2 in (0, 1]")
+    check_covariance_times(t1, t2)
     from dataclasses import replace
 
     spec2 = replace(spec, ts=(t1, t2), eps=None, zetas=None,

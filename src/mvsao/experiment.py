@@ -84,7 +84,6 @@ class ExperimentSpec:
     x_max: float | None = None
     n_quad: int = 48
     n_max: int = 12
-    boundary_width: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("R", "C", "H"):
@@ -95,6 +94,8 @@ class ExperimentSpec:
             raise ValueError("moments beyond n = 4 are not supported")
         if self.sigma2 < 0 or self.upsilon2 < 0:
             raise ValueError("variances must be nonnegative")
+        if self.n_paths < 1 or self.n_quad < 1 or self.n_max < 0:
+            raise ValueError("need paths >= 1, n_quad >= 1 and n_max >= 0")
         r = self.domain.r
         if self.domain.case in (2, 3):
             if self.alphas is None or len(self.alphas) != r:
@@ -168,7 +169,6 @@ class ExperimentSpec:
             "zetas": None if self.zetas is None else list(self.zetas),
             "n_paths": self.n_paths, "dt": self.dt, "h": self.h,
             "x_max": self.x_max, "n_quad": self.n_quad, "n_max": self.n_max,
-            "boundary_width": self.boundary_width,
         }
         return d
 

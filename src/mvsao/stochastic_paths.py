@@ -235,12 +235,11 @@ def inner_product(l1: LocalTimeField, l2: LocalTimeField) -> float:
 
 
 def step_crossing_probs(values: np.ndarray, c: float, dt: float, side: str) -> np.ndarray:
-    """Per-step probability that the path touched the boundary level c.
-
-    Grid detection alone misses within-step excursions; the standard bridge
-    correction exp(-2 d1 d2 / dt) on the distances of consecutive points to
-    the boundary repairs that.  Points at or beyond the boundary give
-    probability one.  values has shape (..., n_steps + 1).
+    """Per-step q = exp(-2 d1 d2 / dt), d1 and d2 the distances of
+    consecutive points to the boundary level c: the chance that a free
+    Brownian bridge between them touches c, and the image share of a
+    reflected step's kernel (see log_wall_factor).  Points at or beyond the
+    boundary give one.  values has shape (..., n_steps + 1).
     """
     if side == "lower":
         d1 = values[..., :-1] - c
@@ -254,6 +253,27 @@ def step_crossing_probs(values: np.ndarray, c: float, dt: float, side: str) -> n
     with np.errstate(over="ignore"):
         p = np.exp(-2.0 * d1 * d2 / dt)
     return np.where(inside, p, 1.0)
+
+
+def log_wall_factor(a, b, dt: float, alpha: float) -> np.ndarray:
+    """Log of E[exp(alpha L) | Z(0) = a, Z(dt) = b] for Brownian motion
+    reflected at a wall, a and b the distances to it, L the local time there
+    over the step (E L_t = sqrt(2t/pi) from the wall): with q = exp(-2ab/dt),
+    1 + q alpha sqrt(2 pi dt) erfcx((a + b - alpha dt) / sqrt(2 dt)) / (1 + q),
+    the ratio of the half-line Robin kernel to the Neumann one (Borodin &
+    Salminen, Handbook of Brownian Motion), exactly 1 at alpha = 0.  DIRICHLET
+    (alpha = -inf) gives the reflected bridge's survival (1 - q) / (1 + q),
+    whose log is -inf, without a warning, at wall contact.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    z = 2.0 * a * b / dt
+    if alpha == -np.inf:
+        with np.errstate(divide="ignore"):
+            return np.log(-np.expm1(-z)) - np.log1p(np.exp(-z))
+    from scipy.special import erfcx  # only Robin walls load it: 4 MB resident, 50 ms
+    q = np.exp(-z)
+    x = (a + b - alpha * dt) / np.sqrt(2.0 * dt)
+    return np.log1p(q * alpha * _SQRT2PI * np.sqrt(dt) * erfcx(x) / (1.0 + q))
 
 
 def interpolate_free(free: np.ndarray, times: np.ndarray, dt: float,

@@ -52,6 +52,47 @@ class TestCriterion1DeterministicAnchor:
                f"+- {est.stderr:.5f}, oracle {tr:.5f}")
 
 
+def pooled(estimates):
+    """Mean and standard error of equal-size estimates pooled over seeds."""
+    value = float(np.mean([e.value for e in estimates]))
+    return value, float(np.sqrt(sum(e.stderr**2 for e in estimates))) / len(estimates)
+
+
+class TestBoundaryAnchors:
+    """Noise-free anchors for the exact wall factor, four seeds pooled."""
+
+    SEEDS = (1101, 1102, 1103, 1104)
+
+    def test_dirichlet_series(self):
+        ests = [smooth_trace_moment(ExperimentSpec(
+            domain=DomainConfig(case=3, theta=PI, r=1), kind="R", sigma2=0.0,
+            upsilon2=0.0, ts=(1.0,), seed=seed, alphas=(DIRICHLET,),
+            betas=(DIRICHLET,), zetas=(0.1,), n_paths=100_000, n_quad=32))
+            for seed in self.SEEDS]
+        value, se = pooled(ests)
+        assert abs(value - DIRICHLET_SERIES) <= 3 * se
+        report("boundary anchor (Dirichlet)",
+               f"series {DIRICHLET_SERIES:.5f}, pooled {value:.5f} +- {se:.5f} "
+               f"({(value - DIRICHLET_SERIES) / se:+.2f} se)")
+
+    @pytest.mark.parametrize("alpha", [1.0, -1.0])
+    def test_robin_oracle(self, alpha):
+        def spec(seed):
+            return ExperimentSpec(
+                domain=DomainConfig(case=3, theta=1.0, r=1), kind="R", sigma2=0.0,
+                upsilon2=0.0, ts=(0.5,), seed=seed, alphas=(alpha,), betas=(alpha,),
+                n_paths=50_000, n_quad=32, dt=5e-4)
+
+        coarse, fine = (trace_semigroup(eigenvalues(discretize(spec(0), None, grid)), 0.5)
+                        for grid in (1000, 2000))
+        assert coarse == pytest.approx(fine, rel=1e-5)
+        value, se = pooled([smooth_trace_moment(spec(seed)) for seed in self.SEEDS])
+        assert abs(value - fine) <= 3 * se
+        report(f"boundary anchor (Robin {alpha:+g})",
+               f"oracle {fine:.6f} (grid 1000: {coarse:.6f}), pooled {value:.5f} "
+               f"+- {se:.5f} ({(value - fine) / se:+.2f} se)")
+
+
 class TestCriterion2KernelAnchor:
     def test_heat_kernel_value(self):
         spec = ExperimentSpec(domain=DomainConfig(case=1, r=1), kind="R",

@@ -178,7 +178,13 @@ class TestRunner:
                # oracle inputs that discretize or oracle_moment would reject
                ("oracle", dict(BASE_CONFIG, noise="white", oracle={"grid": 8})),
                ("oracle", dict(BASE_CONFIG, noise="white", oracle={"draws": 1, "grid": 50})),
-               ("oracle", dict(BASE_CONFIG, noise="white", oracle={"eps": 0.01, "grid": 64}))]
+               ("oracle", dict(BASE_CONFIG, noise="white", oracle={"eps": 0.01, "grid": 64})),
+               # counts and covariance times out of range
+               ("trace", dict(BASE_CONFIG, n_quad=0)), ("trace", dict(BASE_CONFIG, n_quad=-3)),
+               ("trace", dict(BASE_CONFIG, paths=0)), ("trace", dict(BASE_CONFIG, paths=-5)),
+               ("trace", dict(BASE_CONFIG, n_max=-1)),
+               ("covariance", dict(BASE_CONFIG, experiment="covariance", noise="white",
+                                   covariance={"t1": 2.0, "t2": 0.5}))]
         for k, (experiment, cfg) in enumerate(bad):
             cfgp = write_config(tmp_path, cfg, f"bad{k}.json")
             assert main([experiment, "--config", str(cfgp), "--out",

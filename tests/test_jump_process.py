@@ -12,7 +12,13 @@ from mvsao.jump_process import (
     singular_jump_counts,
     walk_jump_counts,
 )
-from mvsao.stochastic_paths import DomainConfig, PathSample, local_time, sample_bridge
+from mvsao.stochastic_paths import (
+    DomainConfig,
+    PathSample,
+    local_time,
+    log_wall_factor,
+    sample_bridge,
+)
 
 HALF = DomainConfig(case=2)
 UNIT = DomainConfig(case=3, theta=1.0)
@@ -46,7 +52,7 @@ def frozen_weights(path, domain, alphas, betas=None, cuts=()):
                           x_max=None if domain.case == 3 else 1.0)
     bounds = [0, *cuts, path.n_steps]
     folded = [path.values[None, lo:hi + 1] for lo, hi in zip(bounds, bounds[1:])]
-    return BoundaryWeights(spec, folded, path.values[None, :-1], path.dt)
+    return BoundaryWeights(spec, folded, path.dt)
 
 
 def small_batch(r, ts, seed, n=3):
@@ -164,12 +170,12 @@ class TestBoundaryTerm:
 
     def test_r1_matches_scalar(self):
         path = frozen_path(dom=HALF, x=0.02, y=0.05)
-        eps = np.sqrt(path.dt)
-        near = np.count_nonzero(path.values[:-1] < eps)
-        want = 0.7 * near * path.dt / (2.0 * eps)
+        want = log_wall_factor(path.values[:-1], path.values[1:], path.dt, 0.7).sum()
         bw = frozen_weights(path, HALF, (0.7,))
-        assert bw.exponent_constant((1,))[0] == pytest.approx(want)
-        assert bw.exponent_sample(0, np.ones(path.n_steps, dtype=np.int64)) == pytest.approx(want)
+        assert want > 0
+        assert bw.exponent_constant((1,))[0] == pytest.approx(want, rel=1e-12)
+        assert bw.exponent_sample(0, np.ones(path.n_steps, dtype=np.int64)) == pytest.approx(
+            want, rel=1e-12)
 
     def test_dirichlet_kill(self):
         # a Dirichlet color on a path that touches the wall gets weight 0

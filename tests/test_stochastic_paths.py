@@ -1,14 +1,20 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erf
 
 from mvsao.estimators import BoundaryWeights
 from mvsao.experiment import ExperimentSpec
 from mvsao.stochastic_paths import (
     DomainConfig,
     PathSample,
+    gaussian_kernel,
     inner_product,
     local_time,
+    log_wall_factor,
     sample_bridge,
     sample_bridge_ensemble,
     step_crossing_probs,
@@ -152,34 +158,81 @@ class TestLocalTime:
         assert field.total_mass() == 0.0
 
 
+def wall_factor_quad(a, b, dt, alpha):
+    """E[exp(alpha L) | Z(0) = a, Z(dt) = b] for Brownian motion reflected
+    at 0, by quadrature of the joint law of (Z(dt), L): an atom
+    g(a - b) - g(a + b) at L = 0 and, for L = l > 0, the first-passage
+    density 2u exp(-u^2 / 2dt) / sqrt(2 pi dt^3) at u = a + b + l."""
+    def dens(l):
+        u = a + b + l
+        return math.exp(alpha * l) * 2.0 * u * math.exp(-u * u / (2.0 * dt)) / math.sqrt(
+            2.0 * math.pi * dt**3)
+    tail, _ = quad(dens, 0.0, abs(alpha) * dt + 40.0 * math.sqrt(dt),
+                   epsabs=0.0, epsrel=1e-13, limit=200)
+    direct, image = gaussian_kernel(dt, a - b), gaussian_kernel(dt, a + b)
+    return (direct - image + tail) / (direct + image)
+
+
+class TestLogWallFactor:
+    STEPS = [(0.0, 0.0, 1e-3), (0.01, 0.02, 1e-3), (0.03, 0.0, 5e-4),
+             (0.05, 0.04, 2e-3), (0.1, 0.1, 1e-3)]
+
+    def test_neumann_is_one(self):
+        a, b, _ = np.array(self.STEPS).T
+        assert np.all(log_wall_factor(a, b, 1e-3, 0.0) == 0.0)
+
+    def test_dirichlet_limit(self):
+        a, b, _ = np.array(self.STEPS).T
+        q = np.exp(-2.0 * a * b / 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np.exp(log_wall_factor(a, b, 1e-3, -np.inf))
+        np.testing.assert_allclose(got, (1.0 - q) / (1.0 + q), rtol=1e-14, atol=0.0)
+        assert got[0] == 0.0 and got[2] == 0.0
+
+    @pytest.mark.parametrize("alpha", [1.0, -1.0, 50.0, -50.0])
+    def test_matches_joint_density(self, alpha):
+        for a, b, dt in self.STEPS:
+            want = wall_factor_quad(a, b, dt, alpha)
+            assert math.exp(log_wall_factor(a, b, dt, alpha)) == pytest.approx(want, rel=1e-12)
+
+
 class TestBoundaryLocalTime:
-    """Robin local times of the shared boundary weights."""
+    """Robin wall factors of the shared boundary weights."""
 
     def test_far_path_zero(self):
-        assert frozen_weights(constant_path(0.5), HALF, (1.0,)).seg_lt[0][0, 0] == 0.0
+        assert frozen_weights(constant_path(0.5), HALF, (1.0,)).exponent_constant((1,))[0] == 0.0
 
     def test_reflected_expectation(self):
-        # E[boundary local time at 0 by time 1] = sqrt(2/pi) for reflected BM
+        # E_a[exp(alpha L_t)] for Brownian motion reflected at 0: P(no hit) plus
+        # the integral of exp(alpha l) against the density 2 g_t(a + l) of
+        # L_t > 0.  The product of the wall factors along a reflected Gaussian
+        # random walk is an unbiased estimate of it.
+        a, t, dt, alpha, n = 0.05, 0.2, 2e-3, -1.0, 200_000
+        tail, _ = quad(lambda l: math.exp(alpha * l) * 2.0 * gaussian_kernel(t, a + l),
+                       0.0, np.inf)
+        want = erf(a / math.sqrt(2.0 * t)) + tail
         rng = np.random.default_rng(9)
-        t, dt, n = 1.0, 2.5e-4, 60_000
         spec = ExperimentSpec(domain=HALF, kind="R", sigma2=0.0, upsilon2=0.0, ts=(t,),
-                              seed=0, alphas=(1.0,), x_max=1.0)
+                              seed=0, alphas=(alpha,), x_max=1.0)
         acc = []
-        for start in range(0, n, 10_000):
-            m = min(10_000, n - start)
-            incs = rng.standard_normal((m, int(t / dt))) * np.sqrt(dt)
-            paths = np.abs(np.cumsum(np.pad(incs, ((0, 0), (1, 0))), axis=1))
-            acc.append(BoundaryWeights(spec, [paths], paths[:, :-1], dt).seg_lt[0][:, 0])
+        for _ in range(n // 50_000):
+            incs = rng.standard_normal((50_000, int(round(t / dt)))) * np.sqrt(dt)
+            paths = np.abs(a + np.cumsum(np.pad(incs, ((0, 0), (1, 0))), axis=1))
+            acc.append(np.exp(BoundaryWeights(spec, [paths], dt).exponent_constant((1,))))
         est = np.concatenate(acc)
-        assert est.mean() == pytest.approx(np.sqrt(2 / np.pi), rel=0.03)
+        se = est.std(ddof=1) / np.sqrt(n)
+        assert abs(est.mean() - want) <= 3 * se
 
     def test_window_additivity(self):
         rng = np.random.default_rng(10)
         path = sample_bridge(HALF, 0.1, 0.2, 1.0, 1e-3, rng)
-        full = frozen_weights(path, HALF, (1.0,)).seg_lt[0]
-        split = frozen_weights(path, HALF, (1.0,), cuts=(400,)).seg_lt[0]
-        assert full[0, 0] > 0 and split.shape == (1, 2)
-        assert full[0, 0] == pytest.approx(split.sum(), abs=1e-12)
+        full = frozen_weights(path, HALF, (1.0,)).exponent_constant((1,))
+        split = frozen_weights(path, HALF, (1.0,), cuts=(400,))
+        _, _, segs = split.terms[0]
+        assert full[0] > 0 and segs.shape == (1, 2)
+        assert full[0] == pytest.approx(split.exponent_constant((1, 1))[0], abs=1e-12)
+        assert full[0] == pytest.approx(segs.sum(), abs=1e-12)
 
 
 class TestInnerProduct:
