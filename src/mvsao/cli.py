@@ -73,7 +73,7 @@ def _boundary_vector(raw, r: int, name: str):
                 raise ConfigError(f"{name} entries are numbers or 'dirichlet'")
             out.append(DIRICHLET)
         else:
-            out.append(float(v))
+            out.append(_finite(v, name))
     return tuple(out)
 
 
@@ -81,6 +81,22 @@ def _require(cfg: dict, key: str):
     if key not in cfg or cfg[key] is None:
         raise ConfigError(f"missing required key '{key}'")
     return cfg[key]
+
+
+def _finite(v, name: str) -> float:
+    """float(v), which must be finite: json reads NaN and Infinity."""
+    out = float(v)
+    if not math.isfinite(out):
+        raise ConfigError(f"'{name}' must be a finite number, got {v!r}")
+    return out
+
+
+def _finite_as_given(v, name: str):
+    """v itself, which must be a finite int or float; kept as given so that
+    the config hash does not depend on how the number was written."""
+    if type(v) not in (int, float) or not math.isfinite(v):
+        raise ConfigError(f"'{name}' must be a finite number, got {v!r}")
+    return v
 
 
 def _positive_number(cfg: dict, key: str):
@@ -136,27 +152,32 @@ def _parse_config(cfg: dict, overrides: dict) -> dict:
     if r > _MAX_COLORS:
         raise ConfigError(f"color count r = {r} above {_MAX_COLORS}")
     theta = cfg.get("theta")
+    if case == 3 and theta is not None:
+        theta = _finite_as_given(theta, "theta")
     domain = DomainConfig(case=case, theta=theta if case == 3 else None, r=r)
     field = cfg.get("field", "R")
 
     pot_raw = cfg.get("potential", {"kind": "zero"})
     _check_keys(pot_raw, _POTENTIAL_KEYS, "potential")
     potential = PotentialSpec(
-        kind=pot_raw.get("kind", "zero"), kappa=float(pot_raw.get("kappa", 1.0)),
-        nu=float(pot_raw.get("nu", 0.0)),
-        table_x=tuple(pot_raw.get("table_x", ())),
-        table_v=tuple(tuple(row) for row in pot_raw.get("table_v", ())))
+        kind=pot_raw.get("kind", "zero"),
+        kappa=_finite(pot_raw.get("kappa", 1.0), "potential.kappa"),
+        nu=_finite(pot_raw.get("nu", 0.0), "potential.nu"),
+        table_x=tuple(_finite_as_given(v, "potential.table_x")
+                      for v in pot_raw.get("table_x", ())),
+        table_v=tuple(tuple(_finite_as_given(v, "potential.table_v") for v in row)
+                      for row in pot_raw.get("table_v", ())))
 
-    ts = tuple(float(v) for v in _require(cfg, "t"))
-    sigma2 = float(_require(cfg, "sigma2"))
-    upsilon2 = float(_require(cfg, "upsilon2"))
+    ts = tuple(_finite(v, "t") for v in _require(cfg, "t"))
+    sigma2 = _finite(_require(cfg, "sigma2"), "sigma2")
+    upsilon2 = _finite(_require(cfg, "upsilon2"), "upsilon2")
     noise = cfg.get("noise", "white")
     if noise == "white":
         eps = zetas = None
     else:
         _check_keys(noise, _NOISE_KEYS, "noise")
-        eps = tuple(float(v) for v in noise.get("eps", [0.0] * len(ts)))
-        zetas = tuple(float(v) for v in noise.get("zeta", [0.0] * len(ts)))
+        eps = tuple(_finite(v, "noise.eps") for v in noise.get("eps", [0.0] * len(ts)))
+        zetas = tuple(_finite(v, "noise.zeta") for v in noise.get("zeta", [0.0] * len(ts)))
 
     spec = ExperimentSpec(
         domain=domain, kind=field, sigma2=sigma2, upsilon2=upsilon2, ts=ts,
@@ -172,7 +193,8 @@ def _parse_config(cfg: dict, overrides: dict) -> dict:
     if kind == "covariance":
         cov = _require(cfg, "covariance")
         _check_keys(cov, _COV_KEYS, "covariance")
-        out["covariance"] = (float(_require(cov, "t1")), float(_require(cov, "t2")))
+        out["covariance"] = (_finite(_require(cov, "t1"), "covariance.t1"),
+                             _finite(_require(cov, "t2"), "covariance.t2"))
         check_covariance_times(*out["covariance"])
     if kind == "oracle":
         orc = dict(cfg.get("oracle", {}))
@@ -182,7 +204,8 @@ def _parse_config(cfg: dict, overrides: dict) -> dict:
             raise ConfigError("oracle file paths must be strings")
         out["oracle"] = {
             "draws": int(orc.get("draws", 100)), "grid": int(orc.get("grid", 500)),
-            "eps": float(orc.get("eps", 0.0)), "zeta": float(orc.get("zeta", 0.0)),
+            "eps": _finite(orc.get("eps", 0.0), "oracle.eps"),
+            "zeta": _finite(orc.get("zeta", 0.0), "oracle.zeta"),
             "noise_archive": orc.get("noise_archive"),
             "spectra_out": orc.get("spectra_out"),
         }

@@ -60,6 +60,9 @@ _STREAM_SMOOTH = 1
 _STREAM_WHITE = 2
 
 _MAX_CHUNK_FLOATS = 3.0e7
+# steps whose ends both lie sqrt(_WALL_REACH_DT * dt) or more from a wall
+# have a wall factor of exactly 1 (see _wall_terms)
+_WALL_REACH_DT = 20.0
 
 
 def derived_rng(seed: int, *key: int) -> np.random.Generator:
@@ -123,18 +126,32 @@ def start_quadrature(spec: ExperimentSpec) -> tuple[np.ndarray, float]:
 def _wall_terms(folded, bounds, point, side, dt, weights) -> list[tuple]:
     """(colors holding the weight, per-step logs, per-segment sums) for each
     distinct nonzero weight of one wall.  Its own scope frees the temporaries
-    before the next wall's, which keeps the peak memory of a batch down."""
-    near = []  # per segment: rows, steps, distances at both step ends
+    before the next wall's, which keeps the peak memory of a batch down.
+
+    A factor whose q is 1e-17 or less is 1 to double precision.  A step with
+    both ends at least sqrt(_WALL_REACH_DT dt) from the wall has 2ab/dt >= 40,
+    so q <= exp(-40) < 1e-17: only steps with an end nearer than that are
+    candidates, and q is computed for those alone."""
+    reach = math.sqrt(_WALL_REACH_DT * dt)
+    near = []  # per segment: flat indices into the logs, distances at both step ends
     for f, lo in zip(folded, bounds):
-        # a factor whose q is 1e-17 or less is 1 to double precision
-        rows, cols = np.nonzero(step_crossing_probs(f, point, dt, side=side) > 1e-17)
-        near.append((rows, lo + cols, np.abs(f[rows, cols] - point),
-                     np.abs(f[rows, cols + 1] - point)))
+        # flat index i of f is the step from flat[i] to flat[i + 1] in row
+        # i // width, except at the row ends, which pair one row with the next
+        width = f.shape[1]
+        flat = f.reshape(-1)
+        close = flat < point + reach if side == "lower" else flat > point - reach
+        cand = close[:-1] | close[1:]
+        cand[width - 1::width] = False
+        idx = np.flatnonzero(cand)
+        ends = np.stack([flat[idx], flat[idx + 1]], axis=1)
+        idx = idx[step_crossing_probs(ends, point, dt, side=side)[:, 0] > 1e-17]
+        near.append((idx + (idx // width) * (bounds[-1] - width) + lo,
+                     np.abs(flat[idx] - point), np.abs(flat[idx + 1] - point)))
     terms = []
     for alpha in np.unique(weights[weights != 0.0]):
         logs = np.zeros((folded[0].shape[0], bounds[-1]))
-        for rows, steps, a, b in near:
-            logs[rows, steps] = log_wall_factor(a, b, dt, alpha)
+        for at, a, b in near:
+            logs.reshape(-1)[at] = log_wall_factor(a, b, dt, alpha)
         segs = np.stack([logs[:, lo:hi].sum(axis=1) for lo, hi in zip(bounds, bounds[1:])], 1)
         terms.append((weights == alpha, logs, segs))
     return terms
@@ -220,13 +237,19 @@ class _PathBatch:
             hi_bin = min(hi_bin, int(np.floor(spec.domain.theta / self.h)))
         self.bin_offset = lo_bin
         self.n_bins = hi_bin - lo_bin + 1
-        idx = np.floor(self.step_values / self.h).astype(np.int64) - self.bin_offset
-        self.step_bins = np.clip(idx, 0, self.n_bins - 1)
+        # bins are integer-valued doubles far below 2**53, so shifting them
+        # before the cast is exact; the narrowest unsigned type lets the
+        # sampler's stable argsort run as a radix sort (up to 16 bits)
+        bins = self.step_values / self.h
+        np.floor(bins, out=bins)
+        bins -= self.bin_offset
+        np.clip(bins, 0, self.n_bins - 1, out=bins)
+        self.step_bins = bins.astype(np.min_scalar_type(self.n_bins - 1))
         # per-segment histograms of step counts
         self.seg_hist = np.zeros((n, len(xs), self.n_bins))
         for k in range(len(xs)):
             sl = slice(self.seg_bounds[k], self.seg_bounds[k + 1])
-            flat = (np.arange(n)[:, None] * self.n_bins + idx[:, sl]).ravel()
+            flat = (np.arange(n)[:, None] * self.n_bins + self.step_bins[:, sl]).ravel()
             counts = np.bincount(flat, minlength=n * self.n_bins)
             self.seg_hist[:, k, :] = counts.reshape(n, self.n_bins)
         self.full_hist = self.seg_hist.sum(axis=1)
@@ -238,7 +261,9 @@ class _PathBatch:
         spec = self.spec
         pot = spec.potential
         self.color_free_potential = pot.kind != "tabulated" or spec.color_symmetric()
-        if self.color_free_potential:
+        if pot.kind == "zero":
+            self.v_int = np.zeros(self.n)
+        elif self.color_free_potential:
             v = pot.values(1, self.step_values, spec.domain.r)
             self.v_int = v.sum(axis=1) * self.dt
         else:

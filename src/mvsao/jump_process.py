@@ -139,12 +139,16 @@ class SelfIntersectionSampler:
         self.dt = dt
         probs = bin_counts**2
         self.bin_probs = probs / probs.sum()
+        # the CDF that Generator.choice(p=bin_probs) builds on every call
+        self.bin_cdf = self.bin_probs.cumsum()
+        self.bin_cdf /= self.bin_cdf[-1]
         self.sorted_steps = np.argsort(step_bins, kind="stable")
         self.bin_bounds = np.concatenate([[0], np.cumsum(bin_counts)]).astype(np.int64)
 
     def sample_pair(self, rng: np.random.Generator) -> tuple[float, float, int]:
-        """Two step times in one bin, and that bin."""
-        b = int(rng.choice(len(self.bin_probs), p=self.bin_probs))
+        """Two step times in one bin, and that bin.  The bin is the draw of
+        rng.choice(len(bin_probs), p=bin_probs), from the same uniform."""
+        b = int(self.bin_cdf.searchsorted(rng.random(), side="right"))
         lo, hi = self.bin_bounds[b], self.bin_bounds[b + 1]
         picks = self.sorted_steps[rng.integers(lo, hi, size=2)]
         return picks[0] * self.dt, picks[1] * self.dt, b

@@ -98,8 +98,15 @@ def gaussian_kernel(t: float, z) -> np.ndarray:
 
 
 def _fold(values: np.ndarray, theta: float) -> np.ndarray:
-    u = np.mod(values, 2.0 * theta)
-    return theta - np.abs(u - theta)
+    """theta - |mod(values, 2 theta) - theta| in one new buffer; np.mod is
+    the identity on [0, 2 theta) (-0.0 aside, which the rest maps to 0.0),
+    so it runs only where values leave that range."""
+    period = 2.0 * theta
+    u = np.array(values, dtype=float)
+    np.mod(u, period, out=u, where=(u < 0.0) | (u >= period))
+    u -= theta
+    np.abs(u, out=u)
+    return np.subtract(theta, u, out=u)
 
 
 def _image_endpoints(domain: DomainConfig, x: float, y: float, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -144,12 +151,15 @@ def sample_free_bridges(endpoints: np.ndarray, t: float, n_steps: int,
     """Brownian bridges from 0 to the given endpoints on an n_steps grid."""
     n = len(endpoints)
     dt = t / n_steps
-    incs = rng.standard_normal((n, n_steps)) * np.sqrt(dt)
+    incs = rng.standard_normal((n, n_steps))
+    incs *= np.sqrt(dt)
     w = np.empty((n, n_steps + 1))
     w[:, 0] = 0.0
     np.cumsum(incs, axis=1, out=w[:, 1:])
+    # pull the end to the endpoint; column 0 stays 0.0 (0.0 - +-0.0 = 0.0),
+    # so only the later columns need the correction, built in incs' buffer
     s = np.linspace(0.0, 1.0, n_steps + 1)
-    w -= s[None, :] * (w[:, -1] - endpoints)[:, None]
+    w[:, 1:] -= np.multiply((w[:, -1] - endpoints)[:, None], s[None, 1:], out=incs)
     return w
 
 
@@ -171,7 +181,8 @@ def sample_bridge_ensemble(domain: DomainConfig, x: float, y: float, t: float,
     e, wts = _image_endpoints(domain, x, y, t)
     probs = wts / wts.sum()
     choice = rng.choice(len(e), size=n_paths, p=probs)
-    free = x + sample_free_bridges(e[choice], t, n_steps, rng)
+    free = sample_free_bridges(e[choice], t, n_steps, rng)
+    free += x
     if domain.case == 1:
         folded = free
     elif domain.case == 2:

@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from mvsao.cli import (
 from mvsao.experiment import DIRICHLET
 from mvsao.noise_model import sample_noise, save_noise
 from mvsao.records import ArchiveError, read_records
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BASE_CONFIG = {
     "experiment": "trace",
@@ -185,6 +189,31 @@ class TestRunner:
                ("trace", dict(BASE_CONFIG, n_max=-1)),
                ("covariance", dict(BASE_CONFIG, experiment="covariance", noise="white",
                                    covariance={"t1": 2.0, "t2": 0.5}))]
+        # json reads NaN and Infinity; every number must be finite
+        nan, inf = float("nan"), float("inf")
+        small = dict(json.loads((CONFIGS / "interval_white_cross.json").read_text()),
+                     t=[0.5], dt=0.01, n_quad=2, paths=50, seed=1)
+        assert main(["moment", "--config", str(write_config(tmp_path, small, "small.json")),
+                     "--out", str(tmp_path / "x.csv")]) == 0
+        capsys.readouterr()
+        bad += [("moment", dict(small, **change)) for change in [
+            {"alpha": [nan, 0.0]}, {"alpha": [inf, 0.0]}, {"beta": [0.0, -inf]},
+            {"upsilon2": inf}, {"sigma2": nan}, {"theta": nan}, {"theta": inf},
+            {"t": [nan]}, {"t": [0.5, inf]},
+            {"potential": {"kind": "linear", "kappa": nan}},
+            {"potential": {"kind": "linear", "nu": -inf}},
+            {"potential": {"kind": "tabulated", "table_x": [0.0, nan],
+                           "table_v": [[0.0, 1.0], [0.0, 1.0]]}},
+            {"potential": {"kind": "tabulated", "table_x": [0.0, 1.0],
+                           "table_v": [[0.0, 1.0], [inf, 1.0]]}},
+            {"noise": {"eps": [nan], "zeta": [0.1]}},
+            {"noise": {"eps": [0.1], "zeta": [inf]}}]]
+        bad += [("covariance", dict(small, experiment="covariance",
+                                    covariance={"t1": nan, "t2": 0.5})),
+                ("covariance", dict(small, experiment="covariance",
+                                    covariance={"t1": 0.5, "t2": inf})),
+                ("oracle", dict(small, experiment="oracle", oracle={"grid": 64, "eps": nan})),
+                ("oracle", dict(small, experiment="oracle", oracle={"grid": 64, "zeta": inf}))]
         for k, (experiment, cfg) in enumerate(bad):
             cfgp = write_config(tmp_path, cfg, f"bad{k}.json")
             assert main([experiment, "--config", str(cfgp), "--out",
@@ -222,8 +251,37 @@ def test_write_results_rejects_bad_format(tmp_path):
         write_results([], tmp_path / "x.bin", "parquet")
 
 
+# every numeric input of a full config, as a path of keys and list indices
+_FULL_CONFIG = dict(BASE_CONFIG, r=2, alpha=[0.5, "dirichlet"], beta=[-1.0, 0.0],
+                    t=[0.5, 0.25], noise={"eps": [0.1, 0.1], "zeta": [0.1, 0.1]},
+                    potential={"kind": "tabulated", "kappa": 1.0, "nu": 0.0,
+                               "table_x": [0.0, 1.0], "table_v": [[0.0, 1.0], [1.0, 0.0]]},
+                    covariance={"t1": 0.5, "t2": 0.25},
+                    oracle={"grid": 64, "eps": 0.1, "zeta": 0.1})
+_NUMERIC_INPUTS = [("theta",), ("sigma2",), ("upsilon2",), ("t", 0), ("t", 1), ("alpha", 0),
+                   ("beta", 0), ("beta", 1), ("potential", "kappa"), ("potential", "nu"),
+                   ("potential", "table_x", 1), ("potential", "table_v", 1, 0),
+                   ("noise", "eps", 0), ("noise", "zeta", 1), ("covariance", "t1"),
+                   ("covariance", "t2"), ("oracle", "eps"), ("oracle", "zeta")]
+
+
+@pytest.mark.parametrize("where", _NUMERIC_INPUTS, ids=lambda w: "/".join(map(str, w)))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_numbers_rejected(where, value):
+    experiment = {"covariance": "covariance", "oracle": "oracle"}.get(where[0], "moment")
+    cfg = json.loads(json.dumps(dict(_FULL_CONFIG, experiment=experiment)))
+    parse_config(cfg)
+    node = cfg
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config(cfg)
+
+
 _JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=6)
     | st.sampled_from(["white", "dirichlet", "R", "H", "sao", "zero", "tabulated"]),
     lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids,
                                                               max_size=4),
@@ -235,6 +293,22 @@ _JSON = st.recursive(
 def test_parse_config_raises_only_config_error(from_base, entries):
     cfg = dict(BASE_CONFIG, **entries) if from_base else entries
     try:
-        parse_config(cfg)
+        parsed = parse_config(cfg)
     except ConfigError:
-        pass
+        return
+    # what parses is finite; "dirichlet" is the only infinite wall weight
+    spec = parsed.get("spec")
+    if spec is not None:
+        numbers = dict(spec.canonical_dict(), **{k: v for k, v in parsed.items()
+                                                 if k in ("covariance", "oracle")})
+        for key, value in numbers.items():
+            for x in _numbers_in(value):
+                assert math.isfinite(x) or (key in ("alphas", "betas") and x == DIRICHLET), key
+
+
+def _numbers_in(value):
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _numbers_in(v)]
+    if isinstance(value, (list, tuple)):
+        return [x for v in value for x in _numbers_in(v)]
+    return [value] if isinstance(value, (int, float)) else []

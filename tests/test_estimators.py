@@ -4,6 +4,7 @@ from dataclasses import replace
 
 from mvsao.algebra import conj
 from mvsao.estimators import (
+    BoundaryWeights,
     _PathBatch,
     child_seed,
     color_patterns,
@@ -16,7 +17,14 @@ from mvsao.estimators import (
 )
 from mvsao.experiment import DIRICHLET, ExperimentSpec, PotentialSpec
 from mvsao.noise_model import sample_noise
-from mvsao.stochastic_paths import DomainConfig, sample_bridge
+from mvsao.jump_process import SelfIntersectionSampler
+from mvsao.stochastic_paths import (
+    DomainConfig,
+    log_wall_factor,
+    sample_bridge,
+    sample_bridge_ensemble,
+    step_crossing_probs,
+)
 from test_jump_process import walk
 
 PI = np.pi
@@ -236,6 +244,106 @@ class TestConstantColorFastPaths:
                 for i in (1, 2):
                     ks = [k for k, c in enumerate(colors) if c == i]
                     np.testing.assert_array_equal(hist[i - 1], batch.seg_hist[s, ks].sum(axis=0))
+
+
+def dense_wall_terms(spec, folded, dt):
+    """BoundaryWeights' terms from q over every step of every path: the
+    reference for its near-wall cut."""
+    bounds = np.cumsum([0] + [f.shape[1] - 1 for f in folded])
+    terms = []
+    walls = [(0.0, "lower", spec.alphas), (spec.domain.theta, "upper", spec.betas)]
+    for point, side, weights in walls[:spec.domain.case - 1]:
+        weights = np.asarray(weights, dtype=float)
+        near = []
+        for f, lo in zip(folded, bounds):
+            rows, cols = np.nonzero(step_crossing_probs(f, point, dt, side=side) > 1e-17)
+            near.append((rows, lo + cols, np.abs(f[rows, cols] - point),
+                         np.abs(f[rows, cols + 1] - point)))
+        for alpha in np.unique(weights[weights != 0.0]):
+            logs = np.zeros((folded[0].shape[0], bounds[-1]))
+            for rows, steps, a, b in near:
+                logs[rows, steps] = log_wall_factor(a, b, dt, alpha)
+            segs = np.stack([logs[:, lo:hi].sum(axis=1)
+                             for lo, hi in zip(bounds, bounds[1:])], 1)
+            terms.append((weights == alpha, logs, segs))
+    return terms
+
+
+def near_wall_paths(domain, dt, n_rows, n_steps, rng):
+    """Frozen paths whose steps touch a wall, step beyond it and have ends
+    on both sides of, and just inside and outside, the near-wall reach
+    sqrt(20 dt); also two rows of folded bridges started at the wall."""
+    reach = np.sqrt(20.0 * dt)
+    dists = np.concatenate([[0.0, 5e-324, 1e-12, -1e-3, -0.05],
+                            reach * np.array([0.5, 0.9, 0.999, 1.0 - 1e-15, 1.0,
+                                              1.0 + 1e-15, 1.001, 1.1, 2.0]),
+                            np.sqrt(dt * np.array([10.0, 12.0, 15.0, 19.9])),
+                            rng.uniform(0.0, 2.0 * reach, 40)])
+    walls = [0.0] if domain.case == 2 else [0.0, domain.theta]
+    d = rng.choice(dists, size=(n_rows, n_steps + 1))
+    wall = rng.choice(len(walls), size=d.shape)
+    rows = np.where(wall == 0, d, domain.theta - d if domain.case == 3 else d)
+    bridges = sample_bridge_ensemble(domain, 0.0, 0.0, n_steps * dt, dt, 2, rng)
+    return np.concatenate([rows, bridges])
+
+
+class TestNearWallCut:
+    """BoundaryWeights evaluates wall factors only on steps with an end
+    within sqrt(20 dt) of the wall; every other step's factor is exactly 1,
+    so its logs and segment sums equal those of the dense computation."""
+
+    @pytest.mark.parametrize("case,alphas,betas", [
+        (3, (1.0, 1.0), (1.0, 1.0)), (3, (-1.0, -1.0), (-1.0, -1.0)),
+        (3, (DIRICHLET,) * 2, (DIRICHLET,) * 2), (3, (0.7, DIRICHLET), (DIRICHLET, -1.0)),
+        (3, (0.0, 1.0), (-1.0, 0.0)),
+        (2, (1.0, 1.0), None), (2, (-1.0, -1.0), None), (2, (DIRICHLET,) * 2, None),
+        (2, (DIRICHLET, -1.0), None)])
+    def test_matches_dense_terms(self, case, alphas, betas):
+        dt = 1e-3
+        domain = DomainConfig(case=case, theta=1.0 if case == 3 else None, r=2)
+        spec = ExperimentSpec(domain=domain, kind="R", sigma2=0.0, upsilon2=0.0,
+                              ts=(0.3, 0.2), seed=1, alphas=alphas, betas=betas,
+                              x_max=4.0, dt=dt)
+        rng = np.random.default_rng(41)
+        folded = [near_wall_paths(domain, dt, 30, m, rng) for m in spec.step_counts()]
+        got = BoundaryWeights(spec, folded, dt).terms
+        want = dense_wall_terms(spec, folded, dt)
+        assert len(got) == len(want) > 0
+        for (held, logs, segs), (held_d, logs_d, segs_d) in zip(got, want):
+            assert np.array_equal(held, held_d)
+            assert np.array_equal(logs, logs_d)
+            assert np.array_equal(segs, segs_d)
+        # the cut is not vacuous: some steps beyond it carry no factor, and
+        # some steps just inside sqrt(20 dt) carry one
+        assert all((logs == 0.0).any() and (logs != 0.0).any() for _, logs, _ in got)
+
+
+class TestNarrowStepBins:
+    """_PathBatch stores step bins in the narrowest unsigned type; bin
+    counts, colored histograms and the sampler's draws equal those from
+    int64 bins."""
+
+    @pytest.mark.parametrize("h,dtype", [(0.05, np.uint8), (2e-3, np.uint16),
+                                         (1e-5, np.uint32)])
+    def test_same_as_int64_bins(self, h, dtype):
+        spec = two_color_spec(ts=(0.25, 0.25), dt=5e-4, h=h)
+        batch = _PathBatch(spec, (0.3, 0.6), 4, np.random.default_rng(5))
+        assert batch.step_bins.dtype == dtype
+        wide = batch.step_bins.astype(np.int64)
+        steps = np.repeat((1, 2), batch.seg_steps)
+        for s in range(batch.n):
+            np.testing.assert_array_equal(np.argsort(batch.step_bins[s], kind="stable"),
+                                          np.argsort(wide[s], kind="stable"))
+            hist = batch.colored_hist(s, steps)
+            flat = (steps - 1) * batch.n_bins + wide[s]
+            np.testing.assert_array_equal(
+                hist, np.bincount(flat, minlength=2 * batch.n_bins).reshape(2, batch.n_bins))
+            draws = []
+            for bins in (batch.step_bins[s], wide[s]):
+                sampler = SelfIntersectionSampler(bins, batch.full_hist[s], batch.dt)
+                rng = np.random.default_rng(s)
+                draws.append([sampler.sample_pair(rng) for _ in range(200)])
+            assert draws[0] == draws[1]
 
 
 class TestRigidityCovariance:

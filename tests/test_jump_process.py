@@ -235,6 +235,16 @@ class TestSelfIntersectionSampler:
             se = np.sqrt(max(p * (1 - p), 1e-12) / n)
             assert abs(emp - p) <= 4 * se + 1e-12
 
+    def test_bin_draws_equal_generator_choice(self):
+        sampler = path_sampler(frozen_path(dt=1e-3), h=0.02)
+        p = sampler.bin_probs
+        a, b = np.random.default_rng(14), np.random.default_rng(14)
+        for _ in range(10_000):
+            bin_a = sampler.sample_pair(a)[2]
+            assert bin_a == b.choice(len(p), p=p)
+            b.integers(0, 2, size=2)  # the two step picks of sample_pair
+        assert a.random() == b.random()
+
     def test_si_times_indexing(self):
         path = frozen_path(dt=1e-3)
         sampler = path_sampler(path, h=0.05)

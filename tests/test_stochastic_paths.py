@@ -11,12 +11,14 @@ from mvsao.experiment import ExperimentSpec
 from mvsao.stochastic_paths import (
     DomainConfig,
     PathSample,
+    _fold,
     gaussian_kernel,
     inner_product,
     local_time,
     log_wall_factor,
     sample_bridge,
     sample_bridge_ensemble,
+    sample_free_bridges,
     step_crossing_probs,
     transition_density,
 )
@@ -272,3 +274,29 @@ def test_crossing_probs_basic():
     assert 0.0 < p[0] < 1e-8
     up = step_crossing_probs(np.array([0.95, 1.0]), 1.0, 0.01, side="upper")
     assert up[0] == 1.0
+
+
+@pytest.mark.parametrize("theta", [1.0, np.pi, 0.3])
+def test_fold_matches_mod_formula_bit_for_bit(theta):
+    p = 2.0 * theta
+    edges = [0.0, -0.0, p, -p, 2 * p, -2 * p, theta, -theta, 3 * theta]
+    vals = np.array(edges + [np.nextafter(e, s) for e in edges for s in (-np.inf, np.inf)]
+                    + [5e-324, -5e-324, 1e300, -1e300, 1e17 + 0.5, -7.25e12, np.inf, np.nan]
+                    + list(np.random.default_rng(3).normal(0.0, 3.0 * theta, 501)))
+    with np.errstate(invalid="ignore"):
+        want = theta - np.abs(np.mod(vals, p) - theta)
+    for v in (vals, vals.reshape(-1, 2)):
+        with np.errstate(invalid="ignore"):
+            got = _fold(v, theta)
+        assert got.tobytes() == want.reshape(v.shape).tobytes()
+        assert got is not v
+
+
+def test_free_bridges_match_out_of_place_formula():
+    ends = np.array([0.3, -1.2, 0.0, 2.5])
+    got = sample_free_bridges(ends, 0.5, 250, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    incs = rng.standard_normal((4, 250)) * np.sqrt(0.5 / 250)
+    w = np.concatenate([np.zeros((4, 1)), np.cumsum(incs, axis=1)], axis=1)
+    w -= np.linspace(0.0, 1.0, 251)[None, :] * (w[:, -1] - ends)[:, None]
+    assert got.tobytes() == w.tobytes()
