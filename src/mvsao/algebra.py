@@ -98,10 +98,6 @@ def conj(x: FieldElement) -> FieldElement:
     return FieldElement(x.kind, x.a, -x.b, -x.c, -x.d)
 
 
-def real_part(x: FieldElement) -> float:
-    return x.a
-
-
 def embed(x: FieldElement) -> np.ndarray:
     """2x2 complex matrix representation of a quaternion.
 
@@ -116,25 +112,3 @@ def embed(x: FieldElement) -> np.ndarray:
          [-(c - d * 1j), a - b * 1j]],
         dtype=np.complex128,
     )
-
-
-def from_embedding(m: np.ndarray, atol: float = 1e-10) -> FieldElement:
-    """Inverse of embed; validates the embedding's entry symmetry."""
-    m = np.asarray(m, dtype=np.complex128)
-    if m.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
-    if abs(m[1, 1] - np.conj(m[0, 0])) > atol or abs(m[1, 0] + np.conj(m[0, 1])) > atol:
-        raise ValueError("matrix is not a quaternion embedding")
-    return FieldElement("H", m[0, 0].real, m[0, 0].imag, m[0, 1].real, m[0, 1].imag)
-
-
-def standard_gaussian(kind: str, rng: np.random.Generator) -> FieldElement:
-    """A standard field-valued Gaussian unit.
-
-    Components are i.i.d. N(0,1) with the usual normalization 1, 1/sqrt(2),
-    1/2 for R, C, H, so that E[Re(g * conj(g))] = 1 in every kind.
-    """
-    n = N_COMPONENTS[kind]
-    s = UNIT_NORMALIZATION[kind]
-    comps = s * rng.standard_normal(n)
-    return from_components(kind, comps)

@@ -147,6 +147,8 @@ def _parse_config(cfg: dict, overrides: dict) -> dict:
         return {"experiment": "selftest"}
 
     seed = int(_require(cfg, "seed"))
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     case = int(_require(cfg, "case"))
     r = int(cfg.get("r", 1))
     if r > _MAX_COLORS:
@@ -333,21 +335,21 @@ def selftest() -> list[str]:
           constant_c("R", walk, p) == 1.0 and constant_c("C", walk, p) == 0.0
           and abs(constant_c("H", walk, p) + 0.5) < 1e-12)
 
-    rng = np.random.default_rng(0)
-    from .stochastic_paths import DomainConfig as DC
-    from .stochastic_paths import local_time, sample_bridge, transition_density
-    dom = DC(case=3, theta=1.0)
-    path = sample_bridge(dom, 0.3, 0.7, 1.0, 1e-3, rng)
-    field = local_time(path, (0.0, 1.0), 0.05)
-    check("occupation identity", abs(field.total_mass() - 1.0) < 1e-9)
+    from .estimators import _PathBatch
+    from .stochastic_paths import transition_density
+    dom = DomainConfig(case=3, theta=1.0)
+    spec = ExperimentSpec(domain=dom, kind="R", sigma2=0.0, upsilon2=0.0,
+                          ts=(0.5, 0.5), seed=0, alphas=(0.0,), betas=(0.0,))
+    batch = _PathBatch(spec, (0.3, 0.7), 8, np.random.default_rng(0))
+    check("occupation identity",
+          np.allclose(batch.full_hist.sum(axis=1) * batch.dt, sum(spec.ts), atol=1e-9))
     check("kernel symmetry",
           abs(transition_density(dom, 0.3, 0.2, 0.8)
               - transition_density(dom, 0.3, 0.8, 0.2)) < 1e-12)
 
-    from .experiment import ExperimentSpec as ES
-    spec = ES(domain=DC(case=3, theta=np.pi, r=1), kind="R", sigma2=0.0,
-              upsilon2=0.0, ts=(1.0,), seed=1, alphas=(DIRICHLET,),
-              betas=(DIRICHLET,))
+    spec = ExperimentSpec(domain=DomainConfig(case=3, theta=np.pi, r=1), kind="R",
+                          sigma2=0.0, upsilon2=0.0, ts=(1.0,), seed=1,
+                          alphas=(DIRICHLET,), betas=(DIRICHLET,))
     from .matrix_oracle import discretize, eigenvalues
     eigs = eigenvalues(discretize(spec, None, 400))
     check("Dirichlet ground state", abs(eigs[0] - 0.5) < 1e-3)
@@ -383,7 +385,7 @@ def main(argv=None) -> int:
             raw["experiment"] = args.experiment
         overrides = {
             "seed": args.seed,
-            "t": [float(v) for v in args.t.split(",")] if args.t else None,
+            "t": args.t.split(",") if args.t else None,
             "paths": args.paths,
             "preset": args.preset,
         }

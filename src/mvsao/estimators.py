@@ -29,13 +29,20 @@ work is distributed over workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from functools import lru_cache
-
-from .algebra import FieldElement, N_COMPONENTS, UNIT_NORMALIZATION, from_components, mul, one
+from .algebra import (
+    N_COMPONENTS,
+    UNIT_NORMALIZATION,
+    FieldElement,
+    conj,
+    from_components,
+    mul,
+    one,
+)
 from .combinatorics import constant_c, enumerate_matchings
 from .experiment import ExperimentSpec, InvariantError, MomentEstimate
 from .jump_process import (  # draw_jumps_along: perfbench traces this binding
@@ -46,7 +53,7 @@ from .jump_process import (  # draw_jumps_along: perfbench traces this binding
     singular_jump_counts,
     walk_jump_counts,
 )
-from .noise_model import NoiseField, mollified_profiles, pair_index, rho
+from .noise_model import NoiseField, bump_scaled, mollified_profiles, pair_index, rho
 from .stochastic_paths import (
     interpolate_free,
     log_wall_factor,
@@ -326,6 +333,7 @@ class _PathBatch:
             local = times[mask] - starts[k]
             vals = interpolate_free(self.free[k][s], local, self.dt, rng)
             out[mask] = vals
+        # looked up per call: perfbench wraps the module attribute
         from .stochastic_paths import fold_to_domain
         return fold_to_domain(out, self.spec.domain)
 
@@ -367,8 +375,6 @@ def _mollifier_kernel(eps: float, h: float) -> np.ndarray | None:
         return None
     if eps < 2.0 * h:
         raise ValueError(f"mollification scale {eps} under-resolved by bin width {h}")
-    from .noise_model import bump_scaled
-
     half = int(np.ceil(eps / h))
     kern = bump_scaled(np.arange(-half, half + 1) * h, eps) * h
     return kern / kern.sum()
@@ -433,7 +439,7 @@ def _run_moment(spec: ExperimentSpec, white: bool, workers: int = 1) -> MomentEs
     tasks = [(spec, white, node_idx, pat, tuple(xv), per_node)
              for node_idx, (pat, _, xv) in enumerate(nodes)]
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor  # only parallel runs need it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_node_stats, tasks, chunksize=4))
@@ -595,7 +601,7 @@ def _smoothed_norm2_sample(batch: _PathBatch, s: int, step_colors: np.ndarray,
 
 
 def _convolve_rows(rows: np.ndarray, kern: np.ndarray) -> np.ndarray:
-    from scipy.ndimage import convolve1d
+    from scipy.ndimage import convolve1d  # heavy, and only mollified runs need it
 
     return convolve1d(rows, kern, axis=-1, mode="constant", cval=0.0)
 
@@ -673,9 +679,10 @@ def fk_kernel_regular(spec: ExperimentSpec, t: float, a: tuple[int, float],
     j0, y0 = int(b[0]), float(b[1])
     r = spec.domain.r
     n_paths = n_paths or spec.n_paths
-    dt = spec.dt if spec.dt is not None else 1e-3 * t
-    n_steps = max(1, int(round(t / dt)))
-    dt = t / n_steps
+    # the moment estimators' dt rule: a dt that does not divide t is rejected
+    sub = replace(spec, ts=(t,), eps=None, zetas=None)
+    n_steps = sub.step_counts()[0]
+    dt = sub.resolved_dt()
     profiles = mollified_profiles(noise, eps) if noise is not None else None
     pidx = pair_index(r) if noise is not None else None
     prefactor = math.exp((r - 1) * t)
@@ -727,6 +734,7 @@ def _diag_potential_table(spec, noise, profiles, pidx, vals, dt):
 
 def _fk_single(spec, noise, profiles, pidx, t, dt, i0, j0, free_row, vals_row,
                n_jumps, v_of_color, s, boundary, rng):
+    # looked up per call: perfbench wraps the module attribute
     from .stochastic_paths import fold_to_domain
 
     r = spec.domain.r
@@ -759,14 +767,15 @@ def _fk_single(spec, noise, profiles, pidx, t, dt, i0, j0, free_row, vals_row,
             lo, hi = min(frm, to), max(frm, to)
             comps = np.array([np.interp(z, centers, profiles[pidx[(lo, hi)], c])
                               for c in range(4)]) * norm
-            if frm > to:
-                comps[1:] *= -1.0
-            prod = mul(prod, from_components(spec.kind, comps))
+            value = from_components(spec.kind, comps)
+            # the noise is Hermitian: entry (to, frm) below the diagonal is
+            # the conjugate of the stored entry (frm, to)
+            prod = mul(prod, conj(value) if frm > to else value)
     return prod.scale(weight)
 
 
 # --------------------------------------------------------------------------
-# covariance experiment and extrapolation helpers
+# covariance experiment
 # --------------------------------------------------------------------------
 
 def check_covariance_times(t1: float, t2: float) -> None:
@@ -782,8 +791,6 @@ def rigidity_covariance(spec: ExperimentSpec, t1: float, t2: float,
     seeds; the error bar is the delta-method combination.
     """
     check_covariance_times(t1, t2)
-    from dataclasses import replace
-
     spec2 = replace(spec, ts=(t1, t2), eps=None, zetas=None,
                     seed=child_seed(spec.seed, 0))
     spec1a = replace(spec, ts=(t1,), eps=None, zetas=None,
@@ -803,23 +810,3 @@ def rigidity_covariance(spec: ExperimentSpec, t1: float, t2: float,
                           max_weight_share=max(m2.max_weight_share,
                                                m1a.max_weight_share,
                                                m1b.max_weight_share))
-
-
-def richardson_extrapolate(values, stderrs) -> tuple[float, float]:
-    """Zero-scale limit from three estimates at halving scales.
-
-    The decay order is fitted from the two successive differences and
-    clamped to [0.5, 3]; the error bar propagates the two finest values
-    through the extrapolation weights at the fitted order.
-    """
-    v1, v2, v3 = values
-    d1, d2 = v1 - v2, v2 - v3
-    if d2 != 0 and d1 / d2 > 1.1:
-        p = math.log2(d1 / d2)
-    else:
-        p = 1.0
-    p = min(max(p, 0.5), 3.0)
-    a = 1.0 / (2.0**p - 1.0)
-    f0 = v3 - a * (v2 - v3)
-    se = math.sqrt((a * stderrs[1]) ** 2 + ((1 + a) * stderrs[2]) ** 2)
-    return f0, se

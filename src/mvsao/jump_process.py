@@ -161,6 +161,7 @@ class SelfIntersectionSampler:
         from sample_pair, and the post-sort matching is the image of the
         pre-sort one under the time-sorting permutation.
         """
+        # looked up per call: perfbench wraps the module attribute
         from .combinatorics import random_matching
 
         q_hat = random_matching(n_hat, rng)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .algebra import UNIT_NORMALIZATION
 from .experiment import ExperimentSpec, MomentEstimate
 from .noise_model import (
-    UNIT_NORMALIZATION,
     NoiseField,
     lattice_white_values,
     mollified_profiles,

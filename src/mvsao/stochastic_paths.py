@@ -1,6 +1,7 @@
 """Spatial process simulation: Brownian bridges on the line, the half line
-and a bounded interval, their transition densities, occupation local times
-and per-step boundary crossing probabilities.
+and a bounded interval, their transition densities, per-step boundary
+crossing probabilities and the exact per-step wall factor.  The local-time
+histograms of a batch of bridges live with the estimators (_PathBatch).
 
 The reflected processes are simulated by folding a free Brownian path:
 on the half line Z = |x + W|, on the interval Z is the triangle-wave fold
@@ -12,7 +13,7 @@ rejection step is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,51 +46,6 @@ class DomainConfig:
         if self.case == 2:
             return x >= 0.0
         return 0.0 <= x <= self.theta
-
-    def boundary_points(self) -> tuple[float, ...]:
-        if self.case == 1:
-            return ()
-        if self.case == 2:
-            return (0.0,)
-        return (0.0, self.theta)
-
-
-@dataclass
-class PathSample:
-    """One time-gridded realization of Z; values[m] is Z(m * dt).
-
-    segment_times marks the cumulative endpoints of bridge concatenation;
-    a plain bridge has a single segment.
-    """
-
-    dt: float
-    values: np.ndarray
-    segment_times: tuple[float, ...] = field(default_factory=tuple)
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.values) - 1
-
-    @property
-    def horizon(self) -> float:
-        return self.n_steps * self.dt
-
-
-@dataclass
-class LocalTimeField:
-    """Binned occupation density: bin b covers [(offset+b)h, (offset+b+1)h)
-    and carries the window time spent there divided by h."""
-
-    h: float
-    offset: int
-    masses: np.ndarray
-    window_length: float
-
-    def total_mass(self) -> float:
-        return float(self.masses.sum() * self.h)
-
-    def norm2_squared(self) -> float:
-        return float(np.sum(self.masses**2) * self.h)
 
 
 def gaussian_kernel(t: float, z) -> np.ndarray:
@@ -192,57 +148,6 @@ def sample_bridge_ensemble(domain: DomainConfig, x: float, y: float, t: float,
     if return_free:
         return folded, free
     return folded
-
-
-def sample_bridge(domain: DomainConfig, x: float, y: float, t: float, dt: float,
-                  rng: np.random.Generator) -> PathSample:
-    """A single endpoint-conditioned bridge of Z as a PathSample."""
-    values = sample_bridge_ensemble(domain, x, y, t, dt, 1, rng)[0]
-    real_dt = t / (len(values) - 1)
-    return PathSample(dt=real_dt, values=values, segment_times=(t,))
-
-
-def _window_steps(path: PathSample, window: tuple[float, float]) -> tuple[int, int]:
-    s, t = window
-    if s < -1e-12 or t > path.horizon + 1e-12 or s > t:
-        raise ValueError(f"window {window} outside the path span")
-    m0 = int(round(s / path.dt))
-    m1 = int(round(t / path.dt))
-    return m0, m1
-
-
-def local_time(path: PathSample, window: tuple[float, float], h: float) -> LocalTimeField:
-    """Occupation local time over the window, binned at resolution h.
-
-    Each time step contributes dt to the bin of its left endpoint, so the
-    occupation identity sum(mass) * h = window length is exact.
-    """
-    if h <= 0:
-        raise ValueError("bin width must be positive")
-    m0, m1 = _window_steps(path, window)
-    if m1 == m0:
-        return LocalTimeField(h=h, offset=0, masses=np.zeros(0), window_length=0.0)
-    vals = path.values[m0:m1]
-    idx = np.floor(vals / h).astype(np.int64)
-    offset = int(idx.min())
-    masses = np.bincount(idx - offset).astype(float) * (path.dt / h)
-    return LocalTimeField(h=h, offset=offset, masses=masses,
-                          window_length=(m1 - m0) * path.dt)
-
-
-def inner_product(l1: LocalTimeField, l2: LocalTimeField) -> float:
-    """L2 pairing of two aligned local-time fields."""
-    if abs(l1.h - l2.h) > 1e-12 * max(l1.h, l2.h):
-        raise ValueError("mismatched bin widths")
-    if len(l1.masses) == 0 or len(l2.masses) == 0:
-        return 0.0
-    lo = max(l1.offset, l2.offset)
-    hi = min(l1.offset + len(l1.masses), l2.offset + len(l2.masses))
-    if hi <= lo:
-        return 0.0
-    a = l1.masses[lo - l1.offset:hi - l1.offset]
-    b = l2.masses[lo - l2.offset:hi - l2.offset]
-    return float(np.dot(a, b) * l1.h)
 
 
 def step_crossing_probs(values: np.ndarray, c: float, dt: float, side: str) -> np.ndarray:

@@ -2,20 +2,41 @@ import numpy as np
 import pytest
 
 from mvsao.algebra import (
+    N_COMPONENTS,
+    UNIT_NORMALIZATION,
     FieldElement,
     conj,
     embed,
     from_components,
-    from_embedding,
     mul,
     one,
-    real_part,
-    standard_gaussian,
 )
 
 
 def H(a, b=0.0, c=0.0, d=0.0):
     return FieldElement("H", a, b, c, d)
+
+
+def standard_gaussian(kind: str, rng: np.random.Generator) -> FieldElement:
+    """A standard field-valued Gaussian unit.
+
+    Components are i.i.d. N(0,1) with the usual normalization 1, 1/sqrt(2),
+    1/2 for R, C, H, so that E[Re(g * conj(g))] = 1 in every kind.
+    """
+    n = N_COMPONENTS[kind]
+    s = UNIT_NORMALIZATION[kind]
+    comps = s * rng.standard_normal(n)
+    return from_components(kind, comps)
+
+
+def from_embedding(m: np.ndarray, atol: float = 1e-10) -> FieldElement:
+    """Inverse of embed; validates the embedding's entry symmetry."""
+    m = np.asarray(m, dtype=np.complex128)
+    if m.shape != (2, 2):
+        raise ValueError("expected a 2x2 matrix")
+    if abs(m[1, 1] - np.conj(m[0, 0])) > atol or abs(m[1, 0] + np.conj(m[0, 1])) > atol:
+        raise ValueError("matrix is not a quaternion embedding")
+    return FieldElement("H", m[0, 0].real, m[0, 0].imag, m[0, 1].real, m[0, 1].imag)
 
 
 UNITS = {"1": H(1), "i": H(0, 1), "j": H(0, 0, 1), "k": H(0, 0, 0, 1)}
@@ -59,12 +80,12 @@ def test_conj_and_real_part():
     x = H(1, 2, 3, 4)
     assert conj(x) == H(1, -2, -3, -4)
     assert conj(conj(x)) == x
-    assert real_part(UNITS["k"]) == 0.0
+    assert UNITS["k"].a == 0.0
     rng = np.random.default_rng(11)
     for _ in range(200):
         y = standard_gaussian("H", rng)
         want = sum(v * v for v in y.components)
-        assert real_part(mul(y, conj(y))) == pytest.approx(want, rel=1e-12)
+        assert mul(y, conj(y)).a == pytest.approx(want, rel=1e-12)
 
 
 def test_embed_units():
@@ -87,7 +108,7 @@ def test_embedding_roundtrip_and_trace():
         x = standard_gaussian("H", rng)
         m = embed(x)
         assert from_embedding(m) == x
-        assert np.trace(m).real / 2 == pytest.approx(real_part(x), abs=1e-14)
+        assert np.trace(m).real / 2 == pytest.approx(x.a, abs=1e-14)
     with pytest.raises(ValueError):
         from_embedding(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex))
 

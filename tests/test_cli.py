@@ -186,7 +186,7 @@ class TestRunner:
                # counts and covariance times out of range
                ("trace", dict(BASE_CONFIG, n_quad=0)), ("trace", dict(BASE_CONFIG, n_quad=-3)),
                ("trace", dict(BASE_CONFIG, paths=0)), ("trace", dict(BASE_CONFIG, paths=-5)),
-               ("trace", dict(BASE_CONFIG, n_max=-1)),
+               ("trace", dict(BASE_CONFIG, n_max=-1)), ("trace", dict(BASE_CONFIG, seed=-1)),
                ("covariance", dict(BASE_CONFIG, experiment="covariance", noise="white",
                                    covariance={"t1": 2.0, "t2": 0.5}))]
         # json reads NaN and Infinity; every number must be finite
@@ -218,6 +218,11 @@ class TestRunner:
             cfgp = write_config(tmp_path, cfg, f"bad{k}.json")
             assert main([experiment, "--config", str(cfgp), "--out",
                          str(tmp_path / "x.csv")]) == 2, cfg
+            assert capsys.readouterr().err.startswith("error: ")
+        # command-line values reach parse_config's checks too
+        good = str(write_config(tmp_path, BASE_CONFIG, "good.json"))
+        for argv in (["--preset", "sao", "--t", "abc"], ["--config", good, "--seed", "-1"]):
+            assert main(["trace", *argv, "--out", str(tmp_path / "x.csv")]) == 2, argv
             assert capsys.readouterr().err.startswith("error: ")
         with pytest.raises(ConfigError, match="factor time 0.12345"):
             parse_config(uneven_cov)

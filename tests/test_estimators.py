@@ -10,7 +10,6 @@ from mvsao.estimators import (
     color_patterns,
     derived_rng,
     fk_kernel_regular,
-    richardson_extrapolate,
     rigidity_covariance,
     smooth_trace_moment,
     whitenoise_trace_moment,
@@ -21,10 +20,10 @@ from mvsao.jump_process import SelfIntersectionSampler
 from mvsao.stochastic_paths import (
     DomainConfig,
     log_wall_factor,
-    sample_bridge,
     sample_bridge_ensemble,
     step_crossing_probs,
 )
+from test_acceptance import richardson_extrapolate
 from test_jump_process import walk
 
 PI = np.pi
@@ -122,6 +121,12 @@ class TestFkKernel:
         with pytest.raises(ValueError):
             fk_kernel_regular(spec, -1.0, (1, 0.1), (1, 0.1), None, eps=0.1)
 
+    def test_non_dividing_dt_rejected(self):
+        # the moment estimators' dt rule: no silent rescaling to t / round(t / dt)
+        spec = dirichlet_interval_spec(dt=3e-3)
+        with pytest.raises(ValueError, match="does not divide"):
+            fk_kernel_regular(spec, 1.0, (1, 0.1), (1, 0.1), None, eps=0.1, n_paths=64)
+
 
 class TestSmoothMoment:
     def test_dirichlet_series_anchor(self):
@@ -200,7 +205,7 @@ class TestPoissonConditioningIdentity:
         rng = np.random.default_rng(31)
         dom = DomainConfig(case=3, theta=1.0, r=3)
         t, dt = 1.0, 1e-3
-        path = sample_bridge(dom, 0.4, 0.7, t, dt, rng)
+        path = sample_bridge_ensemble(dom, 0.4, 0.7, t, dt, 1, rng)[0]
 
         def eta(x):
             return 0.6 + 0.3 * np.cos(2.0 * x)
@@ -213,9 +218,9 @@ class TestPoissonConditioningIdentity:
             if u.n_jumps == 0:
                 prods[s] = 1.0
             else:
-                idx = np.minimum((u.times / dt).astype(int), path.n_steps - 1)
-                prods[s] = np.prod(eta(path.values[idx]))
-        want = np.exp((r - 1) * (eta(path.values[:-1]).sum() * dt - t))
+                idx = np.minimum((u.times / dt).astype(int), len(path) - 2)
+                prods[s] = np.prod(eta(path[idx]))
+        want = np.exp((r - 1) * (eta(path[:-1]).sum() * dt - t))
         se = prods.std(ddof=1) / np.sqrt(n)
         assert abs(prods.mean() - want) <= 4 * se
 

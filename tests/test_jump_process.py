@@ -12,22 +12,15 @@ from mvsao.jump_process import (
     singular_jump_counts,
     walk_jump_counts,
 )
-from mvsao.stochastic_paths import (
-    DomainConfig,
-    PathSample,
-    local_time,
-    log_wall_factor,
-    sample_bridge,
-)
+from mvsao.stochastic_paths import DomainConfig, log_wall_factor, sample_bridge_ensemble
 
 HALF = DomainConfig(case=2)
 UNIT = DomainConfig(case=3, theta=1.0)
 
 
 def frozen_path(seed=0, t=1.0, dt=1e-3, dom=None, x=0.2, y=0.4):
-    dom = dom or UNIT
-    rng = np.random.default_rng(seed)
-    return sample_bridge(dom, x, y, t, dt, rng)
+    """One bridge of Z on the grid of step dt, as a 1-d array."""
+    return sample_bridge_ensemble(dom or UNIT, x, y, t, dt, 1, np.random.default_rng(seed))[0]
 
 
 def walk(r, segments, rng):
@@ -37,22 +30,35 @@ def walk(r, segments, rng):
     return draw_free_walk(segments, counts, r, rng)
 
 
-def path_sampler(path, h):
-    """The self-intersection sampler built from a frozen path's bins."""
-    idx = np.floor(path.values[:-1] / h).astype(np.int64)
+def step_bins(path, h):
+    """Bins of width h of a frozen path's steps (left ends), numbered from
+    the lowest one visited, and the step count of each bin."""
+    idx = np.floor(path[:-1] / h).astype(np.int64)
     idx -= idx.min()
-    return SelfIntersectionSampler(idx, np.bincount(idx), path.dt)
+    return idx, np.bincount(idx)
 
 
-def frozen_weights(path, domain, alphas, betas=None, cuts=()):
+def local_time_norm2(path, dt, h):
+    """||L||_2^2 of the binned occupation density of a frozen path."""
+    masses = step_bins(path, h)[1] * (dt / h)
+    return float(np.sum(masses**2) * h)
+
+
+def path_sampler(path, dt, h):
+    """The self-intersection sampler built from a frozen path's bins."""
+    return SelfIntersectionSampler(*step_bins(path, h), dt)
+
+
+def frozen_weights(path, dt, domain, alphas, betas=None, cuts=()):
     """Boundary weights of one frozen path, split into segments at the
     given step indices."""
+    n_steps = len(path) - 1
     spec = ExperimentSpec(domain=domain, kind="R", sigma2=0.0, upsilon2=0.0,
-                          ts=(path.horizon,), seed=0, alphas=alphas, betas=betas,
+                          ts=(n_steps * dt,), seed=0, alphas=alphas, betas=betas,
                           x_max=None if domain.case == 3 else 1.0)
-    bounds = [0, *cuts, path.n_steps]
-    folded = [path.values[None, lo:hi + 1] for lo, hi in zip(bounds, bounds[1:])]
-    return BoundaryWeights(spec, folded, path.dt)
+    bounds = [0, *cuts, n_steps]
+    folded = [path[None, lo:hi + 1] for lo, hi in zip(bounds, bounds[1:])]
+    return BoundaryWeights(spec, folded, dt)
 
 
 def small_batch(r, ts, seed, n=3):
@@ -132,12 +138,8 @@ class TestColoredLocalTime:
     def test_r1_equals_total(self):
         batch = small_batch(1, (1.0,), 20)
         hist = batch.colored_hist(0, np.ones(batch.total_steps, dtype=np.int64))
-        total = local_time(PathSample(dt=batch.dt, values=batch.folded[0][0]),
-                           (0.0, 1.0), batch.h)
-        lo = total.offset - batch.bin_offset
-        np.testing.assert_allclose(hist[0, lo:lo + len(total.masses)] * (batch.dt / batch.h),
-                                   total.masses)
-        assert hist[0].sum() == hist[0, lo:lo + len(total.masses)].sum()
+        idx = np.floor(batch.folded[0][0, :-1] / batch.h).astype(np.int64) - batch.bin_offset
+        np.testing.assert_array_equal(hist[0], np.bincount(idx, minlength=batch.n_bins))
 
     def test_unvisited_color_zero(self):
         batch = small_batch(3, (1.0,), 21)
@@ -158,51 +160,50 @@ class TestBoundaryTerm:
 
     def test_case1_zero(self):
         path = frozen_path(dom=DomainConfig(case=1), x=0.0, y=0.0)
-        bw = frozen_weights(path, DomainConfig(case=1), (1.5,))
+        bw = frozen_weights(path, 1e-3, DomainConfig(case=1), (1.5,))
         assert bw.exponent_constant((1,))[0] == 0.0
-        assert bw.exponent_sample(0, np.ones(path.n_steps, dtype=np.int64)) == 0.0
+        assert bw.exponent_sample(0, np.ones(len(path) - 1, dtype=np.int64)) == 0.0
 
     def test_zero_weights(self):
         path = frozen_path(dom=HALF, x=0.05, y=0.05)
-        bw = frozen_weights(path, DomainConfig(case=2, r=2), (0.0, 0.0))
+        bw = frozen_weights(path, 1e-3, DomainConfig(case=2, r=2), (0.0, 0.0))
         assert bw.exponent_constant((2,))[0] == 0.0
-        assert bw.exponent_sample(0, np.full(path.n_steps, 2)) == 0.0
+        assert bw.exponent_sample(0, np.full(len(path) - 1, 2)) == 0.0
 
     def test_r1_matches_scalar(self):
         path = frozen_path(dom=HALF, x=0.02, y=0.05)
-        want = log_wall_factor(path.values[:-1], path.values[1:], path.dt, 0.7).sum()
-        bw = frozen_weights(path, HALF, (0.7,))
+        want = log_wall_factor(path[:-1], path[1:], 1e-3, 0.7).sum()
+        bw = frozen_weights(path, 1e-3, HALF, (0.7,))
         assert want > 0
         assert bw.exponent_constant((1,))[0] == pytest.approx(want, rel=1e-12)
-        assert bw.exponent_sample(0, np.ones(path.n_steps, dtype=np.int64)) == pytest.approx(
+        assert bw.exponent_sample(0, np.ones(len(path) - 1, dtype=np.int64)) == pytest.approx(
             want, rel=1e-12)
 
     def test_dirichlet_kill(self):
         # a Dirichlet color on a path that touches the wall gets weight 0
         path = frozen_path(dom=HALF, x=0.0, y=0.01, dt=1e-4)
         with np.errstate(divide="ignore"):
-            bw = frozen_weights(path, DomainConfig(case=2, r=2), (0.7, DIRICHLET))
+            bw = frozen_weights(path, 1e-4, DomainConfig(case=2, r=2), (0.7, DIRICHLET))
             assert np.exp(bw.exponent_constant((2,)))[0] == 0.0
-            colors = np.ones(path.n_steps, dtype=np.int64)
+            colors = np.ones(len(path) - 1, dtype=np.int64)
             colors[:10] = 2
             assert math.exp(bw.exponent_sample(0, colors)) == 0.0
         assert np.isfinite(bw.exponent_constant((1,))[0])
 
     def test_colored_split_sums_to_total(self):
         path = frozen_path(dom=UNIT, x=0.02, y=0.95, dt=1e-4)
-        colors = 1 + (np.arange(path.n_steps) // 7) % 2
+        colors = 1 + (np.arange(len(path) - 1) // 7) % 2
         dom = DomainConfig(case=3, theta=1.0, r=2)
-        split = [frozen_weights(path, dom, a, (0.0, 0.0)).exponent_sample(0, colors)
+        split = [frozen_weights(path, 1e-4, dom, a, (0.0, 0.0)).exponent_sample(0, colors)
                  for a in ((1.0, 0.0), (0.0, 1.0))]
-        total = frozen_weights(path, dom, (1.0, 1.0), (0.0, 0.0)).exponent_constant((1,))[0]
+        total = frozen_weights(path, 1e-4, dom, (1.0, 1.0), (0.0, 0.0)).exponent_constant((1,))[0]
         assert total > 0
         assert sum(split) == pytest.approx(total, abs=1e-12)
 
 
 class TestSelfIntersectionSampler:
     def test_constant_path_single_bin(self):
-        path = PathSample(dt=0.01, values=np.full(101, 0.35), segment_times=(1.0,))
-        sampler = path_sampler(path, h=0.1)
+        sampler = path_sampler(np.full(101, 0.35), 0.01, h=0.1)
         rng = np.random.default_rng(10)
         t1, t2, _ = sampler.sample_pair(rng)
         assert 0.0 <= t1 < 1.0 and 0.0 <= t2 < 1.0
@@ -210,24 +211,23 @@ class TestSelfIntersectionSampler:
     def test_pairs_share_bin(self):
         path = frozen_path(dt=1e-3)
         h = np.sqrt(1e-3)
-        sampler = path_sampler(path, h)
+        sampler = path_sampler(path, 1e-3, h)
         rng = np.random.default_rng(11)
-        vals = path.values
         for _ in range(500):
             t1, t2, _ = sampler.sample_pair(rng)
-            z1 = vals[int(round(t1 / path.dt))]
-            z2 = vals[int(round(t2 / path.dt))]
+            z1 = path[int(round(t1 / 1e-3))]
+            z2 = path[int(round(t2 / 1e-3))]
             assert abs(z1 - z2) <= h
 
     def test_bin_marginal_matches_mass_squared(self):
         path = frozen_path(dt=2e-3)
         h = 0.1
-        sampler = path_sampler(path, h)
+        sampler = path_sampler(path, 2e-3, h)
         rng = np.random.default_rng(12)
         n = 100_000
         bins = np.array([sampler.sample_pair(rng)[2] for _ in range(n)])
-        field = local_time(path, (0.0, 1.0), h)
-        probs = field.masses**2 * h / field.norm2_squared()
+        counts = step_bins(path, h)[1]
+        probs = counts**2 / np.sum(counts**2)
         for b, p in enumerate(probs):
             if p == 0:
                 continue
@@ -236,7 +236,7 @@ class TestSelfIntersectionSampler:
             assert abs(emp - p) <= 4 * se + 1e-12
 
     def test_bin_draws_equal_generator_choice(self):
-        sampler = path_sampler(frozen_path(dt=1e-3), h=0.02)
+        sampler = path_sampler(frozen_path(dt=1e-3), 1e-3, h=0.02)
         p = sampler.bin_probs
         a, b = np.random.default_rng(14), np.random.default_rng(14)
         for _ in range(10_000):
@@ -247,7 +247,7 @@ class TestSelfIntersectionSampler:
 
     def test_si_times_indexing(self):
         path = frozen_path(dt=1e-3)
-        sampler = path_sampler(path, h=0.05)
+        sampler = path_sampler(path, 1e-3, h=0.05)
         rng = np.random.default_rng(13)
         hat = sampler.sample(4, ((1.0, 1),), 2, rng)
         assert hat.times.shape == (4,) and len(hat.matching) == 2
@@ -257,15 +257,15 @@ class TestSampleHatU:
     def test_r1_degenerate(self):
         rng = np.random.default_rng(14)
         path = frozen_path()
-        norm2 = local_time(path, (0.0, 1.0), 0.05).norm2_squared()
+        norm2 = local_time_norm2(path, 1e-3, 0.05)
         assert not singular_jump_counts(1, np.full(100, norm2), rng).any()
-        hat = path_sampler(path, 0.05).sample(0, ((1.0, 1),), 1, rng)
+        hat = path_sampler(path, 1e-3, 0.05).sample(0, ((1.0, 1),), 1, rng)
         assert hat.n_jumps == 0 and hat.matching == ()
 
     def test_mean_jump_count(self):
         rng = np.random.default_rng(15)
         path = frozen_path(dt=1e-3)
-        lam2 = local_time(path, (0.0, 1.0), np.sqrt(1e-3)).norm2_squared()
+        lam2 = local_time_norm2(path, 1e-3, np.sqrt(1e-3))
         n = 30_000
         counts = singular_jump_counts(2, np.full(n, lam2), rng)  # (r-1)^2 ||L||^2, r = 2
         se = counts.std(ddof=1) / np.sqrt(n)
@@ -275,8 +275,8 @@ class TestSampleHatU:
         rng = np.random.default_rng(16)
         path = frozen_path(dt=1e-3)
         h = np.sqrt(1e-3)
-        sampler = path_sampler(path, h)
-        norm2 = np.array([local_time(path, (0.0, 1.0), h).norm2_squared()])
+        sampler = path_sampler(path, 1e-3, h)
+        norm2 = np.array([local_time_norm2(path, 1e-3, h)])
         got_positive = 0
         for _ in range(400):
             n = int(singular_jump_counts(3, norm2, rng)[0])
@@ -288,8 +288,8 @@ class TestSampleHatU:
             assert flat == list(range(n))
             # sorted times with the post-sort matching reproduce the pairs
             for l1, l2 in hat.matching:
-                z1 = path.values[int(round(hat.times[l1] / path.dt))]
-                z2 = path.values[int(round(hat.times[l2] / path.dt))]
+                z1 = path[int(round(hat.times[l1] / 1e-3))]
+                z2 = path[int(round(hat.times[l2] / 1e-3))]
                 assert abs(z1 - z2) <= h
             # bijection with the pre-sort matching under the permutation
             mapped = {tuple(sorted((hat.sort_permutation[a], hat.sort_permutation[b])))

@@ -1,0 +1,65 @@
+"""Code that only tests call belongs in tests/: every top-level function,
+class and constant of the package is used somewhere else in the package,
+or is an entry point named below with the reason it stays."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mvsao"
+
+ENTRY_POINTS = {
+    "fk_kernel_regular": "the documented kernel estimator of acceptance criterion 2",
+    "save_noise": "writes the noise archives that the oracle's noise_archive option reads",
+    "load_spectra": "reads the files that the oracle's spectra_out option writes",
+    "__version__": "the package version",
+}
+
+
+def _definitions(tree):
+    """(name, node) of each top-level def, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
+def _references(tree, skip):
+    """Names loaded, attributes read and names imported in tree, outside
+    the subtree skip."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def unreferenced_names():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    out = []
+    for module, tree in trees.items():
+        for name, node in _definitions(tree):
+            if not any(name in _references(other, node) for other in trees.values()):
+                out.append(f"{module}:{name}")
+    return out
+
+
+def test_package_names_are_used_in_the_package():
+    flagged = unreferenced_names()
+    extra = [entry for entry in flagged if entry.split(":")[1] not in ENTRY_POINTS]
+    assert not extra, f"only tests use {extra}: move them to tests/ or delete them"
+    # an entry point that the package itself uses now needs no entry here
+    stale = set(ENTRY_POINTS) - {entry.split(":")[1] for entry in flagged}
+    assert not stale, f"listed as entry points but used in the package: {sorted(stale)}"

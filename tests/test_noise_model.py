@@ -2,33 +2,27 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mvsao.algebra import conj
 from mvsao.noise_model import (
-    MollifierSpec,
     bump,
-    covariance_table,
     lattice_white_values,
     load_noise,
-    mollified_eval,
-    mollified_point_ensemble,
     mollified_profiles,
+    pair_index,
     rho,
     sample_noise,
-    sample_noise_ensemble,
     sao_variances,
     save_noise,
 )
+from noise_probe import (
+    conj_components,
+    covariance_table,
+    embed_entries,
+    mollified_point_ensemble,
+    sample_noise_ensemble,
+    two_point_components,
+)
 
 GRID = (-0.5, 1.5, 400)
-
-
-def embed_entries(comps):
-    """2x2 embedding entries, batched: comps (m, 4) -> dict of complex (m,)."""
-    a, b, c, d = comps.T
-    return {
-        (0, 0): a + 1j * b, (0, 1): c + 1j * d,
-        (1, 0): -c + 1j * d, (1, 1): a - 1j * b,
-    }
 
 
 class TestMollifier:
@@ -67,20 +61,22 @@ class TestSampling:
         assert sao_variances("H") == (0.25, 0.5)
         assert sao_variances("C") == (0.5, 0.5)
 
-    def test_hermitian_symmetry_exact(self):
-        rng = np.random.default_rng(0)
-        f = sample_noise("H", 3, 1.0, 0.5, GRID, rng)
-        profiles = mollified_profiles(f, 0.1)
-        for (i, j) in [(1, 2), (2, 3), (1, 3)]:
-            v = mollified_eval(f, 0.1, i, j, 0.4, profiles)
-            w = mollified_eval(f, 0.1, j, i, 0.4, profiles)
-            assert conj(w) == v
-
     def test_diagonal_real(self):
         rng = np.random.default_rng(1)
         f = sample_noise("C", 2, 1.0, 0.5, GRID, rng)
-        v = mollified_eval(f, 0.1, 1, 1, 0.3)
-        assert v.b == 0.0 and v.c == 0.0 and v.d == 0.0
+        profiles = mollified_profiles(f, 0.1)
+        for i in (1, 2):
+            assert not profiles[pair_index(2)[(i, i)], 1:].any()
+        assert profiles[pair_index(2)[(1, 2)], 1].any()
+
+    @pytest.mark.parametrize("kind", ["R", "C", "H"])
+    def test_ensemble_draw_is_sample_noise(self, kind):
+        # criterion 3's batched sampler draws the production noise law
+        grid = (0.0, 1.0, 64)
+        f = sample_noise(kind, 3, 1.0, 0.5, grid, np.random.default_rng(5))
+        ens = sample_noise_ensemble(kind, 3, 1.0, 0.5, grid, 1, np.random.default_rng(5))
+        assert ens.dx == f.dx and ens.x_lo == f.x_lo
+        assert np.array_equal(ens.increments[0], f.increments)
 
     def test_brownian_variance_growth(self):
         # Var W_{1,2;1}(x) = x: cumulative sums of raw increments
@@ -95,46 +91,24 @@ class TestSampling:
             se = v * np.sqrt(2.0 / (len(w) - 1))
             assert abs(v - x) <= 4 * se
 
-    def test_eval_outside_range_rejected(self):
-        rng = np.random.default_rng(3)
-        f = sample_noise("R", 2, 1.0, 0.5, GRID, rng)
-        with pytest.raises(ValueError):
-            mollified_eval(f, 0.2, 1, 2, 1.45)
-
     def test_eps_under_resolved_rejected(self):
         rng = np.random.default_rng(4)
         f = sample_noise("R", 2, 1.0, 0.5, (0.0, 1.0, 100), rng)
         with pytest.raises(ValueError):
-            mollified_eval(f, 0.01, 1, 2, 0.5)
+            mollified_profiles(f, 0.01)
 
 
 def pair_covariance(kind, zeta, eta, d, relation, steps=None, n=60_000, seed=5,
                     upsilon2=0.5):
     """Empirical E[entry1(x) entry2(y)] for entry (1,2) vs (1,2) or (2,1)."""
-    rng = np.random.default_rng(seed)
-    x, y = 0.5, 0.5 + d
-    pad = 2 * max(zeta, eta)
-    dx = min(zeta, eta) / 24
-    lo, hi = min(x, y) - pad, max(x, y) + pad
-    cells = int(np.ceil((hi - lo) / dx))
-    vals = []
-    for _ in range(6):
-        ens = sample_noise_ensemble(kind, 2, 1.0, upsilon2, (lo, hi, cells), n // 6, rng)
-        c1 = mollified_point_ensemble(ens, zeta, 1, 2, x)
-        ij = (1, 2) if relation == "same" else (2, 1)
-        c2 = mollified_point_ensemble(ens, eta, ij[0], ij[1], y)
-        if kind == "H":
-            e1 = embed_entries(c1)[tuple(steps[0])]
-            e2 = embed_entries(c2)[tuple(steps[1])]
-            prod = (e1 * e2).real  # the table states the real value
-            imag = (e1 * e2).imag
-            vals.append(np.stack([prod, imag], axis=1))
-        else:
-            z1 = c1[:, 0] + 1j * c1[:, 1]
-            z2 = c2[:, 0] + 1j * c2[:, 1]
-            prod = z1 * z2
-            vals.append(np.stack([prod.real, prod.imag], axis=1))
-    vals = np.concatenate(vals)
+    c1, c2 = two_point_components(kind, zeta, eta, d, n, seed, upsilon2=upsilon2)
+    if relation != "same":
+        c2 = conj_components(c2)  # entry (2,1) is the conjugate of (1,2)
+    if kind == "H":
+        prod = embed_entries(c1)[tuple(steps[0])] * embed_entries(c2)[tuple(steps[1])]
+    else:
+        prod = (c1[:, 0] + 1j * c1[:, 1]) * (c2[:, 0] + 1j * c2[:, 1])
+    vals = np.stack([prod.real, prod.imag], axis=1)  # the tables state the real part
     mean = vals.mean(axis=0)
     se = vals.std(axis=0, ddof=1) / np.sqrt(len(vals))
     return mean, se

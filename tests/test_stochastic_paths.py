@@ -6,17 +6,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
-from mvsao.estimators import BoundaryWeights
+from mvsao.estimators import BoundaryWeights, _PathBatch
 from mvsao.experiment import ExperimentSpec
 from mvsao.stochastic_paths import (
     DomainConfig,
-    PathSample,
     _fold,
     gaussian_kernel,
-    inner_product,
-    local_time,
     log_wall_factor,
-    sample_bridge,
     sample_bridge_ensemble,
     sample_free_bridges,
     step_crossing_probs,
@@ -29,9 +25,11 @@ HALF = DomainConfig(case=2)
 UNIT = DomainConfig(case=3, theta=1.0)
 
 
-def constant_path(x0, t=1.0, dt=0.01):
-    n = int(round(t / dt))
-    return PathSample(dt=dt, values=np.full(n + 1, x0), segment_times=(t,))
+def path_batch(dom, ts, x, n, seed, **kw):
+    """A batch of n bridges from x to x per factor time, Neumann walls."""
+    spec = ExperimentSpec(domain=dom, kind="R", sigma2=0.0, upsilon2=0.0, ts=ts, seed=seed,
+                          alphas=(0.0,), betas=(0.0,), x_max=1.0, **kw)
+    return _PathBatch(spec, (x,) * len(ts), n, np.random.default_rng(seed))
 
 
 class TestBridges:
@@ -66,9 +64,9 @@ class TestBridges:
     def test_invalid_endpoint_rejected(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
-            sample_bridge(HALF, -0.5, 1.0, 1.0, 0.01, rng)
+            sample_bridge_ensemble(HALF, -0.5, 1.0, 1.0, 0.01, 1, rng)
         with pytest.raises(ValueError):
-            sample_bridge(UNIT, 0.5, 1.2, 1.0, 0.01, rng)
+            sample_bridge_ensemble(UNIT, 0.5, 1.2, 1.0, 0.01, 1, rng)
 
     def test_case2_bridge_marginal_matches_kernel(self):
         # one-point marginal of the reflected bridge versus the exact
@@ -126,38 +124,33 @@ class TestTransitionDensity:
 
 
 class TestLocalTime:
+    """The step histograms of a batch (_PathBatch), the one local time."""
+
     def test_constant_path_single_bin(self):
-        field = local_time(constant_path(0.55), (0.0, 1.0), h=0.1)
-        assert np.count_nonzero(field.masses) == 1
-        assert field.masses.max() == pytest.approx(10.0)
+        # a bridge this short stays inside the bin [0.5, 0.6)
+        batch = path_batch(UNIT, (1e-4,), 0.55, 4, 7, dt=1e-6, h=0.1)
+        assert np.all(np.count_nonzero(batch.full_hist, axis=1) == 1)
+        assert np.all(batch.full_hist.max(axis=1) == 100)
+        np.testing.assert_allclose(batch.full_norm2(), 1e-4**2 / 0.1, rtol=1e-12)
 
     def test_occupation_identity_exact(self):
-        rng = np.random.default_rng(7)
-        path = sample_bridge(LINE, 0.0, 1.0, 1.0, 1e-3, rng)
-        for window in [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5)]:
-            field = local_time(path, window, h=0.05)
-            assert field.total_mass() == pytest.approx(window[1] - window[0], abs=1e-12)
+        ts = (0.25, 0.5, 0.25)
+        batch = path_batch(UNIT, ts, 0.5, 16, 7, dt=1e-3, h=0.05)
+        for k, t in enumerate(ts):
+            np.testing.assert_allclose(batch.seg_hist[:, k].sum(axis=1) * batch.dt, t,
+                                       rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(batch.full_hist.sum(axis=1) * batch.dt, 1.0,
+                                   rtol=0.0, atol=1e-12)
 
     def test_norm_scaling_exponent(self):
-        # ||L_t||_2 should scale like t^(3/4); compare means at t and t/4
-        rng = np.random.default_rng(8)
-        t = 1.0
+        # ||L_t||_2 should scale like t^(3/4); compare means at t and t/4,
+        # with h = sqrt(dt) as the white route bins
         means = []
-        for tk in (t, t / 4):
-            dt = 1e-3 * tk
-            h = np.sqrt(dt)
-            vals = []
-            paths = sample_bridge_ensemble(LINE, 0.0, 0.0, tk, dt, 10_000, rng)
-            for row in paths:
-                p = PathSample(dt=dt, values=row, segment_times=(tk,))
-                vals.append(np.sqrt(local_time(p, (0.0, tk), h).norm2_squared()))
-            means.append(np.mean(vals))
+        for tk in (1.0, 0.25):
+            batch = path_batch(LINE, (tk,), 0.0, 10_000, 8, dt=1e-3 * tk)
+            means.append(np.sqrt(batch.full_norm2()).mean())
         ratio = means[1] / means[0]
         assert ratio == pytest.approx(0.25**0.75, rel=0.05)
-
-    def test_empty_window(self):
-        field = local_time(constant_path(0.0), (0.5, 0.5), h=0.1)
-        assert field.total_mass() == 0.0
 
 
 def wall_factor_quad(a, b, dt, alpha):
@@ -203,7 +196,8 @@ class TestBoundaryLocalTime:
     """Robin wall factors of the shared boundary weights."""
 
     def test_far_path_zero(self):
-        assert frozen_weights(constant_path(0.5), HALF, (1.0,)).exponent_constant((1,))[0] == 0.0
+        weights = frozen_weights(np.full(101, 0.5), 0.01, HALF, (1.0,))
+        assert weights.exponent_constant((1,))[0] == 0.0
 
     def test_reflected_expectation(self):
         # E_a[exp(alpha L_t)] for Brownian motion reflected at 0: P(no hit) plus
@@ -228,43 +222,13 @@ class TestBoundaryLocalTime:
 
     def test_window_additivity(self):
         rng = np.random.default_rng(10)
-        path = sample_bridge(HALF, 0.1, 0.2, 1.0, 1e-3, rng)
-        full = frozen_weights(path, HALF, (1.0,)).exponent_constant((1,))
-        split = frozen_weights(path, HALF, (1.0,), cuts=(400,))
+        path = sample_bridge_ensemble(HALF, 0.1, 0.2, 1.0, 1e-3, 1, rng)[0]
+        full = frozen_weights(path, 1e-3, HALF, (1.0,)).exponent_constant((1,))
+        split = frozen_weights(path, 1e-3, HALF, (1.0,), cuts=(400,))
         _, _, segs = split.terms[0]
         assert full[0] > 0 and segs.shape == (1, 2)
         assert full[0] == pytest.approx(split.exponent_constant((1, 1))[0], abs=1e-12)
         assert full[0] == pytest.approx(segs.sum(), abs=1e-12)
-
-
-class TestInnerProduct:
-    def test_disjoint_supports(self):
-        f1 = local_time(constant_path(0.0), (0.0, 1.0), h=0.1)
-        f2 = local_time(constant_path(5.0), (0.0, 1.0), h=0.1)
-        assert inner_product(f1, f2) == 0.0
-
-    def test_norm_nonnegative(self):
-        rng = np.random.default_rng(11)
-        path = sample_bridge(LINE, 0.0, 0.0, 1.0, 1e-3, rng)
-        f = local_time(path, (0.0, 1.0), h=0.05)
-        assert inner_product(f, f) >= 0.0
-        assert inner_product(f, f) == pytest.approx(f.norm2_squared())
-
-    def test_bilinearity_over_window_splits(self):
-        rng = np.random.default_rng(12)
-        path = sample_bridge(LINE, 0.0, 0.0, 1.0, 1e-3, rng)
-        h = 0.05
-        total = local_time(path, (0.0, 1.0), h)
-        cuts = [(0.0, 0.3), (0.3, 0.7), (0.7, 1.0)]
-        parts = [local_time(path, w, h) for w in cuts]
-        acc = sum(inner_product(a, b) for a in parts for b in parts)
-        assert acc == pytest.approx(total.norm2_squared(), rel=1e-9)
-
-    def test_mismatched_bins_rejected(self):
-        f1 = local_time(constant_path(0.0), (0.0, 1.0), h=0.1)
-        f2 = local_time(constant_path(0.0), (0.0, 1.0), h=0.2)
-        with pytest.raises(ValueError):
-            inner_product(f1, f2)
 
 
 def test_crossing_probs_basic():
