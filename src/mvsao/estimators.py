@@ -55,6 +55,7 @@ from .jump_process import (  # draw_jumps_along: perfbench traces this binding
 )
 from .noise_model import NoiseField, bump_scaled, mollified_profiles, pair_index, rho
 from .stochastic_paths import (
+    block_rows,
     interpolate_free,
     log_wall_factor,
     sample_bridge_ensemble,
@@ -150,10 +151,10 @@ def _wall_terms(folded, bounds, point, side, dt, weights) -> list[tuple]:
         cand = close[:-1] | close[1:]
         cand[width - 1::width] = False
         idx = np.flatnonzero(cand)
-        ends = np.stack([flat[idx], flat[idx + 1]], axis=1)
-        idx = idx[step_crossing_probs(ends, point, dt, side=side)[:, 0] > 1e-17]
-        near.append((idx + (idx // width) * (bounds[-1] - width) + lo,
-                     np.abs(flat[idx] - point), np.abs(flat[idx + 1] - point)))
+        ends = flat[idx[:, None] + (0, 1)]  # each candidate step's ends, gathered once
+        keep = step_crossing_probs(ends, point, dt, side=side)[:, 0] > 1e-17
+        idx, d = idx[keep], np.abs(ends[keep] - point)
+        near.append((idx + (idx // width) * (bounds[-1] - width) + lo, d[:, 0], d[:, 1]))
     terms = []
     for alpha in np.unique(weights[weights != 0.0]):
         logs = np.zeros((folded[0].shape[0], bounds[-1]))
@@ -209,10 +210,16 @@ class BoundaryWeights:
 
 class _PathBatch:
     """One chunk of concatenated bridges from x_k to x_k, with everything
-    the weight assembly needs precomputed and vectorized."""
+    the weight assembly needs precomputed and vectorized.
+
+    It keeps only what the weights read: the step bins, their histograms,
+    the boundary weights and the potential integrals; the unfolded paths
+    only with keep_free (the smooth route's jump_values), and the step
+    values only for a color-dependent potential, which is read per sample.
+    The bins and the potential are built in row blocks (block_rows)."""
 
     def __init__(self, spec: ExperimentSpec, xs: tuple[float, ...], n: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, keep_free: bool = False):
         self.spec = spec
         self.n = n
         self.dt = spec.resolved_dt()
@@ -221,62 +228,80 @@ class _PathBatch:
         self.seg_steps = spec.step_counts()
         self.total_steps = sum(self.seg_steps)
         self.seg_bounds = np.concatenate([[0], np.cumsum(self.seg_steps)])
-        self.folded = []
+        folded = []
         self.free = []
-        for x, t, m in zip(xs, spec.ts, self.seg_steps):
-            fold, free = sample_bridge_ensemble(spec.domain, x, x, t, self.dt, n,
-                                                rng, return_free=True)
-            self.folded.append(fold)
-            self.free.append(free)
-        # step values: left endpoints of every step, concatenated
-        self.step_values = np.concatenate([f[:, :-1] for f in self.folded], axis=1)
+        for x, t in zip(xs, spec.ts):
+            paths = sample_bridge_ensemble(spec.domain, x, x, t, self.dt, n, rng,
+                                           return_free=keep_free)
+            if keep_free:
+                paths, free = paths
+                self.free.append(free)
+            folded.append(paths)
+        self._bin_steps(folded)
+        self.boundary = BoundaryWeights(spec, folded, self.dt)
+        self._prepare_potential(folded)
+
+    def _bin_steps(self, folded: list[np.ndarray]):
+        """step_bins, seg_hist and full_hist of the steps' left ends."""
+        spec, n = self.spec, self.n
         # bin range: realized values padded by the largest mollifier width,
         # clipped to the domain (the mu-norm integrates over I only)
         pad = 0
         for e in spec.eps_vector():
             if e > 0:
                 pad = max(pad, int(np.ceil(e / self.h)) + 1)
-        lo_bin = int(np.floor(self.step_values.min() / self.h)) - pad
-        hi_bin = int(np.floor(self.step_values.max() / self.h)) + pad
+        lo_bin = int(np.floor(min(f[:, :-1].min() for f in folded) / self.h)) - pad
+        hi_bin = int(np.floor(max(f[:, :-1].max() for f in folded) / self.h)) + pad
         if spec.domain.case in (2, 3):
             lo_bin = max(lo_bin, 0)
         if spec.domain.case == 3:
             hi_bin = min(hi_bin, int(np.floor(spec.domain.theta / self.h)))
         self.bin_offset = lo_bin
         self.n_bins = hi_bin - lo_bin + 1
-        # bins are integer-valued doubles far below 2**53, so shifting them
-        # before the cast is exact; the narrowest unsigned type lets the
-        # sampler's stable argsort run as a radix sort (up to 16 bits)
-        bins = self.step_values / self.h
-        np.floor(bins, out=bins)
-        bins -= self.bin_offset
-        np.clip(bins, 0, self.n_bins - 1, out=bins)
-        self.step_bins = bins.astype(np.min_scalar_type(self.n_bins - 1))
+        # the narrowest unsigned type lets the sampler's stable argsort run
+        # as a radix sort (up to 16 bits)
+        self.step_bins = np.empty((n, self.total_steps), np.min_scalar_type(self.n_bins - 1))
         # per-segment histograms of step counts
-        self.seg_hist = np.zeros((n, len(xs), self.n_bins))
-        for k in range(len(xs)):
-            sl = slice(self.seg_bounds[k], self.seg_bounds[k + 1])
-            flat = (np.arange(n)[:, None] * self.n_bins + self.step_bins[:, sl]).ravel()
-            counts = np.bincount(flat, minlength=n * self.n_bins)
-            self.seg_hist[:, k, :] = counts.reshape(n, self.n_bins)
+        self.seg_hist = np.empty((n, len(folded), self.n_bins))
+        for k, f in enumerate(folded):
+            rows = block_rows(f.shape[1])
+            buf = np.empty((min(rows, n), f.shape[1] - 1))
+            for lo in range(0, n, rows):
+                # bins are integer-valued doubles far below 2**53, so shifting
+                # them before the cast is exact
+                values = f[lo:lo + rows, :-1]
+                b = np.divide(values, self.h, out=buf[:len(values)])
+                np.floor(b, out=b)
+                b -= self.bin_offset
+                np.clip(b, 0, self.n_bins - 1, out=b)
+                bins = self.step_bins[lo:lo + rows, self.seg_bounds[k]:self.seg_bounds[k + 1]]
+                bins[...] = b
+                flat = bins + (np.arange(len(b)) * self.n_bins)[:, None]
+                self.seg_hist[lo:lo + rows, k] = np.bincount(
+                    flat.ravel(), minlength=len(b) * self.n_bins).reshape(len(b), self.n_bins)
         self.full_hist = self.seg_hist.sum(axis=1)
-        self.boundary = BoundaryWeights(spec, self.folded, self.dt)
-        self._prepare_potential()
 
     # -- potential ----------------------------------------------------------
-    def _prepare_potential(self):
+    def _prepare_potential(self, folded: list[np.ndarray]):
         spec = self.spec
         pot = spec.potential
+        r = spec.domain.r
         self.color_free_potential = pot.kind != "tabulated" or spec.color_symmetric()
         if pot.kind == "zero":
             self.v_int = np.zeros(self.n)
         elif self.color_free_potential:
-            v = pot.values(1, self.step_values, spec.domain.r)
-            self.v_int = v.sum(axis=1) * self.dt
+            # per row block of the concatenated step values (left ends)
+            self.v_int = np.empty(self.n)
+            rows = block_rows(self.total_steps)
+            for lo in range(0, self.n, rows):
+                values = np.concatenate([f[lo:lo + rows, :-1] for f in folded], axis=1)
+                self.v_int[lo:lo + rows] = pot.values(1, values, r).sum(axis=1) * self.dt
         else:
-            self.seg_v = [np.stack([pot.values(i + 1, f[:, :-1], spec.domain.r).sum(axis=1)
-                                    * self.dt for i in range(spec.domain.r)])
-                          for f in self.folded]
+            self.seg_v = [np.stack([pot.values(i + 1, f[:, :-1], r).sum(axis=1) * self.dt
+                                    for i in range(r)])
+                          for f in folded]
+            # step values: left endpoints of every step, concatenated
+            self.step_values = np.concatenate([f[:, :-1] for f in folded], axis=1)
 
     def potential_integral_constant_colors(self, colors: tuple[int, ...]) -> np.ndarray:
         if self.color_free_potential:
@@ -416,7 +441,7 @@ def _node_stats(args) -> tuple[int, float, float, int, int, float, float]:
     while done < per_node:
         m = min(chunk_size, per_node - done)
         rng = derived_rng(spec.seed, stream, node_idx, chunk_idx)
-        batch = _PathBatch(spec, tuple(xv), m, rng)
+        batch = _PathBatch(spec, tuple(xv), m, rng, keep_free=not white)
         if white:
             w, disc = _white_weights(spec, batch, pat, rng)
         else:

@@ -20,6 +20,8 @@ import numpy as np
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 # image terms are kept until they fall below this fraction of the leading one
 _IMAGE_RTOL = 1e-15
+# a row block of path arrays this large fits in L2 (see block_rows)
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -53,16 +55,28 @@ def gaussian_kernel(t: float, z) -> np.ndarray:
     return np.exp(-(z**2) / (2.0 * t)) / (_SQRT2PI * np.sqrt(t))
 
 
-def _fold(values: np.ndarray, theta: float) -> np.ndarray:
-    """theta - |mod(values, 2 theta) - theta| in one new buffer; np.mod is
-    the identity on [0, 2 theta) (-0.0 aside, which the rest maps to 0.0),
-    so it runs only where values leave that range."""
+def _fold(u: np.ndarray, theta: float) -> np.ndarray:
+    """Fold the float array u onto [0, theta] in place, bit for bit
+    theta - |np.mod(u, 2 theta) - theta|.  np.mod is the identity on
+    [0, 2 theta) (-0.0 aside, which the rest maps to 0.0), u + 2 theta on
+    [-2 theta, 0) (the sum np.mod itself rounds) and the exact (Sterbenz)
+    u - 2 theta on [2 theta, 4 theta), so it runs only beyond those."""
     period = 2.0 * theta
-    u = np.array(values, dtype=float)
-    np.mod(u, period, out=u, where=(u < 0.0) | (u >= period))
+    low = u < 0.0
+    high = u >= period
+    far = (u < -period) | (u >= 2.0 * period)
+    wrapped = np.mod(u[far], period)
+    np.add(u, period, out=u, where=low)
+    np.subtract(u, period, out=u, where=high)
+    u[far] = wrapped
     u -= theta
     np.abs(u, out=u)
     return np.subtract(theta, u, out=u)
+
+
+def block_rows(width: int) -> int:
+    """Rows of a float array width columns wide that fit in _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (8 * width))
 
 
 def _image_endpoints(domain: DomainConfig, x: float, y: float, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -102,23 +116,6 @@ def transition_density(domain: DomainConfig, t: float, x, y) -> np.ndarray | flo
     return out if out.ndim else float(out)
 
 
-def sample_free_bridges(endpoints: np.ndarray, t: float, n_steps: int,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Brownian bridges from 0 to the given endpoints on an n_steps grid."""
-    n = len(endpoints)
-    dt = t / n_steps
-    incs = rng.standard_normal((n, n_steps))
-    incs *= np.sqrt(dt)
-    w = np.empty((n, n_steps + 1))
-    w[:, 0] = 0.0
-    np.cumsum(incs, axis=1, out=w[:, 1:])
-    # pull the end to the endpoint; column 0 stays 0.0 (0.0 - +-0.0 = 0.0),
-    # so only the later columns need the correction, built in incs' buffer
-    s = np.linspace(0.0, 1.0, n_steps + 1)
-    w[:, 1:] -= np.multiply((w[:, -1] - endpoints)[:, None], s[None, 1:], out=incs)
-    return w
-
-
 def sample_bridge_ensemble(domain: DomainConfig, x: float, y: float, t: float,
                            dt: float, n_paths: int, rng: np.random.Generator,
                            return_free: bool = False):
@@ -128,6 +125,13 @@ def sample_bridge_ensemble(domain: DomainConfig, x: float, y: float, t: float,
     then folded; folded endpoints hit y exactly.  With return_free the
     unfolded free paths x + W are returned alongside (used for exact
     interpolation at off-grid times).
+
+    After the endpoint draws for all paths, the paths are built in row
+    blocks of about _BLOCK_BYTES, each pass over a block running in cache:
+    the block's normals go into one reused buffer (block by block they are
+    the C-order draw of the whole array), are scaled and summed into the
+    output rows, which are pulled to their endpoints, shifted by x and
+    folded in place.
     """
     if not (domain.contains(x) and domain.contains(y)):
         raise ValueError(f"endpoints ({x}, {y}) outside the domain closure")
@@ -135,19 +139,34 @@ def sample_bridge_ensemble(domain: DomainConfig, x: float, y: float, t: float,
         raise ValueError("need 0 < dt <= t")
     n_steps = max(1, int(round(t / dt)))
     e, wts = _image_endpoints(domain, x, y, t)
-    probs = wts / wts.sum()
-    choice = rng.choice(len(e), size=n_paths, p=probs)
-    free = sample_free_bridges(e[choice], t, n_steps, rng)
-    free += x
-    if domain.case == 1:
-        folded = free
-    elif domain.case == 2:
-        folded = np.abs(free)
-    else:
-        folded = _fold(free, domain.theta)
+    ends = e[rng.choice(len(e), size=n_paths, p=wts / wts.sum())]
+    step_sd = np.sqrt(t / n_steps)
+    s = np.linspace(0.0, 1.0, n_steps + 1)[1:]
+    out = np.empty((n_paths, n_steps + 1))
+    # case 1 does not fold: its free paths are the output itself
+    free = np.empty_like(out) if return_free and domain.case != 1 else out
+    rows = block_rows(n_steps + 1)
+    buf = np.empty((min(rows, n_paths), n_steps))
+    for lo in range(0, n_paths, rows):
+        w = out[lo:lo + rows]
+        incs = buf[:len(w)]
+        rng.standard_normal(out=incs)
+        incs *= step_sd
+        w[:, 0] = 0.0
+        np.cumsum(incs, axis=1, out=w[:, 1:])
+        # pull the end to the endpoint; column 0 stays 0.0 (0.0 - +-0.0 = 0.0),
+        # so only the later columns need the correction, built in incs' buffer
+        w[:, 1:] -= np.multiply((w[:, -1] - ends[lo:lo + rows])[:, None], s, out=incs)
+        w += x
+        if free is not out:
+            free[lo:lo + rows] = w
+        if domain.case == 2:
+            np.abs(w, out=w)
+        elif domain.case == 3:
+            _fold(w, domain.theta)
     if return_free:
-        return folded, free
-    return folded
+        return out, free
+    return out
 
 
 def step_crossing_probs(values: np.ndarray, c: float, dt: float, side: str) -> np.ndarray:
@@ -215,4 +234,4 @@ def fold_to_domain(values: np.ndarray, domain: DomainConfig) -> np.ndarray:
         return values
     if domain.case == 2:
         return np.abs(values)
-    return _fold(values, domain.theta)
+    return _fold(np.array(values, dtype=float), domain.theta)

@@ -1,6 +1,8 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from mvsao.algebra import conj
 from mvsao.estimators import (
@@ -25,6 +27,7 @@ from mvsao.stochastic_paths import (
 )
 from test_acceptance import richardson_extrapolate
 from test_jump_process import walk
+from test_stochastic_paths import reference_bridges
 
 PI = np.pi
 SERIES = sum(np.exp(-(k**2) / 2.0) for k in range(1, 60))
@@ -349,6 +352,86 @@ class TestNarrowStepBins:
                 rng = np.random.default_rng(s)
                 draws.append([sampler.sample_pair(rng) for _ in range(200)])
             assert draws[0] == draws[1]
+
+
+def reference_batch(spec, xs, n, rng):
+    """A batch's arrays built the whole-array way: all segments' bridges,
+    their concatenated step values, float bins over the whole array, one
+    bincount per segment and the potential over the whole array."""
+    dt, h = spec.resolved_dt(), spec.resolved_h()
+    folded, free = zip(*[reference_bridges(spec.domain, x, x, t, dt, n, rng, return_free=True)
+                         for x, t in zip(xs, spec.ts)])
+    values = np.concatenate([f[:, :-1] for f in folded], axis=1)
+    pad = max([int(np.ceil(e / h)) + 1 for e in spec.eps_vector() if e > 0], default=0)
+    lo = max(int(np.floor(values.min() / h)) - pad, 0)
+    hi = min(int(np.floor(values.max() / h)) + pad, int(np.floor(spec.domain.theta / h)))
+    n_bins = hi - lo + 1
+    bins = np.clip(np.floor(values / h) - lo, 0, n_bins - 1).astype(np.min_scalar_type(n_bins - 1))
+    bounds = np.cumsum([0] + [f.shape[1] - 1 for f in folded])
+    seg_hist = np.stack([np.bincount((np.arange(n)[:, None] * n_bins + bins[:, a:b]).ravel(),
+                                     minlength=n * n_bins).reshape(n, n_bins)
+                         for a, b in zip(bounds, bounds[1:])], axis=1).astype(float)
+    r, pot = spec.domain.r, spec.potential
+    return dict(folded=folded, free=free, step_values=values, step_bins=bins,
+                seg_hist=seg_hist, full_hist=seg_hist.sum(axis=1),
+                v_int=pot.values(1, values, r).sum(axis=1) * dt,
+                seg_v=[np.stack([pot.values(i, f[:, :-1], r).sum(axis=1) * dt
+                                 for i in range(1, r + 1)]) for f in folded])
+
+
+class TestLeanBatch:
+    """_PathBatch builds its arrays in row blocks and keeps only what the
+    weights read; the arrays equal a whole-array build bit for bit."""
+
+    TABLE = PotentialSpec(kind="tabulated", table_x=(0.0, 0.4, 1.0),
+                          table_v=((0.0, 1.5, 0.5), (2.0, 0.1, 0.3)))
+
+    @pytest.mark.parametrize("potential", [PotentialSpec(), PotentialSpec(kind="sao"), TABLE],
+                             ids=["zero", "sao", "tabulated"])
+    @pytest.mark.parametrize("keep_free", [False, True], ids=["white", "smooth"])
+    def test_arrays_match_whole_array_build(self, potential, keep_free):
+        # the smooth route's batch pads the bins by its mollifier width
+        eps = (0.1, 0.1) if keep_free else None
+        spec = two_color_spec(ts=(0.3, 0.2), dt=2e-4, potential=potential, eps=eps, zetas=eps,
+                              alphas=(0.7, DIRICHLET), betas=(DIRICHLET, -1.0))
+        n = 150  # two row blocks or more per segment
+        batch = _PathBatch(spec, (0.05, 0.6), n, np.random.default_rng(4), keep_free=keep_free)
+        want = reference_batch(spec, (0.05, 0.6), n, np.random.default_rng(4))
+        for name in ("step_bins", "seg_hist", "full_hist"):
+            got = getattr(batch, name)
+            assert got.dtype == want[name].dtype and got.tobytes() == want[name].tobytes(), name
+        assert len(batch.free) == (2 if keep_free else 0)
+        for got, ref in zip(batch.free, want["free"]):
+            assert got.tobytes() == ref.tobytes()
+        assert not hasattr(batch, "folded")
+        if potential is self.TABLE:
+            assert not batch.color_free_potential
+            assert batch.step_values.tobytes() == want["step_values"].tobytes()
+            for got, ref in zip(batch.seg_v, want["seg_v"]):
+                assert got.tobytes() == ref.tobytes()
+        else:
+            assert not hasattr(batch, "step_values")
+            assert batch.v_int.tobytes() == want["v_int"].tobytes()
+        ref_terms = BoundaryWeights(spec, list(want["folded"]), batch.dt).terms
+        assert len(batch.boundary.terms) == len(ref_terms) == 4
+        for got, ref in zip(batch.boundary.terms, ref_terms):
+            assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+    def test_neumann_white_chunk_memory(self):
+        """A Neumann white chunk of 500 paths x 2500 steps (a 10 MB path
+        array) peaks under 20 MB while it is built and keeps under 3 MB."""
+        spec = two_color_spec(alphas=(0.0, 0.0), betas=(0.0, 0.0), dt=2e-4)
+        rng = np.random.default_rng(6)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            batch = _PathBatch(spec, (0.5,), 500, rng)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert batch.total_steps == 2500
+        assert peak - start < 20e6
+        assert kept - start < 3e6
 
 
 class TestRigidityCovariance:

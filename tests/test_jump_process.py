@@ -138,7 +138,10 @@ class TestColoredLocalTime:
     def test_r1_equals_total(self):
         batch = small_batch(1, (1.0,), 20)
         hist = batch.colored_hist(0, np.ones(batch.total_steps, dtype=np.int64))
-        idx = np.floor(batch.folded[0][0, :-1] / batch.h).astype(np.int64) - batch.bin_offset
+        # the batch's paths are the first draws of its rng
+        path = sample_bridge_ensemble(UNIT, 0.3, 0.3, 1.0, batch.dt, batch.n,
+                                      np.random.default_rng(20))[0]
+        idx = np.floor(path[:-1] / batch.h).astype(np.int64) - batch.bin_offset
         np.testing.assert_array_equal(hist[0], np.bincount(idx, minlength=batch.n_bins))
 
     def test_unvisited_color_zero(self):

@@ -10,11 +10,12 @@ from mvsao.estimators import BoundaryWeights, _PathBatch
 from mvsao.experiment import ExperimentSpec
 from mvsao.stochastic_paths import (
     DomainConfig,
-    _fold,
+    _image_endpoints,
+    block_rows,
+    fold_to_domain,
     gaussian_kernel,
     log_wall_factor,
     sample_bridge_ensemble,
-    sample_free_bridges,
     step_crossing_probs,
     transition_density,
 )
@@ -240,27 +241,59 @@ def test_crossing_probs_basic():
     assert up[0] == 1.0
 
 
+def mod_fold(values, theta):
+    """The fold as the formula theta - |np.mod(v, 2 theta) - theta|."""
+    with np.errstate(invalid="ignore"):
+        return theta - np.abs(np.mod(values, 2.0 * theta) - theta)
+
+
 @pytest.mark.parametrize("theta", [1.0, np.pi, 0.3])
 def test_fold_matches_mod_formula_bit_for_bit(theta):
     p = 2.0 * theta
-    edges = [0.0, -0.0, p, -p, 2 * p, -2 * p, theta, -theta, 3 * theta]
+    # tiny negatives: -1e-17 + p rounds to p, which np.mod returns as well
+    edges = [0.0, -0.0, p, -p, 2 * p, -2 * p, theta, -theta, 3 * theta, -3 * theta,
+             -1e-17, -1e-300, -np.finfo(float).eps * theta]
     vals = np.array(edges + [np.nextafter(e, s) for e in edges for s in (-np.inf, np.inf)]
                     + [5e-324, -5e-324, 1e300, -1e300, 1e17 + 0.5, -7.25e12, np.inf, np.nan]
                     + list(np.random.default_rng(3).normal(0.0, 3.0 * theta, 501)))
-    with np.errstate(invalid="ignore"):
-        want = theta - np.abs(np.mod(vals, p) - theta)
+    want = mod_fold(vals, theta)
     for v in (vals, vals.reshape(-1, 2)):
         with np.errstate(invalid="ignore"):
-            got = _fold(v, theta)
+            got = fold_to_domain(v, DomainConfig(case=3, theta=theta))
         assert got.tobytes() == want.reshape(v.shape).tobytes()
         assert got is not v
 
 
+def reference_bridges(domain, x, y, t, dt, n, rng, return_free=False):
+    """sample_bridge_ensemble as one draw of the whole (n, steps) array,
+    out of place: the reference for its row blocks."""
+    e, wts = _image_endpoints(domain, x, y, t)
+    ends = e[rng.choice(len(e), size=n, p=wts / wts.sum())]
+    n_steps = max(1, int(round(t / dt)))
+    incs = rng.standard_normal((n, n_steps)) * np.sqrt(t / n_steps)
+    w = np.concatenate([np.zeros((n, 1)), np.cumsum(incs, axis=1)], axis=1)
+    w -= np.linspace(0.0, 1.0, n_steps + 1)[None, :] * (w[:, -1] - ends)[:, None]
+    free = w + x
+    folded = {1: free, 2: np.abs(free)}.get(domain.case)
+    if folded is None:
+        folded = mod_fold(free, domain.theta)
+    return (folded, free) if return_free else folded
+
+
 def test_free_bridges_match_out_of_place_formula():
-    ends = np.array([0.3, -1.2, 0.0, 2.5])
-    got = sample_free_bridges(ends, 0.5, 250, np.random.default_rng(8))
-    rng = np.random.default_rng(8)
-    incs = rng.standard_normal((4, 250)) * np.sqrt(0.5 / 250)
-    w = np.concatenate([np.zeros((4, 1)), np.cumsum(incs, axis=1)], axis=1)
-    w -= np.linspace(0.0, 1.0, 251)[None, :] * (w[:, -1] - ends)[:, None]
-    assert got.tobytes() == w.tobytes()
+    """Row-block bridges equal the whole-array formula bit for bit: one row,
+    fewer rows than a block, whole blocks and a part block, every case, with
+    and without the free paths."""
+    t, dt = 0.5, 2e-4
+    rows = block_rows(round(t / dt) + 1)
+    assert 1 < rows < 100
+    for dom, x in ((LINE, -0.3), (HALF, 0.05), (UNIT, 0.05), (DomainConfig(3, 0.3), 0.29)):
+        for n in (1, rows - 1, 2 * rows, 2 * rows + 3):
+            for return_free in (False, True):
+                got = sample_bridge_ensemble(dom, x, x, t, dt, n, np.random.default_rng(n),
+                                             return_free=return_free)
+                want = reference_bridges(dom, x, x, t, dt, n, np.random.default_rng(n),
+                                         return_free=return_free)
+                for g, w in zip(got, want) if return_free else ((got, want),):
+                    assert g.shape == (n, 2501)
+                    assert g.tobytes() == w.tobytes(), (dom, n, return_free)
