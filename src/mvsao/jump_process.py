@@ -47,9 +47,11 @@ class JumpPath:
     def color_at_steps(self, dt: float, n_steps: int) -> np.ndarray:
         """Color at the step left endpoints m*dt, m = 0..n_steps-1."""
         out = np.empty(n_steps, dtype=np.int64)
-        # (time, priority, color); resets beat jumps at equal times
+        # (time, priority, color) sorted on time and priority: resets beat
+        # jumps at equal times, and tied jumps keep their sequence order
         events = sorted([(start, 0, c) for start, (_, c) in zip(self.segment_starts, self.segments)]
-                        + [(float(tau), 1, to) for tau, (_, to) in zip(self.times, self.jumps)])
+                        + [(float(tau), 1, to) for tau, (_, to) in zip(self.times, self.jumps)],
+                        key=lambda event: event[:2])
         for etime, _, color in events:
             out[int(np.ceil(etime / dt - 1e-9)):] = color
         return out

@@ -37,12 +37,12 @@ CASES = {
 }
 
 EXPECTED = {
-    'white_dirichlet_n2': [('0.012607971111116154', '0.011708392578318056', '990', '0')],
+    'white_dirichlet_n2': [('0.012607971111116186', '0.011708392578318056', '990', '0')],
     'smooth_dirichlet_n1': [('0.2239863055295656', '0.019989745951243126', '2000', '0')],
-    'neumann_covariance': [('-0.06891107709559918', '0.16927129477687666', '2992', '0')],
-    'white_mixed': [('1.431374034436422', '0.04347622890034272', '2000', '0')],
+    'neumann_covariance': [('-0.06996517305001149', '0.1692177144509555', '2992', '0')],
+    'white_mixed': [('1.4352972712715246', '0.043449690164950955', '2000', '0')],
     'smooth_mixed': [('1.410616845153719', '0.05011117111039504', '2000', '0')],
-    'sao_half_line': [('2.971595130757925', '0.04181194400063206', '1998', '0')],
+    'sao_half_line': [('2.9717550119358833', '0.04180858772949274', '1998', '0')],
 }
 
 

@@ -132,6 +132,34 @@ class TestEndpointIndicator:
         assert abs(p - (1 + np.exp(-2.0)) / 2) <= 3 * se
 
 
+class TestStepColors:
+    """color_at_steps, the color held over each step, agrees with the jump
+    sequence and with endpoint_colors."""
+
+    @pytest.mark.parametrize("jumps,last", [([(1, 2), (2, 1)], 1), ([(1, 3), (3, 2)], 2),
+                                            ([(1, 2), (2, 3)], 3)])
+    def test_tied_jumps_apply_in_sequence_order(self, jumps, last):
+        path = JumpPath(r=3, segments=((1.0, 1),), times=np.array([0.5, 0.5]), jumps=jumps)
+        assert path.color_at_steps(0.1, 10).tolist() == [1] * 5 + [last] * 5
+        assert path.endpoint_colors() == [last]
+
+    def test_singular_paths_end_in_endpoint_colors(self):
+        """The white route's jump times sit on the step grid, so ties are
+        common; each segment's last step holds its endpoint color."""
+        dt = 1e-3
+        path = frozen_path(seed=9, t=0.4, dt=dt)
+        sampler = path_sampler(path, dt, 0.02)
+        segments = ((0.2, 1), (0.2, 3))
+        rng = np.random.default_rng(10)
+        ties = 0
+        for _ in range(300):
+            jp = sampler.sample(8, segments, 3, rng)
+            ties += len(np.unique(jp.times)) < jp.n_jumps
+            steps = jp.color_at_steps(dt, 400)
+            assert [steps[199], steps[399]] == jp.endpoint_colors()
+        assert ties > 20
+
+
 class TestColoredLocalTime:
     """Per-color step histograms of a batch (colored_hist)."""
 
