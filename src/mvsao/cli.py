@@ -244,6 +244,8 @@ def _record(experiment_id: str, kind: str, ts, est: MomentEstimate,
 
 def run(parsed: dict, workers: int = 1, timing: bool = False) -> list[dict]:
     """Execute the experiment and return result records."""
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     kind = parsed["experiment"]
     if kind == "selftest":
         failures = selftest()

@@ -17,8 +17,10 @@ transition kernels.  Every sample's weight is assembled from
     the color held, whose Dirichlet limit is the survival probability.
 
 The colored walk and the self-intersection sampler are those of
-jump_process, and all three estimators read their wall factors from one
-BoundaryWeights object per batch of paths.
+jump_process.  All three estimators draw their paths as _PathBatch chunks
+and read from them the potential integrals, the wall factors (one
+BoundaryWeights object per chunk) and the path values at jump times; the
+kernel's chunks run from x to y and integrate V plus the diagonal noise.
 
 Seed policy: every (starting tuple, grid node, chunk) triple owns the rng
 stream SeedSequence(entropy=seed, spawn_key=(stream, node, chunk)), which
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -209,17 +211,19 @@ class BoundaryWeights:
 
 
 class _PathBatch:
-    """One chunk of concatenated bridges from x_k to x_k, with everything
-    the weight assembly needs precomputed and vectorized.
+    """One chunk of concatenated bridges from x_k to ys[k] (default x_k),
+    with everything the weight assembly needs precomputed and vectorized.
 
-    It keeps only what the weights read: the step bins, their histograms,
-    the boundary weights and the potential integrals; the unfolded paths
-    only with keep_free (the smooth route's jump_values), and the step
-    values only for a color-dependent potential, which is read per sample.
-    The bins and the potential are built in row blocks (block_rows)."""
+    It keeps only what the weights read: the step bins and histograms
+    (unless bins is off), the boundary weights and the integrals of the
+    elementwise diagonal(colors, x) (default spec.potential); the unfolded
+    paths only with keep_free (jump_values), and the step values only for a
+    color-dependent diagonal, which is read per sample.  The bins and the
+    potential are built in row blocks (block_rows)."""
 
     def __init__(self, spec: ExperimentSpec, xs: tuple[float, ...], n: int,
-                 rng: np.random.Generator, keep_free: bool = False):
+                 rng: np.random.Generator, keep_free: bool = False,
+                 ys: tuple[float, ...] | None = None, diagonal=None, bins: bool = True):
         self.spec = spec
         self.n = n
         self.dt = spec.resolved_dt()
@@ -230,16 +234,17 @@ class _PathBatch:
         self.seg_bounds = np.concatenate([[0], np.cumsum(self.seg_steps)])
         folded = []
         self.free = []
-        for x, t in zip(xs, spec.ts):
-            paths = sample_bridge_ensemble(spec.domain, x, x, t, self.dt, n, rng,
+        for x, y, t in zip(xs, ys or xs, spec.ts):
+            paths = sample_bridge_ensemble(spec.domain, x, y, t, self.dt, n, rng,
                                            return_free=keep_free)
             if keep_free:
                 paths, free = paths
                 self.free.append(free)
             folded.append(paths)
-        self._bin_steps(folded)
+        if bins:
+            self._bin_steps(folded)
         self.boundary = BoundaryWeights(spec, folded, self.dt)
-        self._prepare_potential(folded)
+        self._prepare_potential(folded, diagonal)
 
     def _bin_steps(self, folded: list[np.ndarray]):
         """step_bins, seg_hist and full_hist of the steps' left ends."""
@@ -282,26 +287,35 @@ class _PathBatch:
         self.full_hist = self.seg_hist.sum(axis=1)
 
     # -- potential ----------------------------------------------------------
-    def _prepare_potential(self, folded: list[np.ndarray]):
+    def _prepare_potential(self, folded: list[np.ndarray], diagonal):
         spec = self.spec
         pot = spec.potential
         r = spec.domain.r
-        self.color_free_potential = pot.kind != "tabulated" or spec.color_symmetric()
-        if pot.kind == "zero":
+        self.color_free_potential = diagonal is None and (
+            pot.kind != "tabulated" or spec.color_symmetric())
+        if not self.color_free_potential:
+            self.diagonal = diagonal or partial(pot.values, r=r)
+            self.seg_v = []
+            for f in folded:
+                v = np.empty((r, self.n))
+                rows = block_rows(f.shape[1])
+                for lo in range(0, self.n, rows):
+                    values = f[lo:lo + rows, :-1]
+                    for i in range(r):
+                        v[i, lo:lo + rows] = self.diagonal(i + 1, values).sum(axis=1) * self.dt
+                self.seg_v.append(v)
+            # step values: left endpoints of every step, concatenated
+            self.step_values = (folded[0][:, :-1] if len(folded) == 1
+                                else np.concatenate([f[:, :-1] for f in folded], axis=1))
+        elif pot.kind == "zero":
             self.v_int = np.zeros(self.n)
-        elif self.color_free_potential:
+        else:
             # per row block of the concatenated step values (left ends)
             self.v_int = np.empty(self.n)
             rows = block_rows(self.total_steps)
             for lo in range(0, self.n, rows):
                 values = np.concatenate([f[lo:lo + rows, :-1] for f in folded], axis=1)
                 self.v_int[lo:lo + rows] = pot.values(1, values, r).sum(axis=1) * self.dt
-        else:
-            self.seg_v = [np.stack([pot.values(i + 1, f[:, :-1], r).sum(axis=1) * self.dt
-                                    for i in range(r)])
-                          for f in folded]
-            # step values: left endpoints of every step, concatenated
-            self.step_values = np.concatenate([f[:, :-1] for f in folded], axis=1)
 
     def potential_integral_constant_colors(self, colors: tuple[int, ...]) -> np.ndarray:
         if self.color_free_potential:
@@ -311,9 +325,7 @@ class _PathBatch:
     def potential_integral_per_sample(self, s: int, step_colors: np.ndarray) -> float:
         if self.color_free_potential:
             return float(self.v_int[s])
-        v = self.spec.potential.values(step_colors, self.step_values[s],
-                                       self.spec.domain.r)
-        return float(v.sum() * self.dt)
+        return float(self.diagonal(step_colors, self.step_values[s]).sum() * self.dt)
 
     # -- local-time norms ----------------------------------------------------
     def colored_norm2_constant(self, colors: tuple[int, ...]) -> np.ndarray:
@@ -355,9 +367,7 @@ class _PathBatch:
             mask = seg_of == k
             if not mask.any():
                 continue
-            local = times[mask] - starts[k]
-            vals = interpolate_free(self.free[k][s], local, self.dt, rng)
-            out[mask] = vals
+            out[mask] = interpolate_free(self.free[k][s], times[mask] - starts[k], self.dt, rng)
         # looked up per call: perfbench wraps the module attribute
         from .stochastic_paths import fold_to_domain
         return fold_to_domain(out, self.spec.domain)
@@ -381,17 +391,15 @@ class _Accumulator:
         self.max_abs = 0.0
         self.abs_sum = 0.0
 
-    def add_batch(self, w: np.ndarray, scale: float):
-        self.s += float(w.sum()) * scale
-        self.s2 += float((w * scale) @ (w * scale))
+    def add_batch(self, w: np.ndarray, discarded: int):
+        self.s += float(w.sum())
+        self.s2 += float(w @ w)
         self.n += len(w)
-        contrib = np.abs(w) * abs(scale)
+        self.n_discarded += discarded
         if len(w):
+            contrib = np.abs(w)
             self.max_abs = max(self.max_abs, float(contrib.max()))
             self.abs_sum += float(contrib.sum())
-
-    def merge_counts(self, discarded: int):
-        self.n_discarded += discarded
 
 
 def _mollifier_kernel(eps: float, h: float) -> np.ndarray | None:
@@ -429,16 +437,14 @@ def whitenoise_trace_moment(spec: ExperimentSpec, workers: int = 1) -> MomentEst
     return _run_moment(spec, white=True, workers=workers)
 
 
-def _node_stats(args) -> tuple[int, float, float, int, int, float, float]:
+def _node_stats(args) -> _Accumulator:
     """Accumulated weight statistics for one starting-tuple node."""
     spec, white, node_idx, pat, xv, per_node = args
     stream = _STREAM_WHITE if white else _STREAM_SMOOTH
     acc = _Accumulator()
     chunk_size = max(64, min(per_node, int(_MAX_CHUNK_FLOATS
                                            // max(1, int(sum(spec.ts) / spec.resolved_dt())))))
-    done = 0
-    chunk_idx = 0
-    while done < per_node:
+    for chunk_idx, done in enumerate(range(0, per_node, chunk_size)):
         m = min(chunk_size, per_node - done)
         rng = derived_rng(spec.seed, stream, node_idx, chunk_idx)
         batch = _PathBatch(spec, tuple(xv), m, rng, keep_free=not white)
@@ -446,14 +452,11 @@ def _node_stats(args) -> tuple[int, float, float, int, int, float, float]:
             w, disc = _white_weights(spec, batch, pat, rng)
         else:
             w, disc = _smooth_weights(spec, batch, pat, rng)
-        acc.add_batch(w, 1.0)
-        acc.merge_counts(disc)
-        done += m
-        chunk_idx += 1
-    return (node_idx, acc.s, acc.s2, acc.n, acc.n_discarded, acc.max_abs, acc.abs_sum)
+        acc.add_batch(w, disc)
+    return acc
 
 
-def _run_moment(spec: ExperimentSpec, white: bool, workers: int = 1) -> MomentEstimate:
+def _run_moment(spec: ExperimentSpec, white: bool, workers: int) -> MomentEstimate:
     xs, hq = start_quadrature(spec)
     patterns = color_patterns(spec)
     n = spec.n_factors
@@ -468,7 +471,6 @@ def _run_moment(spec: ExperimentSpec, white: bool, workers: int = 1) -> MomentEs
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_node_stats, tasks, chunksize=4))
-        results.sort(key=lambda row: row[0])
     else:
         results = [_node_stats(t) for t in tasks]
 
@@ -480,20 +482,19 @@ def _run_moment(spec: ExperimentSpec, white: bool, workers: int = 1) -> MomentEs
     abs_contrib = 0.0
     warnings = []
 
-    for (node_idx, s, s2, cnt, disc, max_abs, abs_sum), (pat, mult, xv) \
-            in zip(results, nodes):
+    for acc, (pat, mult, xv) in zip(results, nodes):
         pi_z = float(np.prod([transition_density(spec.domain, t, x, x)
                               for t, x in zip(spec.ts, xv)]))
         scale = mult * hq**n * pi_z
-        node_n = max(cnt, 1)
-        mean = s / node_n
-        node_var = max(s2 / node_n - mean**2, 0.0)
+        node_n = max(acc.n, 1)
+        mean = acc.s / node_n
+        node_var = max(acc.s2 / node_n - mean**2, 0.0)
         total += scale * mean
         var += scale**2 * node_var / node_n
-        n_eff += cnt
-        n_disc += disc
-        max_contrib = max(max_contrib, max_abs * abs(scale) / node_n)
-        abs_contrib += abs_sum * abs(scale) / node_n
+        n_eff += acc.n
+        n_disc += acc.n_discarded
+        max_contrib = max(max_contrib, acc.max_abs * abs(scale) / node_n)
+        abs_contrib += acc.abs_sum * abs(scale) / node_n
 
     if n_disc > 0.01 * max(1, n_eff + n_disc):
         warnings.append(f"discard rate {n_disc / (n_eff + n_disc):.2%} above 1%")
@@ -687,53 +688,49 @@ def _white_weights(spec: ExperimentSpec, batch: _PathBatch,
 # --------------------------------------------------------------------------
 
 def fk_kernel_regular(spec: ExperimentSpec, t: float, a: tuple[int, float],
-                      b: tuple[int, float], noise: NoiseField, eps: float,
+                      b: tuple[int, float], noise: NoiseField | None, eps: float,
                       n_paths: int | None = None) -> FieldEstimate:
     """Kernel of the mollified-noise semigroup at (a, b), estimated from
-    conditioned paths against one frozen noise realization.
+    conditioned paths against one frozen noise realization (none: no noise).
 
     The walk's endpoint conditioning is an indicator on free walks; the
     jump-product functional multiplies mollified off-diagonal noise values
-    at the jump points with sign (-1)^N and the rate normalization.
+    at the jump points with sign (-1)^N and the rate normalization.  The
+    paths are _PathBatch chunks whose diagonal is V plus the diagonal noise.
     """
     if eps <= 0:
         raise ValueError("regular-noise kernel needs eps > 0")
     if t <= 0:
         raise ValueError("t must be positive")
+    r = spec.domain.r
     i0, x0 = int(a[0]), float(a[1])
     j0, y0 = int(b[0]), float(b[1])
-    r = spec.domain.r
-    n_paths = n_paths or spec.n_paths
+    if not (1 <= i0 <= r and 1 <= j0 <= r):
+        raise ValueError(f"colors must lie in 1..{r}, got {i0} and {j0}")
+    n_paths = spec.n_paths if n_paths is None else n_paths
+    if n_paths < 1:
+        raise ValueError(f"need n_paths >= 1, got {n_paths}")
     # the moment estimators' dt rule: a dt that does not divide t is rejected
     sub = replace(spec, ts=(t,), eps=None, zetas=None)
     n_steps = sub.step_counts()[0]
-    dt = sub.resolved_dt()
-    profiles = mollified_profiles(noise, eps) if noise is not None else None
-    pidx = pair_index(r) if noise is not None else None
+    field = _MollifiedNoise(spec, noise, eps) if noise is not None else None
     prefactor = math.exp((r - 1) * t)
 
-    comp_sum = np.zeros(4)
-    comp_sq = np.zeros(4)
+    comp_sum, comp_sq = np.zeros(4), np.zeros(4)
     chunk_size = max(64, int(_MAX_CHUNK_FLOATS // n_steps))
-    done = 0
-    chunk_idx = 0
-    while done < n_paths:
+    for chunk_idx, done in enumerate(range(0, n_paths, chunk_size)):
         mchunk = min(chunk_size, n_paths - done)
         rng = derived_rng(spec.seed, _STREAM_FK, 0, chunk_idx)
-        fold, free = sample_bridge_ensemble(spec.domain, x0, y0, t, dt, mchunk, rng,
-                                            return_free=True)
-        vals = fold[:, :-1]
+        batch = _PathBatch(sub, (x0,), mchunk, rng, keep_free=field is not None, ys=(y0,),
+                           diagonal=field.diagonal if field else None, bins=False)
         counts = walk_jump_counts(r, (t,), mchunk, rng)[:, 0]
-        v_of_color = _diag_potential_table(spec, noise, profiles, pidx, vals, dt)
-        boundary = BoundaryWeights(spec, [fold], dt)
+        v_int = batch.potential_integral_constant_colors((i0,))
         for s in range(mchunk):
-            w = _fk_single(spec, noise, profiles, pidx, t, dt, i0, j0, free[s], vals[s],
-                           int(counts[s]), v_of_color, s, boundary, rng)
+            w = _fk_single(batch, s, int(counts[s]), i0, j0, v_int[s], field, rng)
             comps = np.array(w.components)
             comp_sum += comps
             comp_sq += comps**2
-        done += mchunk
-        chunk_idx += 1
+        del batch  # free this chunk's paths before the next chunk is drawn
     mean = prefactor * comp_sum / n_paths
     var = np.maximum(prefactor**2 * comp_sq / n_paths - mean**2, 0.0)
     se = float(np.sqrt(var.sum() / n_paths))
@@ -742,60 +739,56 @@ def fk_kernel_regular(spec: ExperimentSpec, t: float, a: tuple[int, float],
     return FieldEstimate(value=value, stderr=pi_z * se, n_paths=n_paths)
 
 
-def _diag_potential_table(spec, noise, profiles, pidx, vals, dt):
-    """int S per color: V plus the mollified diagonal noise, summed over
-    step values; shape (r, n_samples)."""
-    r = spec.domain.r
-    out = np.empty((r, vals.shape[0]))
-    for i in range(1, r + 1):
-        v = spec.potential.values(i, vals, r)
-        if noise is not None:
-            centers = noise.cell_centers()
-            prof = profiles[pidx[(i, i)], 0]
-            v = v + np.sqrt(spec.sigma2) * np.interp(vals, centers, prof)
-        out[i - 1] = v.sum(axis=1) * dt
-    return out
+class _MollifiedNoise:
+    """A frozen noise realization mollified at scale eps, read at path points."""
+
+    def __init__(self, spec: ExperimentSpec, noise: NoiseField, eps: float):
+        self.spec = spec
+        self.centers = noise.cell_centers()
+        profiles = mollified_profiles(noise, eps)
+        self.pair = {key: profiles[k] for key, k in pair_index(spec.domain.r).items()}
+        self.norm = UNIT_NORMALIZATION[spec.kind] * np.sqrt(spec.upsilon2)
+
+    def diagonal(self, colors, x) -> np.ndarray:
+        """V plus the mollified diagonal noise, elementwise in (colors, x)."""
+        v = self.spec.potential.values(colors, x, self.spec.domain.r)
+        sigma = np.sqrt(self.spec.sigma2)
+        if np.ndim(colors) == 0:
+            return v + sigma * np.interp(x, self.centers, self.pair[colors, colors][0])
+        for i in np.unique(colors):
+            at = colors == i
+            v[at] += sigma * np.interp(x[at], self.centers, self.pair[i, i][0])
+        return v
+
+    def entry(self, frm: int, to: int, z: float) -> FieldElement:
+        """Entry (frm, to) of the mollified off-diagonal noise at z."""
+        lo, hi = min(frm, to), max(frm, to)
+        comps = np.array([np.interp(z, self.centers, self.pair[lo, hi][c])
+                          for c in range(4)]) * self.norm
+        value = from_components(self.spec.kind, comps)
+        # the noise is Hermitian: entry (to, frm) below the diagonal is
+        # the conjugate of the stored entry (frm, to)
+        return conj(value) if frm > to else value
 
 
-def _fk_single(spec, noise, profiles, pidx, t, dt, i0, j0, free_row, vals_row,
-               n_jumps, v_of_color, s, boundary, rng):
-    # looked up per call: perfbench wraps the module attribute
-    from .stochastic_paths import fold_to_domain
-
-    r = spec.domain.r
-    jp = draw_free_walk(((t, i0),), (n_jumps,), r, rng)
-    if jp.endpoint_colors() != [j0]:
+def _fk_single(batch: _PathBatch, s: int, n_jumps: int, i0: int, j0: int, v_int: float,
+               field: _MollifiedNoise | None, rng: np.random.Generator) -> FieldElement:
+    """Sample s's weight; v_int is its potential integral if it holds color i0."""
+    spec = batch.spec
+    jp = draw_free_walk(((spec.ts[0], i0),), (n_jumps,), spec.domain.r, rng)
+    # without noise the off-diagonal entries, and so the jump product, vanish
+    if jp.endpoint_colors() != [j0] or (n_jumps and field is None):
         return FieldElement(spec.kind, 0.0)
-    step_colors = jp.color_at_steps(dt, len(vals_row))
-    if len(set(step_colors.tolist())) == 1:
-        s_int = v_of_color[i0 - 1, s]
-    else:
-        vs = np.empty(len(vals_row))
-        for i in np.unique(step_colors):
-            mask = step_colors == i
-            v = spec.potential.values(i, vals_row[mask], r)
-            if noise is not None:
-                centers = noise.cell_centers()
-                prof = profiles[pidx[(int(i), int(i))], 0]
-                v = v + np.sqrt(spec.sigma2) * np.interp(vals_row[mask], centers, prof)
-            vs[mask] = v
-        s_int = vs.sum() * dt
-    expo = -s_int + boundary.exponent_sample(s, step_colors)
+    step_colors = jp.color_at_steps(batch.dt, batch.total_steps)
+    if not (step_colors == i0).all():
+        v_int = batch.potential_integral_per_sample(s, step_colors)
+    expo = -v_int + batch.boundary.exponent_sample(s, step_colors)
     weight = math.exp(expo) * (-1.0) ** n_jumps
     # ordered product of off-diagonal noise at the jump points
     prod = one(spec.kind)
     if n_jumps:
-        zvals = fold_to_domain(interpolate_free(free_row, jp.times, dt, rng), spec.domain)
-        centers = noise.cell_centers()
-        norm = UNIT_NORMALIZATION[spec.kind] * np.sqrt(spec.upsilon2)
-        for (frm, to), z in zip(jp.jumps, zvals):
-            lo, hi = min(frm, to), max(frm, to)
-            comps = np.array([np.interp(z, centers, profiles[pidx[(lo, hi)], c])
-                              for c in range(4)]) * norm
-            value = from_components(spec.kind, comps)
-            # the noise is Hermitian: entry (to, frm) below the diagonal is
-            # the conjugate of the stored entry (frm, to)
-            prod = mul(prod, conj(value) if frm > to else value)
+        for (frm, to), z in zip(jp.jumps, batch.jump_values(s, jp.times, rng)):
+            prod = mul(prod, field.entry(frm, to, z))
     return prod.scale(weight)
 
 

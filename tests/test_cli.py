@@ -221,7 +221,8 @@ class TestRunner:
             assert capsys.readouterr().err.startswith("error: ")
         # command-line values reach parse_config's checks too
         good = str(write_config(tmp_path, BASE_CONFIG, "good.json"))
-        for argv in (["--preset", "sao", "--t", "abc"], ["--config", good, "--seed", "-1"]):
+        for argv in (["--preset", "sao", "--t", "abc"], ["--config", good, "--seed", "-1"],
+                     ["--config", good, "--workers", "0"], ["--config", good, "--workers", "-2"]):
             assert main(["trace", *argv, "--out", str(tmp_path / "x.csv")]) == 2, argv
             assert capsys.readouterr().err.startswith("error: ")
         with pytest.raises(ConfigError, match="factor time 0.12345"):

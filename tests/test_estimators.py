@@ -24,6 +24,7 @@ from mvsao.stochastic_paths import (
     log_wall_factor,
     sample_bridge_ensemble,
     step_crossing_probs,
+    transition_density,
 )
 from test_acceptance import richardson_extrapolate
 from test_jump_process import walk
@@ -103,13 +104,17 @@ class TestFkKernel:
         comb = np.hypot(est.stderr, se_ref)
         assert abs(est.value.a - ref) <= 3 * comb
 
-    def test_kernel_conjugate_symmetry(self):
-        rng = np.random.default_rng(13)
-        noise = sample_noise("C", 2, 0.5, 0.5, (-5.0, 5.0, 2048), rng)
+    @staticmethod
+    def conjugate_setting():
+        noise = sample_noise("C", 2, 0.5, 0.5, (-5.0, 5.0, 2048), np.random.default_rng(13))
         spec = ExperimentSpec(domain=DomainConfig(case=1, r=2), kind="C",
                               sigma2=0.5, upsilon2=0.5, ts=(1.0,),
                               potential=PotentialSpec(kind="linear", kappa=1.0),
                               seed=14, x_max=4.0, dt=2e-3)
+        return spec, noise
+
+    def test_kernel_conjugate_symmetry(self):
+        spec, noise = self.conjugate_setting()
         ab = fk_kernel_regular(spec, 0.6, (1, 0.2), (2, -0.1), noise, eps=0.2,
                                n_paths=8000)
         ba = fk_kernel_regular(spec, 0.6, (2, -0.1), (1, 0.2), noise, eps=0.2,
@@ -123,6 +128,38 @@ class TestFkKernel:
             fk_kernel_regular(spec, 1.0, (1, 0.1), (1, 0.1), None, eps=0.0)
         with pytest.raises(ValueError):
             fk_kernel_regular(spec, -1.0, (1, 0.1), (1, 0.1), None, eps=0.1)
+
+    @pytest.mark.parametrize("a, b, n_paths", [((0, 0.5), (1, 0.5), 64), ((1, 0.5), (3, 0.5), 64),
+                                                ((1, 0.5), (1, 0.5), 0), ((1, 0.5), (1, 0.5), -4)],
+                             ids=["color-0", "color-3", "no-paths", "negative-paths"])
+    def test_rejects_bad_colors_and_path_counts(self, a, b, n_paths):
+        spec = two_color_spec(alphas=(0.0, 0.0), betas=(0.0, 0.0))
+        with pytest.raises(ValueError):
+            fk_kernel_regular(spec, 0.5, a, b, None, eps=0.1, n_paths=n_paths)
+
+    def test_noise_free_kernel_is_diagonal_heat_kernel(self):
+        # without noise the semigroup acts on each color alone: a path that
+        # jumps weighs 0, so the diagonal kernel is p_t and the other is 0
+        spec = two_color_spec(alphas=(0.0, 0.0), betas=(0.0, 0.0))
+        same = fk_kernel_regular(spec, 0.5, (1, 0.3), (1, 0.6), None, eps=0.1, n_paths=2000)
+        want = transition_density(spec.domain, 0.5, 0.3, 0.6)
+        assert same.stderr > 0
+        assert abs(same.value.a - want) <= 3 * same.stderr
+        other = fk_kernel_regular(spec, 0.5, (1, 0.3), (2, 0.6), None, eps=0.1, n_paths=2000)
+        assert other.value.components == (0.0, 0.0, 0.0, 0.0) and other.stderr == 0.0
+
+    def test_chunk_memory(self):
+        """The conjugate-symmetry test's ab call, one chunk of 8000 paths x
+        300 steps (19 MB of paths), peaks under 60 MB (tracemalloc)."""
+        spec, noise = self.conjugate_setting()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fk_kernel_regular(spec, 0.6, (1, 0.2), (2, -0.1), noise, eps=0.2, n_paths=8000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 60e6
 
     def test_non_dividing_dt_rejected(self):
         # the moment estimators' dt rule: no silent rescaling to t / round(t / dt)
@@ -354,13 +391,13 @@ class TestNarrowStepBins:
             assert draws[0] == draws[1]
 
 
-def reference_batch(spec, xs, n, rng):
+def reference_batch(spec, xs, n, rng, ys=None, diagonal=None):
     """A batch's arrays built the whole-array way: all segments' bridges,
     their concatenated step values, float bins over the whole array, one
     bincount per segment and the potential over the whole array."""
     dt, h = spec.resolved_dt(), spec.resolved_h()
-    folded, free = zip(*[reference_bridges(spec.domain, x, x, t, dt, n, rng, return_free=True)
-                         for x, t in zip(xs, spec.ts)])
+    folded, free = zip(*[reference_bridges(spec.domain, x, y, t, dt, n, rng, return_free=True)
+                         for x, y, t in zip(xs, ys or xs, spec.ts)])
     values = np.concatenate([f[:, :-1] for f in folded], axis=1)
     pad = max([int(np.ceil(e / h)) + 1 for e in spec.eps_vector() if e > 0], default=0)
     lo = max(int(np.floor(values.min() / h)) - pad, 0)
@@ -372,10 +409,11 @@ def reference_batch(spec, xs, n, rng):
                                      minlength=n * n_bins).reshape(n, n_bins)
                          for a, b in zip(bounds, bounds[1:])], axis=1).astype(float)
     r, pot = spec.domain.r, spec.potential
+    diagonal = diagonal or (lambda colors, x: pot.values(colors, x, r))
     return dict(folded=folded, free=free, step_values=values, step_bins=bins,
                 seg_hist=seg_hist, full_hist=seg_hist.sum(axis=1),
                 v_int=pot.values(1, values, r).sum(axis=1) * dt,
-                seg_v=[np.stack([pot.values(i, f[:, :-1], r).sum(axis=1) * dt
+                seg_v=[np.stack([diagonal(i, f[:, :-1]).sum(axis=1) * dt
                                  for i in range(1, r + 1)]) for f in folded])
 
 
@@ -412,6 +450,38 @@ class TestLeanBatch:
         else:
             assert not hasattr(batch, "step_values")
             assert batch.v_int.tobytes() == want["v_int"].tobytes()
+        ref_terms = BoundaryWeights(spec, list(want["folded"]), batch.dt).terms
+        assert len(batch.boundary.terms) == len(ref_terms) == 4
+        for got, ref in zip(batch.boundary.terms, ref_terms):
+            assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+    @pytest.mark.parametrize("segments", [1, 2])
+    def test_kernel_inputs(self, segments):
+        """The kernel's inputs: bridges to the endpoints ys, a color-dependent
+        diagonal function (with a zero potential) and no bins."""
+        ts, xs, ys = (0.3, 0.2)[:segments], (0.05, 0.6)[:segments], (0.9, 0.3)[:segments]
+        spec = two_color_spec(ts=ts, dt=2e-4, alphas=(0.7, DIRICHLET), betas=(DIRICHLET, -1.0))
+
+        def diagonal(colors, x):
+            return np.cos(np.asarray(colors) * x)
+
+        n = 150
+        batch = _PathBatch(spec, xs, n, np.random.default_rng(4), keep_free=True, ys=ys,
+                           diagonal=diagonal, bins=False)
+        want = reference_batch(spec, xs, n, np.random.default_rng(4), ys=ys, diagonal=diagonal)
+        assert not any(hasattr(batch, name) for name in ("step_bins", "seg_hist", "full_hist"))
+        for got, ref in zip(batch.free, want["free"]):
+            assert got.tobytes() == ref.tobytes()
+        for f, y in zip(want["folded"], ys):
+            assert np.allclose(f[:, -1], y, rtol=0, atol=1e-12)
+        assert not batch.color_free_potential
+        assert batch.step_values.tobytes() == want["step_values"].tobytes()
+        for got, ref in zip(batch.seg_v, want["seg_v"]):
+            assert got.tobytes() == ref.tobytes()
+        colors = np.random.default_rng(5).integers(1, 3, batch.total_steps)
+        for s in (0, n - 1):
+            per_step = diagonal(colors, want["step_values"][s]).sum() * batch.dt
+            assert batch.potential_integral_per_sample(s, colors) == per_step
         ref_terms = BoundaryWeights(spec, list(want["folded"]), batch.dt).terms
         assert len(batch.boundary.terms) == len(ref_terms) == 4
         for got, ref in zip(batch.boundary.terms, ref_terms):
