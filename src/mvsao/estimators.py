@@ -69,7 +69,7 @@ _STREAM_FK = 0
 _STREAM_SMOOTH = 1
 _STREAM_WHITE = 2
 
-_MAX_CHUNK_FLOATS = 3.0e7
+_MAX_CHUNK_FLOATS = 2**22  # 32 MB of float64 per path array of a chunk
 # steps whose ends both lie sqrt(_WALL_REACH_DT * dt) or more from a wall
 # have a wall factor of exactly 1 (see _wall_terms)
 _WALL_REACH_DT = 20.0
