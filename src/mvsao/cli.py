@@ -22,6 +22,7 @@ import numpy as np
 
 from .estimators import (
     check_covariance_times,
+    check_mollifiers,
     child_seed,
     rigidity_covariance,
     smooth_trace_moment,
@@ -216,14 +217,29 @@ def _parse_config(cfg: dict, overrides: dict) -> dict:
         if opts["noise_archive"] is None:
             check_draws(opts["draws"])
     else:
-        # dt, or its default for the times at hand, must divide the factor
-        # times of each path estimate: one time per trace, all of them in a
-        # moment, t1 and t2 in the covariance's second moment (its first
-        # moments then pass too)
-        time_sets = [(t,) for t in ts] if kind == "trace" else [out.get("covariance", ts)]
-        for sub in time_sets:
-            replace(spec, ts=sub, eps=None, zetas=None).step_counts()
+        # each path estimate as run builds it: one per time of a trace, all
+        # times in a moment, t1 and t2 in the covariance's second moment (its
+        # first moments then pass too).  dt, or its default for those times,
+        # must divide them, and a smooth estimate's mollification scales must
+        # suit its bin width (the covariance always runs the white route)
+        if kind == "trace":
+            subs = [_trace_spec(spec, idx) for idx in range(len(ts))]
+        elif kind == "covariance":
+            subs = [replace(spec, ts=out["covariance"], eps=None, zetas=None)]
+        else:
+            subs = [spec]
+        for sub in subs:
+            sub.step_counts()
+            if noise != "white" and kind != "covariance":
+                check_mollifiers(sub)
     return out
+
+
+def _trace_spec(spec: ExperimentSpec, idx: int) -> ExperimentSpec:
+    """The single-time spec of a trace run's time idx, before its seed."""
+    return replace(spec, ts=(spec.ts[idx],),
+                   eps=None if spec.eps is None else (spec.eps[idx],),
+                   zetas=None if spec.zetas is None else (spec.zetas[idx],))
 
 
 def _record(experiment_id: str, kind: str, ts, est: MomentEstimate,
@@ -263,10 +279,7 @@ def run(parsed: dict, workers: int = 1, timing: bool = False) -> list[dict]:
     run_hash = spec.config_hash()
     if kind == "trace":
         for idx, t in enumerate(spec.ts):
-            sub = replace(spec, ts=(t,),
-                          eps=None if spec.eps is None else (spec.eps[idx],),
-                          zetas=None if spec.zetas is None else (spec.zetas[idx],),
-                          seed=child_seed(spec.seed, idx))
+            sub = replace(_trace_spec(spec, idx), seed=child_seed(spec.seed, idx))
             runner = (whitenoise_trace_moment if parsed["white"]
                       else smooth_trace_moment)
             est, wall = clock(lambda: runner(sub, workers=workers))

@@ -21,6 +21,9 @@ jump_process.  All three estimators draw their paths as _PathBatch chunks
 and read from them the potential integrals, the wall factors (one
 BoundaryWeights object per chunk) and the path values at jump times; the
 kernel's chunks run from x to y and integrate V plus the diagonal noise.
+Both moment routes weigh the diagonal noise by the batch's one local-time
+norm (norm2_constant, norm2_sample): per color ||sum_k L_k * bump_{eps_k}||^2,
+which at eps = 0 is the white ||L||^2.
 
 Seed policy: every (starting tuple, grid node, chunk) triple owns the rng
 stream SeedSequence(entropy=seed, spawn_key=(stream, node, chunk)), which
@@ -210,16 +213,26 @@ class BoundaryWeights:
         return out
 
 
+def _mollifier_kernel(eps: float, h: float) -> np.ndarray | None:
+    """Discrete convolution kernel of the scaled bump on the bin grid."""
+    if eps == 0.0:
+        return None
+    half = int(np.ceil(eps / h))
+    kern = bump_scaled(np.arange(-half, half + 1) * h, eps) * h
+    return kern / kern.sum()
+
+
 class _PathBatch:
     """One chunk of concatenated bridges from x_k to ys[k] (default x_k),
     with everything the weight assembly needs precomputed and vectorized.
 
-    It keeps only what the weights read: the step bins and histograms
-    (unless bins is off), the boundary weights and the integrals of the
-    elementwise diagonal(colors, x) (default spec.potential); the unfolded
-    paths only with keep_free (jump_values), and the step values only for a
-    color-dependent diagonal, which is read per sample.  The bins and the
-    potential are built in row blocks (block_rows)."""
+    It keeps only what the weights read: the step bins and histograms and
+    the segments' mollifier kernels (unless bins is off), the boundary
+    weights and the integrals of the elementwise diagonal(colors, x)
+    (default spec.potential); the unfolded paths only with keep_free
+    (jump_values), and the step values only for a color-dependent diagonal,
+    which is read per sample.  The bins and the potential are built in row
+    blocks (block_rows)."""
 
     def __init__(self, spec: ExperimentSpec, xs: tuple[float, ...], n: int,
                  rng: np.random.Generator, keep_free: bool = False,
@@ -247,14 +260,15 @@ class _PathBatch:
         self._prepare_potential(folded, diagonal)
 
     def _bin_steps(self, folded: list[np.ndarray]):
-        """step_bins, seg_hist and full_hist of the steps' left ends."""
+        """step_bins, seg_hist and full_hist of the steps' left ends, and
+        the segments' mollifier kernels."""
         spec, n = self.spec, self.n
+        self.kernels = [_mollifier_kernel(e, self.h) for e in spec.eps_vector()]
+        # step m of segment k counts into row k r + color - 1 of norm2_sample
+        self.step_row = np.repeat(np.arange(len(folded)) * spec.domain.r - 1, self.seg_steps)
         # bin range: realized values padded by the largest mollifier width,
         # clipped to the domain (the mu-norm integrates over I only)
-        pad = 0
-        for e in spec.eps_vector():
-            if e > 0:
-                pad = max(pad, int(np.ceil(e / self.h)) + 1)
+        pad = max((len(k) // 2 + 1 for k in self.kernels if k is not None), default=0)
         lo_bin = int(np.floor(min(f[:, :-1].min() for f in folded) / self.h)) - pad
         hi_bin = int(np.floor(max(f[:, :-1].max() for f in folded) / self.h)) + pad
         if spec.domain.case in (2, 3):
@@ -328,32 +342,35 @@ class _PathBatch:
         return float(self.diagonal(step_colors, self.step_values[s]).sum() * self.dt)
 
     # -- local-time norms ----------------------------------------------------
-    def colored_norm2_constant(self, colors: tuple[int, ...]) -> np.ndarray:
-        """sum_i ||L^(i)||_2^2 for constant segment colors, every sample."""
-        r = self.spec.domain.r
+    def _smoothed(self, k: int, counts: np.ndarray) -> np.ndarray:
+        """Segment k's step counts convolved with its kernel (none: eps_k = 0)."""
+        if self.kernels[k] is None:
+            return counts
+        from scipy.ndimage import convolve1d  # heavy, and only mollified runs need it
+
+        return convolve1d(counts, self.kernels[k], axis=-1, mode="constant", cval=0.0)
+
+    def norm2_constant(self, colors: tuple[int, ...]) -> np.ndarray:
+        """sum_i ||sum_{k: colors[k] = i} L_k * bump_{eps_k}||_2^2, every
+        sample, when segment k holds colors[k] throughout; at eps = 0 the
+        white norm of the colored local times.  Step counts are summed and
+        scaled at the end: white counts add up exactly."""
         out = np.zeros(self.n)
-        scale = (self.dt / self.h) ** 2 * self.h
-        for i in range(1, r + 1):
-            ks = [k for k, c in enumerate(colors) if c == i]
-            if not ks:
-                continue
-            hist = self.seg_hist[:, ks, :].sum(axis=1)
-            out += (hist**2).sum(axis=1) * scale
+        for i in sorted(set(colors)):
+            field = sum(self._smoothed(k, self.seg_hist[:, k, :])
+                        for k, c in enumerate(colors) if c == i)
+            out += (field**2).sum(axis=1) * ((self.dt / self.h) ** 2 * self.h)
         return out
 
-    def colored_hist(self, s: int, step_colors: np.ndarray) -> np.ndarray:
-        """Step counts of sample s per color and bin, shape (r, n_bins)."""
-        r = self.spec.domain.r
-        flat = (step_colors - 1) * self.n_bins + self.step_bins[s]
-        return np.bincount(flat, minlength=r * self.n_bins).reshape(r, self.n_bins)
-
-    def colored_norm2_sample(self, s: int, step_colors: np.ndarray) -> float:
-        counts = self.colored_hist(s, step_colors)
-        return float((counts.astype(float) ** 2).sum() * (self.dt / self.h) ** 2 * self.h)
-
-    def full_norm2(self) -> np.ndarray:
-        scale = (self.dt / self.h) ** 2 * self.h
-        return (self.full_hist**2).sum(axis=1) * scale
+    def norm2_sample(self, s: int, step_colors: np.ndarray) -> float:
+        """The same norm for sample s when step m holds color step_colors[m]:
+        one bincount over (segment, color, bin)."""
+        r, n_bins, n_segs = self.spec.domain.r, self.n_bins, len(self.seg_steps)
+        flat = (self.step_row + step_colors) * n_bins + self.step_bins[s]
+        counts = np.bincount(flat, minlength=n_segs * r * n_bins).astype(float)
+        field = sum(self._smoothed(k, c) for k, c in enumerate(counts.reshape(n_segs, r, -1)))
+        # scaled by (dt/h)^2, then by h: one precomputed scale moves white bits
+        return float((field**2).sum() * (self.dt / self.h) ** 2 * self.h)
 
     def jump_values(self, s: int, times: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
@@ -402,17 +419,6 @@ class _Accumulator:
             self.abs_sum += float(contrib.sum())
 
 
-def _mollifier_kernel(eps: float, h: float) -> np.ndarray | None:
-    """Discrete convolution kernel of the scaled bump on the bin grid."""
-    if eps == 0.0:
-        return None
-    if eps < 2.0 * h:
-        raise ValueError(f"mollification scale {eps} under-resolved by bin width {h}")
-    half = int(np.ceil(eps / h))
-    kern = bump_scaled(np.arange(-half, half + 1) * h, eps) * h
-    return kern / kern.sum()
-
-
 def smooth_trace_moment(spec: ExperimentSpec, workers: int = 1) -> MomentEstimate:
     """Mixed trace moment of the mollified operator family.
 
@@ -421,18 +427,30 @@ def smooth_trace_moment(spec: ExperimentSpec, workers: int = 1) -> MomentEstimat
     convolutions at the jump displacement.  Odd jump counts contribute
     zero; jump counts above n_max are discarded and reported.
     """
-    zetas = spec.zeta_vector()
-    if any(z <= 0 for z in zetas) and spec.upsilon2 > 0 and spec.domain.r > 1:
-        raise ValueError("smooth route requires zeta > 0 for every factor")
+    check_mollifiers(spec)
     return _run_moment(spec, white=False, workers=workers)
+
+
+def check_mollifiers(spec: ExperimentSpec) -> None:
+    """ValueError unless the smooth route can run spec's mollification
+    scales: none negative, each nonzero eps at least twice the bin width h,
+    and zeta > 0 wherever off-diagonal noise couples colors."""
+    eps, zetas = spec.eps_vector(), spec.zeta_vector()
+    if min(eps + zetas) < 0:
+        raise ValueError(f"mollification scales must be nonnegative, got {eps + zetas}")
+    h = spec.resolved_h()
+    for e in eps:
+        if 0 < e < 2.0 * h:
+            raise ValueError(f"mollification scale {e} under-resolved by bin width {h:g}; "
+                             "need eps = 0 or eps >= 2 h")
+    if any(z == 0 for z in zetas) and spec.upsilon2 > 0 and spec.domain.r > 1:
+        raise ValueError("smooth route requires zeta > 0 for every factor")
 
 
 def whitenoise_trace_moment(spec: ExperimentSpec, workers: int = 1) -> MomentEstimate:
     """Mixed trace moment of the white-noise operator via the singular
     jump process whose times sit on self-intersections of the frozen path."""
-    if spec.eps is not None and any(e != 0 for e in spec.eps):
-        raise ValueError("white-noise route has no mollification scales")
-    if spec.zetas is not None and any(z != 0 for z in spec.zetas):
+    if any(spec.eps_vector() + spec.zeta_vector()):
         raise ValueError("white-noise route has no mollification scales")
     return _run_moment(spec, white=True, workers=workers)
 
@@ -516,19 +534,17 @@ def _smooth_weights(spec: ExperimentSpec, batch: _PathBatch,
     r = spec.domain.r
     m = batch.n
     zetas = spec.zeta_vector()
-    eps = spec.eps_vector()
     counts = walk_jump_counts(r, spec.ts, m, rng)
     totals = counts.sum(axis=1)
     prefactor = math.exp((r - 1) * sum(spec.ts))
     segments = tuple(zip(spec.ts, colors))
 
-    kernels = [_mollifier_kernel(e, batch.h) for e in eps]
     weights = np.zeros(m)
     zero = totals == 0
     if zero.any():
         idx = np.flatnonzero(zero)
         expo = (-batch.potential_integral_constant_colors(colors)[idx]
-                + spec.sigma2 / 2.0 * _smoothed_norm2_constant(batch, colors, kernels)[idx]
+                + spec.sigma2 / 2.0 * batch.norm2_constant(colors)[idx]
                 + batch.boundary.exponent_constant(colors)[idx])
         weights[idx] = prefactor * np.exp(expo)
     discarded = 0
@@ -551,7 +567,7 @@ def _smooth_weights(spec: ExperimentSpec, batch: _PathBatch,
             continue
         step_colors = jp.color_at_steps(batch.dt, batch.total_steps)
         expo = (-batch.potential_integral_per_sample(s, step_colors)
-                + spec.sigma2 / 2.0 * _smoothed_norm2_sample(batch, s, step_colors, kernels)
+                + spec.sigma2 / 2.0 * batch.norm2_sample(s, step_colors)
                 + batch.boundary.exponent_sample(s, step_colors))
         weights[s] = prefactor * pair_sum * math.exp(expo)
     w = weights[~np.isnan(weights)]
@@ -586,52 +602,6 @@ def _matching_sum(spec: ExperimentSpec, batch: _PathBatch, s: int, jp: JumpPath,
     return total
 
 
-def _smoothed_norm2_constant(batch: _PathBatch, colors, kernels) -> np.ndarray:
-    """||sum_k L_wk * bump_{eps_k}||_mu^2 for constant segment colors."""
-    r = batch.spec.domain.r
-    out = np.zeros(batch.n)
-    mass = batch.dt / batch.h
-    for i in range(1, r + 1):
-        ks = [k for k, c in enumerate(colors) if c == i]
-        if not ks:
-            continue
-        field = np.zeros((batch.n, batch.n_bins))
-        for k in ks:
-            part = batch.seg_hist[:, k, :] * mass
-            if kernels[k] is not None:
-                part = _convolve_rows(part, kernels[k])
-            field += part
-        out += (field**2).sum(axis=1) * batch.h
-    return out
-
-
-def _smoothed_norm2_sample(batch: _PathBatch, s: int, step_colors: np.ndarray,
-                           kernels) -> float:
-    r = batch.spec.domain.r
-    mass = batch.dt / batch.h
-    out = 0.0
-    for i in range(1, r + 1):
-        field = np.zeros(batch.n_bins)
-        for k in range(len(batch.spec.ts)):
-            sl = slice(batch.seg_bounds[k], batch.seg_bounds[k + 1])
-            mask = step_colors[sl] == i
-            if not mask.any():
-                continue
-            part = np.bincount(batch.step_bins[s, sl][mask],
-                               minlength=batch.n_bins).astype(float) * mass
-            if kernels[k] is not None:
-                part = _convolve_rows(part[None, :], kernels[k])[0]
-            field += part
-        out += (field**2).sum() * batch.h
-    return float(out)
-
-
-def _convolve_rows(rows: np.ndarray, kern: np.ndarray) -> np.ndarray:
-    from scipy.ndimage import convolve1d  # heavy, and only mollified runs need it
-
-    return convolve1d(rows, kern, axis=-1, mode="constant", cval=0.0)
-
-
 @lru_cache(maxsize=None)
 def _matchings(n: int, n_max: int):
     return tuple(enumerate_matchings(n, n_max=n_max))
@@ -642,7 +612,7 @@ def _white_weights(spec: ExperimentSpec, batch: _PathBatch,
     """Per-sample weights of the white-noise estimator for one chunk."""
     r = spec.domain.r
     m = batch.n
-    l2 = batch.full_norm2()
+    l2 = batch.norm2_constant((1,) * spec.n_factors)  # one color: ||L||^2
     n_hats = singular_jump_counts(r, l2, rng)
     base = (r - 1) ** 2 / 2.0 * l2
 
@@ -651,7 +621,7 @@ def _white_weights(spec: ExperimentSpec, batch: _PathBatch,
     if zero.any():
         idx = np.flatnonzero(zero)
         expo = (base[idx]
-                + spec.sigma2 / 2.0 * batch.colored_norm2_constant(colors)[idx]
+                + spec.sigma2 / 2.0 * batch.norm2_constant(colors)[idx]
                 - batch.potential_integral_constant_colors(colors)[idx]
                 + batch.boundary.exponent_constant(colors)[idx])
         weights[idx] = np.exp(expo)
@@ -675,7 +645,7 @@ def _white_weights(spec: ExperimentSpec, batch: _PathBatch,
         moment_factor = spec.upsilon2 ** (n_hat / 2.0) * c
         step_colors = jp.color_at_steps(batch.dt, batch.total_steps)
         expo = (base[s]
-                + spec.sigma2 / 2.0 * batch.colored_norm2_sample(s, step_colors)
+                + spec.sigma2 / 2.0 * batch.norm2_sample(s, step_colors)
                 - batch.potential_integral_per_sample(s, step_colors)
                 + batch.boundary.exponent_sample(s, step_colors))
         weights[s] = moment_factor * math.exp(expo)

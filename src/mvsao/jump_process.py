@@ -12,15 +12,22 @@ jumps chain in between.  Times live on [0, sum of segment lengths).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .combinatorics import Matching
 
 
-def _segment_starts(segments) -> np.ndarray:
-    return np.concatenate([[0.0], np.cumsum([t for t, _ in segments])[:-1]])
+@lru_cache
+def _segment_starts(segments: tuple[tuple[float, int], ...]) -> np.ndarray:
+    """Start times of the segments, read-only.  Computed once per segments
+    tuple: a chunk's walks all share theirs, and every walk reads them up to
+    four times (times, jumps, step and endpoint colors)."""
+    starts = np.concatenate([[0.0], np.cumsum([t for t, _ in segments])[:-1]])
+    starts.setflags(write=False)
+    return starts
 
 
 @dataclass
@@ -75,9 +82,7 @@ class SingularJumpPath(JumpPath):
     """A jump path whose times were drawn from the self-intersection
     measure of a frozen spatial path, together with the induced matching."""
 
-    matching: Matching = ()           # pairs in sorted-time indexing
-    presort_matching: Matching = ()   # pairs as drawn, before time-sorting
-    sort_permutation: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    matching: Matching = ()  # pairs in sorted-time indexing
 
 
 def walk_jump_counts(r: int, ts, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -177,5 +182,4 @@ class SelfIntersectionSampler:
         sorted_times = times[perm]
         jumps = draw_jumps_along(sorted_times, segments, r, rng)
         return SingularJumpPath(r=r, segments=segments, times=sorted_times,
-                                jumps=jumps, matching=p_hat, presort_matching=q_hat,
-                                sort_permutation=rank)
+                                jumps=jumps, matching=p_hat)

@@ -30,6 +30,8 @@ from .noise_model import (
 )
 from .records import ArchiveError, read_records, write_records
 
+_NOISE_CELLS_PER_SCALE = 16  # noise cells per smallest mollification scale
+
 
 @dataclass
 class DiscreteOperator:
@@ -38,8 +40,6 @@ class DiscreteOperator:
 
     kind: str
     band: np.ndarray
-    r: int
-    nodes: np.ndarray           # spatial nodes shared by all colors
 
     @property
     def dim(self) -> int:
@@ -132,7 +132,7 @@ def discretize(spec: ExperimentSpec, noise: NoiseField | None, n: int,
                     for si, sj, v in ((0, 0, a + 1j * b), (0, 1, c + 1j * d),
                                       (1, 0, -c + 1j * d), (1, 1, a - 1j * b)):
                         put(2 * ri + si, 2 * rj + sj, v)
-    return DiscreteOperator(kind=spec.kind, band=band, r=r, nodes=nodes)
+    return DiscreteOperator(kind=spec.kind, band=band)
 
 
 def _noise_values(spec: ExperimentSpec, noise: NoiseField, nodes: np.ndarray,
@@ -188,14 +188,13 @@ def trace_semigroup(eigs: np.ndarray, t: float) -> float:
     return float(np.exp(-t * np.asarray(eigs)).sum())
 
 
-def default_noise_grid(spec: ExperimentSpec, scale: float,
-                       cells_per_scale: int = 16) -> tuple[float, float, int]:
+def default_noise_grid(spec: ExperimentSpec, scale: float) -> tuple[float, float, int]:
     """Noise grid covering the truncated domain plus the mollifier margin,
     fine enough for the smallest requested mollification scale."""
     lo, hi = spec.spatial_bounds()
     pad = 2.0 * scale if scale > 0 else 0.0
     lo, hi = lo - pad, hi + pad
-    dx = scale / cells_per_scale if scale > 0 else (hi - lo) / 4096
+    dx = scale / _NOISE_CELLS_PER_SCALE if scale > 0 else (hi - lo) / 4096
     n = int(np.ceil((hi - lo) / dx))
     return lo, hi, n
 

@@ -214,6 +214,14 @@ class TestRunner:
                                     covariance={"t1": 0.5, "t2": inf})),
                 ("oracle", dict(small, experiment="oracle", oracle={"grid": 64, "eps": nan})),
                 ("oracle", dict(small, experiment="oracle", oracle={"grid": 64, "zeta": inf}))]
+        # mollification scales the smooth route cannot run: eps below twice
+        # the bin width (2 h = 0.0447 at the default dt), zeta = 0 under
+        # off-diagonal noise, a negative eps
+        mollified = dict(BASE_CONFIG, r=2, sigma2=0.5, upsilon2=0.5, paths=200, n_quad=2,
+                         seed=1)
+        bad += [("trace", dict(mollified, noise=noise)) for noise in (
+            {"eps": [0.01], "zeta": [0.1]}, {"eps": [0.1], "zeta": [0.0]},
+            {"eps": [-0.1], "zeta": [0.1]})]
         for k, (experiment, cfg) in enumerate(bad):
             cfgp = write_config(tmp_path, cfg, f"bad{k}.json")
             assert main([experiment, "--config", str(cfgp), "--out",
@@ -227,6 +235,14 @@ class TestRunner:
             assert capsys.readouterr().err.startswith("error: ")
         with pytest.raises(ConfigError, match="factor time 0.12345"):
             parse_config(uneven_cov)
+        with pytest.raises(ConfigError, match="must be nonnegative"):
+            parse_config(dict(mollified, noise={"eps": [-0.1], "zeta": [0.1]}))
+        # each time of a trace is checked at its own default dt: 2 h is
+        # 0.0447 at t = 0.5 but 0.0200 at t = 0.1
+        parse_config(dict(mollified, t=[0.1], noise={"eps": [0.03], "zeta": [0.1]}))
+        with pytest.raises(ConfigError, match="under-resolved"):
+            parse_config(dict(mollified, t=[0.1, 0.5], noise={"eps": [0.03, 0.03],
+                                                             "zeta": [0.1, 0.1]}))
         (tmp_path / "latin1.json").write_bytes(b"\xff{}")
         assert main(["trace", "--config", str(tmp_path / "latin1.json")]) == 2
 

@@ -17,7 +17,7 @@ from mvsao.estimators import (
     whitenoise_trace_moment,
 )
 from mvsao.experiment import DIRICHLET, ExperimentSpec, PotentialSpec
-from mvsao.noise_model import sample_noise
+from mvsao.noise_model import bump_scaled, sample_noise
 from mvsao.jump_process import SelfIntersectionSampler
 from mvsao.stochastic_paths import (
     DomainConfig,
@@ -27,7 +27,7 @@ from mvsao.stochastic_paths import (
     transition_density,
 )
 from test_acceptance import richardson_extrapolate
-from test_jump_process import walk
+from test_jump_process import colored_hist, hist_norm2, walk
 from test_stochastic_paths import reference_bridges
 
 PI = np.pi
@@ -281,14 +281,77 @@ class TestConstantColorFastPaths:
                 [batch.boundary.exponent_sample(s, steps) for s in range(batch.n)],
                 batch.boundary.exponent_constant(colors), rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(
-                [batch.colored_norm2_sample(s, steps) for s in range(batch.n)],
-                batch.colored_norm2_constant(colors), rtol=1e-12)
+                [batch.norm2_sample(s, steps) for s in range(batch.n)],
+                batch.norm2_constant(colors), rtol=1e-12)
             for s in range(batch.n):
-                hist = batch.colored_hist(s, steps)
+                hist = colored_hist(batch, s, steps)
                 np.testing.assert_array_equal(hist.sum(axis=0), batch.full_hist[s])
                 for i in (1, 2):
                     ks = [k for k, c in enumerate(colors) if c == i]
                     np.testing.assert_array_equal(hist[i - 1], batch.seg_hist[s, ks].sum(axis=0))
+                assert batch.norm2_sample(s, steps) == hist_norm2(batch, hist)
+
+
+def smoothed_norm2_reference(batch, colors, step_colors):
+    """The mollified local-time norm in mass units, the reference for
+    norm2_constant and norm2_sample: per color, the segments' histograms
+    times dt/h, each convolved with its segment's bump kernel, summed,
+    squared and integrated against h.  For every sample, segment k holding
+    colors[k], and for sample 0 with per-step colors step_colors."""
+    from scipy.ndimage import convolve1d
+
+    mass, h = batch.dt / batch.h, batch.h
+    bounds = batch.seg_bounds
+    kernels = []
+    for e in batch.spec.eps_vector():
+        half = int(np.ceil(e / h))
+        kern = bump_scaled(np.arange(-half, half + 1) * h, e) * h if e > 0 else None
+        kernels.append(None if kern is None else kern / kern.sum())
+
+    def field(parts):
+        out = 0.0
+        for k, part in parts:
+            kern = kernels[k]
+            out = out + (part if kern is None else convolve1d(part, kern, axis=-1,
+                                                              mode="constant", cval=0.0))
+        return out
+
+    constant = 0.0
+    for i in set(colors):
+        parts = [(k, batch.seg_hist[:, k, :] * mass) for k, c in enumerate(colors) if c == i]
+        constant = constant + (field(parts) ** 2).sum(axis=1) * h
+    sample = 0.0
+    for i in range(1, batch.spec.domain.r + 1):
+        parts = []
+        for k in range(len(bounds) - 1):
+            mask = step_colors[bounds[k]:bounds[k + 1]] == i
+            bins = batch.step_bins[0, bounds[k]:bounds[k + 1]][mask]
+            parts.append((k, np.bincount(bins, minlength=batch.n_bins) * mass))
+        sample += float((field(parts) ** 2).sum() * h)
+    return constant, sample
+
+
+class TestSmoothedNorm:
+    """norm2_constant and norm2_sample with mollifier kernels: the smooth
+    route's ||sum_k L_k * bump_{eps_k}||^2."""
+
+    @pytest.mark.parametrize("eps", [(0.0, 0.1), (0.1, 0.05)])
+    def test_matches_mass_unit_formula(self, eps):
+        spec = two_color_spec(ts=(0.25, 0.25), dt=5e-4, eps=eps, zetas=(0.1, 0.1),
+                              alphas=(0.0, 0.0), betas=(0.0, 0.0))
+        batch = _PathBatch(spec, (0.3, 0.6), 5, np.random.default_rng(9))
+        assert [k is None for k in batch.kernels] == [e == 0.0 for e in eps]
+        for colors in ((1, 1), (1, 2), (2, 1)):
+            steps = np.repeat(colors, batch.seg_steps)
+            constant = batch.norm2_constant(colors)
+            np.testing.assert_allclose([batch.norm2_sample(s, steps) for s in range(batch.n)],
+                                       constant, rtol=1e-12)
+            want_constant, _ = smoothed_norm2_reference(batch, colors, steps)
+            np.testing.assert_allclose(constant, want_constant, rtol=1e-12)
+        # per-step colors that change inside the segments
+        steps = np.random.default_rng(10).integers(1, 3, batch.total_steps)
+        _, want_sample = smoothed_norm2_reference(batch, (1, 2), steps)
+        assert batch.norm2_sample(0, steps) == pytest.approx(want_sample, rel=1e-12)
 
 
 def dense_wall_terms(spec, folded, dt):
@@ -365,8 +428,8 @@ class TestNearWallCut:
 
 class TestNarrowStepBins:
     """_PathBatch stores step bins in the narrowest unsigned type; bin
-    counts, colored histograms and the sampler's draws equal those from
-    int64 bins."""
+    counts, the colored local-time norm and the sampler's draws equal those
+    from int64 bins."""
 
     @pytest.mark.parametrize("h,dtype", [(0.05, np.uint8), (2e-3, np.uint16),
                                          (1e-5, np.uint32)])
@@ -379,10 +442,10 @@ class TestNarrowStepBins:
         for s in range(batch.n):
             np.testing.assert_array_equal(np.argsort(batch.step_bins[s], kind="stable"),
                                           np.argsort(wide[s], kind="stable"))
-            hist = batch.colored_hist(s, steps)
             flat = (steps - 1) * batch.n_bins + wide[s]
-            np.testing.assert_array_equal(
-                hist, np.bincount(flat, minlength=2 * batch.n_bins).reshape(2, batch.n_bins))
+            hist = np.bincount(flat, minlength=2 * batch.n_bins).reshape(2, batch.n_bins)
+            np.testing.assert_array_equal(hist.sum(axis=0), batch.full_hist[s])
+            assert batch.norm2_sample(s, steps) == hist_norm2(batch, hist)
             draws = []
             for bins in (batch.step_bins[s], wide[s]):
                 sampler = SelfIntersectionSampler(bins, batch.full_hist[s], batch.dt)

@@ -1,8 +1,10 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
+from mvsao.combinatorics import random_matching
 from mvsao.estimators import BoundaryWeights, _PathBatch, whitenoise_trace_moment
 from mvsao.experiment import DIRICHLET, ExperimentSpec
 from mvsao.jump_process import (
@@ -59,6 +61,20 @@ def frozen_weights(path, dt, domain, alphas, betas=None, cuts=()):
     bounds = [0, *cuts, n_steps]
     folded = [path[None, lo:hi + 1] for lo, hi in zip(bounds, bounds[1:])]
     return BoundaryWeights(spec, folded, dt)
+
+
+def colored_hist(batch, s, step_colors):
+    """Sample s's step counts per color and bin of a batch, shape
+    (r, n_bins), when step m holds color step_colors[m]."""
+    r = batch.spec.domain.r
+    flat = (step_colors - 1) * batch.n_bins + batch.step_bins[s].astype(np.int64)
+    return np.bincount(flat, minlength=r * batch.n_bins).reshape(r, batch.n_bins)
+
+
+def hist_norm2(batch, hist):
+    """The white norm of step-count histograms: sum of squared counts times
+    (dt/h)^2 h, in norm2_sample's order of operations."""
+    return float((hist.astype(float) ** 2).sum() * (batch.dt / batch.h) ** 2 * batch.h)
 
 
 def small_batch(r, ts, seed, n=3):
@@ -161,29 +177,39 @@ class TestStepColors:
 
 
 class TestColoredLocalTime:
-    """Per-color step histograms of a batch (colored_hist)."""
+    """Per-color step histograms of a batch, built from its step bins, and
+    the white norm that norm2_sample computes from them."""
 
     def test_r1_equals_total(self):
         batch = small_batch(1, (1.0,), 20)
-        hist = batch.colored_hist(0, np.ones(batch.total_steps, dtype=np.int64))
+        steps = np.ones(batch.total_steps, dtype=np.int64)
+        hist = colored_hist(batch, 0, steps)
         # the batch's paths are the first draws of its rng
         path = sample_bridge_ensemble(UNIT, 0.3, 0.3, 1.0, batch.dt, batch.n,
                                       np.random.default_rng(20))[0]
         idx = np.floor(path[:-1] / batch.h).astype(np.int64) - batch.bin_offset
         np.testing.assert_array_equal(hist[0], np.bincount(idx, minlength=batch.n_bins))
+        assert batch.norm2_sample(0, steps) == hist_norm2(batch, hist)
+        assert batch.norm2_constant((1,))[0] == pytest.approx(hist_norm2(batch, hist),
+                                                              rel=1e-15)
 
     def test_unvisited_color_zero(self):
         batch = small_batch(3, (1.0,), 21)
-        hist = batch.colored_hist(1, np.full(batch.total_steps, 2))
+        steps = np.full(batch.total_steps, 2)
+        hist = colored_hist(batch, 1, steps)
         assert hist[0].sum() == 0 and hist[2].sum() == 0
+        # one color throughout: the colored norm is the color-blind one
+        assert batch.norm2_sample(1, steps) == hist_norm2(batch, batch.full_hist[1])
+        np.testing.assert_array_equal(batch.norm2_constant((2,)), batch.norm2_constant((1,)))
 
     def test_color_occupation_sums(self):
         rng = np.random.default_rng(8)
         batch = small_batch(3, (1.0, 1.0), 22)
         colors = walk(3, [(1.0, 1), (1.0, 3)], rng).color_at_steps(batch.dt, batch.total_steps)
-        hist = batch.colored_hist(2, colors)
+        hist = colored_hist(batch, 2, colors)
         assert hist.sum() * batch.dt == pytest.approx(2.0, abs=1e-12)
         np.testing.assert_array_equal(hist.sum(axis=0), batch.full_hist[2])
+        assert batch.norm2_sample(2, colors) == hist_norm2(batch, hist)
 
 
 class TestBoundaryTerm:
@@ -313,6 +339,7 @@ class TestSampleHatU:
             n = int(singular_jump_counts(3, norm2, rng)[0])
             if n == 0 or n > 20:
                 continue
+            replay = copy.deepcopy(rng)
             hat = sampler.sample(n, ((0.5, 1), (0.5, 2)), 3, rng)
             got_positive += 1
             flat = sorted(i for pair in hat.matching for i in pair)
@@ -322,9 +349,15 @@ class TestSampleHatU:
                 z1 = path[int(round(hat.times[l1] / 1e-3))]
                 z2 = path[int(round(hat.times[l2] / 1e-3))]
                 assert abs(z1 - z2) <= h
-            # bijection with the pre-sort matching under the permutation
-            mapped = {tuple(sorted((hat.sort_permutation[a], hat.sort_permutation[b])))
-                      for a, b in hat.presort_matching}
+            # bijection with the pre-sort matching under the time-sorting
+            # permutation, both replayed from the sampler's draws
+            presort = random_matching(n, replay)
+            times = np.empty(n)
+            for l1, l2 in presort:
+                times[l1], times[l2], _ = sampler.sample_pair(replay)
+            rank = np.argsort(np.argsort(times, kind="stable"))
+            assert np.array_equal(np.sort(times), hat.times)
+            mapped = {tuple(sorted((rank[a], rank[b]))) for a, b in presort}
             assert mapped == set(hat.matching)
         assert got_positive > 10
 

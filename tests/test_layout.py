@@ -1,6 +1,8 @@
 """Code that only tests call belongs in tests/: every top-level function,
 class and constant of the package is used somewhere else in the package,
-or is an entry point named below with the reason it stays."""
+or is an entry point named below with the reason it stays; and every method
+and dataclass field of a package class is read as an attribute somewhere in
+the package."""
 
 import ast
 from pathlib import Path
@@ -63,3 +65,41 @@ def test_package_names_are_used_in_the_package():
     # an entry point that the package itself uses now needs no entry here
     stale = set(ENTRY_POINTS) - {entry.split(":")[1] for entry in flagged}
     assert not stale, f"listed as entry points but used in the package: {sorted(stale)}"
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _members(tree):
+    """(class, name) of each method (dunder methods aside) and each
+    dataclass field of the top-level classes in tree."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    yield cls.name, node.name
+            elif (_is_dataclass(cls) and isinstance(node, ast.AnnAssign)
+                  and isinstance(node.target, ast.Name)):
+                yield cls.name, node.target.id
+
+
+def unread_members():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{module}:{cls}.{name}" for module, tree in trees.items()
+            for cls, name in _members(tree) if name not in read]
+
+
+def test_package_members_are_read_in_the_package():
+    # a field that is only set, or a method that only tests call, is dead
+    # weight in the package: delete it, or move what reads it into tests/
+    flagged = unread_members()
+    assert not flagged, f"the package never reads {flagged}"

@@ -89,8 +89,7 @@ def _dense(op):
 
 class TestEigenvalues:
     def test_plain_diagonal(self):
-        op = DiscreteOperator(kind="R", band=np.array([[3.0, 1.0, 2.0]]), r=1,
-                              nodes=np.arange(3.0))
+        op = DiscreteOperator(kind="R", band=np.array([[3.0, 1.0, 2.0]]))
         np.testing.assert_array_equal(_dense(op), np.diag([3.0, 1.0, 2.0]))
         np.testing.assert_allclose(eigenvalues(op), [1.0, 2.0, 3.0])
 

@@ -125,14 +125,15 @@ class TestTransitionDensity:
 
 
 class TestLocalTime:
-    """The step histograms of a batch (_PathBatch), the one local time."""
+    """The step histograms of a batch (_PathBatch) and their norm, the one
+    local time."""
 
     def test_constant_path_single_bin(self):
         # a bridge this short stays inside the bin [0.5, 0.6)
         batch = path_batch(UNIT, (1e-4,), 0.55, 4, 7, dt=1e-6, h=0.1)
         assert np.all(np.count_nonzero(batch.full_hist, axis=1) == 1)
         assert np.all(batch.full_hist.max(axis=1) == 100)
-        np.testing.assert_allclose(batch.full_norm2(), 1e-4**2 / 0.1, rtol=1e-12)
+        np.testing.assert_allclose(batch.norm2_constant((1,)), 1e-4**2 / 0.1, rtol=1e-12)
 
     def test_occupation_identity_exact(self):
         ts = (0.25, 0.5, 0.25)
@@ -149,7 +150,7 @@ class TestLocalTime:
         means = []
         for tk in (1.0, 0.25):
             batch = path_batch(LINE, (tk,), 0.0, 10_000, 8, dt=1e-3 * tk)
-            means.append(np.sqrt(batch.full_norm2()).mean())
+            means.append(np.sqrt(batch.norm2_constant((1,))).mean())
         ratio = means[1] / means[0]
         assert ratio == pytest.approx(0.25**0.75, rel=0.05)
 
