@@ -34,6 +34,11 @@ CASES = {
                          paths=2000, n_quad=4),
     "sao_half_line": {"experiment": "trace", "preset": "sao", "t": [0.5], "noise": "white",
                       "paths": 2000, "n_quad": 6, "seed": 11},
+    # n_max 2 discards samples on both routes
+    "white_discard": dict(_INTERVAL, **_DIRICHLET, experiment="moment", t=[0.5, 0.5],
+                          noise="white", paths=1000, n_quad=3, dt=0.001, n_max=2),
+    "smooth_discard": dict(_INTERVAL, **_DIRICHLET, experiment="moment", t=[0.5],
+                           noise=_SMOOTH, paths=2000, n_quad=4, n_max=2),
 }
 
 EXPECTED = {
@@ -43,6 +48,8 @@ EXPECTED = {
     'white_mixed': [('1.4352972712715246', '0.043449690164950955', '2000', '0')],
     'smooth_mixed': [('1.410616845153719', '0.05011117111039504', '2000', '0')],
     'sao_half_line': [('2.9717550119358833', '0.04180858772949274', '1998', '0')],
+    'white_discard': [('0.015137629349229489', '0.014276081593556226', '807', '183')],
+    'smooth_discard': [('0.2224876141826235', '0.01952903585190644', '1972', '28')],
 }
 
 

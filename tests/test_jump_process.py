@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from mvsao.combinatorics import random_matching
-from mvsao.estimators import BoundaryWeights, _PathBatch, whitenoise_trace_moment
+from mvsao.estimators import (
+    BoundaryWeights,
+    _PathBatch,
+    smooth_trace_moment,
+    whitenoise_trace_moment,
+)
 from mvsao.experiment import DIRICHLET, ExperimentSpec
 from mvsao.jump_process import (
     JumpPath,
@@ -361,12 +366,15 @@ class TestSampleHatU:
             assert mapped == set(hat.matching)
         assert got_positive > 10
 
-    def test_discard_flag(self):
+    @pytest.mark.parametrize("estimate, zetas", [(whitenoise_trace_moment, None),
+                                                 (smooth_trace_moment, (0.1,))],
+                             ids=["white", "smooth"])
+    def test_discard_flag(self, estimate, zetas):
         # jump counts above n_max are discarded and counted, never truncated
         spec = ExperimentSpec(domain=DomainConfig(case=3, theta=1.0, r=2), kind="R",
                               sigma2=0.5, upsilon2=0.5, ts=(0.5,), seed=17,
-                              alphas=(0.0, 0.0), betas=(0.0, 0.0), n_paths=200,
-                              n_quad=2, n_max=0)
-        est = whitenoise_trace_moment(spec)
+                              alphas=(0.0, 0.0), betas=(0.0, 0.0), zetas=zetas,
+                              n_paths=200, n_quad=2, n_max=0)
+        est = estimate(spec)
         assert est.n_discarded > 0
         assert est.n_paths + est.n_discarded == 200
