@@ -8,7 +8,8 @@ by a midpoint rule over the (truncated) domain and summed exactly over
 colors, while the path expectation at each starting tuple is a Monte Carlo
 mean.  The color-endpoint conditioning of the jump walk is absorbed into an
 indicator on free walks, which is what replaces the product of walk
-transition kernels.  Every sample's weight is assembled from
+transition kernels.  Both moment routes assemble every sample's weight in
+one loop (_moment_weights) from
 
   * the pairing sum over matchings of the realized jumps (smooth route) or
     the sampled matching weight (white route),
@@ -34,6 +35,7 @@ work is distributed over workers.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
@@ -81,6 +83,12 @@ _WALL_REACH_DT = 20.0
 def derived_rng(seed: int, *key: int) -> np.random.Generator:
     """The documented seed-splitting rule."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+def _chunk_rows(spec: ExperimentSpec) -> int:
+    """Paths per chunk: as many as keep each path array of the chunk within
+    _MAX_CHUNK_FLOATS floats, and at least 64."""
+    return max(64, _MAX_CHUNK_FLOATS // sum(spec.step_counts()))
 
 
 def child_seed(seed: int, tag: int) -> int:
@@ -460,17 +468,12 @@ def _node_stats(args) -> _Accumulator:
     spec, white, node_idx, pat, xv, per_node = args
     stream = _STREAM_WHITE if white else _STREAM_SMOOTH
     acc = _Accumulator()
-    chunk_size = max(64, min(per_node, int(_MAX_CHUNK_FLOATS
-                                           // max(1, int(sum(spec.ts) / spec.resolved_dt())))))
+    chunk_size = _chunk_rows(spec)
     for chunk_idx, done in enumerate(range(0, per_node, chunk_size)):
         m = min(chunk_size, per_node - done)
         rng = derived_rng(spec.seed, stream, node_idx, chunk_idx)
         batch = _PathBatch(spec, tuple(xv), m, rng, keep_free=not white)
-        if white:
-            w, disc = _white_weights(spec, batch, pat, rng)
-        else:
-            w, disc = _smooth_weights(spec, batch, pat, rng)
-        acc.add_batch(w, disc)
+        acc.add_batch(*_moment_weights(spec, batch, pat, rng, white))
     return acc
 
 
@@ -484,6 +487,8 @@ def _run_moment(spec: ExperimentSpec, white: bool, workers: int) -> MomentEstima
 
     tasks = [(spec, white, node_idx, pat, tuple(xv), per_node)
              for node_idx, (pat, _, xv) in enumerate(nodes)]
+    # a pool starts all its processes at once; the result is the same for any number
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only parallel runs need it
 
@@ -528,68 +533,80 @@ def _run_moment(spec: ExperimentSpec, white: bool, workers: int) -> MomentEstima
     return est
 
 
-def _smooth_weights(spec: ExperimentSpec, batch: _PathBatch,
-                    colors: tuple[int, ...], rng: np.random.Generator):
-    """Per-sample weights of the smooth estimator for one chunk."""
+def _moment_weights(spec: ExperimentSpec, batch: _PathBatch, colors: tuple[int, ...],
+                    rng: np.random.Generator, white: bool) -> tuple[np.ndarray, int]:
+    """Per-sample weights factor * exp(base + sigma2/2 ||L||^2 - int V +
+    wall logs) of one chunk, and the number discarded for a jump count above
+    n_max.  The route sets, before the shared loop, the jump counts, the log
+    base, the jump-free factor, and how a sample's jumps are drawn and
+    weighed (draw, factor)."""
     r = spec.domain.r
-    m = batch.n
-    zetas = spec.zeta_vector()
-    counts = walk_jump_counts(r, spec.ts, m, rng)
-    totals = counts.sum(axis=1)
-    prefactor = math.exp((r - 1) * sum(spec.ts))
     segments = tuple(zip(spec.ts, colors))
+    if white:
+        l2 = batch.norm2_constant((1,) * spec.n_factors)  # one color: ||L||^2
+        counts = singular_jump_counts(r, l2, rng)
+        base = (r - 1) ** 2 / 2.0 * l2
+        scale = 1.0
 
-    weights = np.zeros(m)
-    zero = totals == 0
+        def draw(s, n):
+            sampler = SelfIntersectionSampler(batch.step_bins[s], batch.full_hist[s], batch.dt)
+            return sampler.sample(n, segments, r, rng)
+
+        def factor(s, n, jp):
+            return spec.upsilon2 ** (n / 2.0) * constant_c(spec.kind, jp.jumps, jp.matching)
+    else:
+        seg_counts = walk_jump_counts(r, spec.ts, batch.n, rng)
+        counts = seg_counts.sum(axis=1)
+        base = np.zeros(batch.n)
+        scale = math.exp((r - 1) * sum(spec.ts))
+
+        def draw(s, n):
+            return draw_free_walk(segments, seg_counts[s], r, rng)
+
+        def factor(s, n, jp):
+            return scale * _matching_sum(spec, batch, s, jp, rng)
+
+    weights = np.zeros(batch.n)
+    zero = counts == 0
     if zero.any():
         idx = np.flatnonzero(zero)
-        expo = (-batch.potential_integral_constant_colors(colors)[idx]
+        expo = (base[idx]
                 + spec.sigma2 / 2.0 * batch.norm2_constant(colors)[idx]
+                - batch.potential_integral_constant_colors(colors)[idx]
                 + batch.boundary.exponent_constant(colors)[idx])
-        weights[idx] = prefactor * np.exp(expo)
-    discarded = 0
-    for s in np.flatnonzero(~zero):
-        n_jumps = int(totals[s])
-        if n_jumps > spec.n_max:
-            discarded += 1
-            weights[s] = np.nan
-            continue
-        if n_jumps % 2 == 1:
-            weights[s] = 0.0
-            continue
-        jp = draw_free_walk(segments, counts[s], r, rng)
+        weights[idx] = scale * np.exp(expo)
+    keep = counts <= spec.n_max
+    # odd counts and unmatched endpoint colors keep their zero weight
+    for s in np.flatnonzero(~zero & keep & (counts % 2 == 0)):
+        n = int(counts[s])
+        jp = draw(s, n)
         if jp.endpoint_colors() != list(colors):
-            weights[s] = 0.0
             continue
-        pair_sum = _matching_sum(spec, batch, s, jp, zetas, rng)
-        if pair_sum == 0.0:
-            weights[s] = 0.0
+        f = factor(s, n, jp)
+        if f == 0.0:
             continue
         step_colors = jp.color_at_steps(batch.dt, batch.total_steps)
-        expo = (-batch.potential_integral_per_sample(s, step_colors)
+        expo = (base[s]
                 + spec.sigma2 / 2.0 * batch.norm2_sample(s, step_colors)
+                - batch.potential_integral_per_sample(s, step_colors)
                 + batch.boundary.exponent_sample(s, step_colors))
-        weights[s] = prefactor * pair_sum * math.exp(expo)
-    w = weights[~np.isnan(weights)]
-    return w, discarded
+        weights[s] = f * math.exp(expo)
+    return weights[keep], int(batch.n - keep.sum())
 
 
 def _matching_sum(spec: ExperimentSpec, batch: _PathBatch, s: int, jp: JumpPath,
-                  zetas, rng: np.random.Generator) -> float:
-    """Sum over pairings of the realized jumps, each weighted by the field
-    constant and the product of convolution kernels at the displacements."""
-    n_jumps = jp.n_jumps
-    if n_jumps == 0:
-        return 1.0
+                  rng: np.random.Generator) -> float:
+    """Sum over pairings of the realized jumps (at least one), each weighted
+    by the field constant and the product of convolution kernels at the
+    displacements."""
     if spec.upsilon2 == 0.0:
         return 0.0
     zvals = batch.jump_values(s, jp.times, rng)
-    starts = np.concatenate([[0.0], np.cumsum(spec.ts)[:-1]])
-    seg_of = np.minimum(np.searchsorted(starts, jp.times, side="right") - 1,
+    seg_of = np.minimum(np.searchsorted(jp.segment_starts, jp.times, side="right") - 1,
                         len(spec.ts) - 1)
-    zeta_of = np.asarray(zetas)[seg_of]
+    zeta_of = np.asarray(spec.zeta_vector())[seg_of]
     total = 0.0
-    for p in _matchings(n_jumps, spec.n_max):
+    for p in _matchings(jp.n_jumps, spec.n_max):
         c = constant_c(spec.kind, jp.jumps, p)
         if c == 0.0:
             continue
@@ -605,52 +622,6 @@ def _matching_sum(spec: ExperimentSpec, batch: _PathBatch, s: int, jp: JumpPath,
 @lru_cache(maxsize=None)
 def _matchings(n: int, n_max: int):
     return tuple(enumerate_matchings(n, n_max=n_max))
-
-
-def _white_weights(spec: ExperimentSpec, batch: _PathBatch,
-                   colors: tuple[int, ...], rng: np.random.Generator):
-    """Per-sample weights of the white-noise estimator for one chunk."""
-    r = spec.domain.r
-    m = batch.n
-    l2 = batch.norm2_constant((1,) * spec.n_factors)  # one color: ||L||^2
-    n_hats = singular_jump_counts(r, l2, rng)
-    base = (r - 1) ** 2 / 2.0 * l2
-
-    weights = np.zeros(m)
-    zero = n_hats == 0
-    if zero.any():
-        idx = np.flatnonzero(zero)
-        expo = (base[idx]
-                + spec.sigma2 / 2.0 * batch.norm2_constant(colors)[idx]
-                - batch.potential_integral_constant_colors(colors)[idx]
-                + batch.boundary.exponent_constant(colors)[idx])
-        weights[idx] = np.exp(expo)
-    discarded = 0
-    segments = tuple((t, c) for t, c in zip(spec.ts, colors))
-    for s in np.flatnonzero(~zero):
-        n_hat = int(n_hats[s])
-        if n_hat > spec.n_max:
-            discarded += 1
-            weights[s] = np.nan
-            continue
-        sampler = SelfIntersectionSampler(batch.step_bins[s], batch.full_hist[s], batch.dt)
-        jp = sampler.sample(n_hat, segments, r, rng)
-        if jp.endpoint_colors() != list(colors):
-            weights[s] = 0.0
-            continue
-        c = constant_c(spec.kind, jp.jumps, jp.matching)
-        if c == 0.0:
-            weights[s] = 0.0
-            continue
-        moment_factor = spec.upsilon2 ** (n_hat / 2.0) * c
-        step_colors = jp.color_at_steps(batch.dt, batch.total_steps)
-        expo = (base[s]
-                + spec.sigma2 / 2.0 * batch.norm2_sample(s, step_colors)
-                - batch.potential_integral_per_sample(s, step_colors)
-                + batch.boundary.exponent_sample(s, step_colors))
-        weights[s] = moment_factor * math.exp(expo)
-    w = weights[~np.isnan(weights)]
-    return w, discarded
 
 
 # --------------------------------------------------------------------------
@@ -682,12 +653,11 @@ def fk_kernel_regular(spec: ExperimentSpec, t: float, a: tuple[int, float],
         raise ValueError(f"need n_paths >= 1, got {n_paths}")
     # the moment estimators' dt rule: a dt that does not divide t is rejected
     sub = replace(spec, ts=(t,), eps=None, zetas=None)
-    n_steps = sub.step_counts()[0]
+    chunk_size = _chunk_rows(sub)
     field = _MollifiedNoise(spec, noise, eps) if noise is not None else None
     prefactor = math.exp((r - 1) * t)
 
     comp_sum, comp_sq = np.zeros(4), np.zeros(4)
-    chunk_size = max(64, int(_MAX_CHUNK_FLOATS // n_steps))
     for chunk_idx, done in enumerate(range(0, n_paths, chunk_size)):
         mchunk = min(chunk_size, n_paths - done)
         rng = derived_rng(spec.seed, _STREAM_FK, 0, chunk_idx)

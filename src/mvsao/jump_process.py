@@ -34,7 +34,6 @@ def _segment_starts(segments: tuple[tuple[float, int], ...]) -> np.ndarray:
 class JumpPath:
     """Jump times and jumps of the colored walk over concatenated segments."""
 
-    r: int
     segments: tuple[tuple[float, int], ...]  # (duration, initial color)
     times: np.ndarray
     jumps: list[tuple[int, int]]
@@ -82,7 +81,7 @@ class SingularJumpPath(JumpPath):
     """A jump path whose times were drawn from the self-intersection
     measure of a frozen spatial path, together with the induced matching."""
 
-    matching: Matching = ()  # pairs in sorted-time indexing
+    matching: Matching  # pairs in sorted-time indexing
 
 
 def walk_jump_counts(r: int, ts, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -99,7 +98,7 @@ def draw_free_walk(segments, seg_counts, r: int, rng: np.random.Generator) -> Ju
     times = np.concatenate([np.sort(rng.uniform(0.0, t, int(nk))) + start
                             for (t, _), nk, start
                             in zip(segments, seg_counts, _segment_starts(segments))])
-    return JumpPath(r=r, segments=segments, times=times,
+    return JumpPath(segments=segments, times=times,
                     jumps=draw_jumps_along(times, segments, r, rng))
 
 
@@ -181,5 +180,5 @@ class SelfIntersectionSampler:
         p_hat = tuple(tuple(sorted((int(rank[l1]), int(rank[l2])))) for l1, l2 in q_hat)
         sorted_times = times[perm]
         jumps = draw_jumps_along(sorted_times, segments, r, rng)
-        return SingularJumpPath(r=r, segments=segments, times=sorted_times,
+        return SingularJumpPath(segments=segments, times=sorted_times,
                                 jumps=jumps, matching=p_hat)

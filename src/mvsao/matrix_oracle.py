@@ -46,8 +46,7 @@ class DiscreteOperator:
         return self.band.shape[1]
 
 
-def check_grid(spec: ExperimentSpec, n: int, eps: float = 0.0,
-               zeta: float = 0.0) -> float:
+def check_grid(spec: ExperimentSpec, n: int, eps: float, zeta: float) -> float:
     """Step of the n-node grid; ValueError when the grid is too coarse or
     under-resolves a mollification scale."""
     if n < 16:

@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -237,6 +239,32 @@ class TestWhiteMoment:
         a = whitenoise_trace_moment(spec)
         b = whitenoise_trace_moment(spec, workers=2)
         assert a.value == b.value
+
+    @pytest.mark.parametrize("cores, started", [(1, None), (3, 3), (64, 4)])
+    def test_pool_capped_by_tasks_and_cores(self, monkeypatch, cores, started):
+        # the fake pool records its size and maps in-process: no count that
+        # reaches it starts a process
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        spec = two_color_spec(n_paths=64, n_quad=4)  # one color pattern, 4 nodes
+        est = whitenoise_trace_moment(spec, workers=4096)
+        assert sizes == ([] if started is None else [started])
+        assert est == whitenoise_trace_moment(spec)
 
 
 class TestPoissonConditioningIdentity:

@@ -135,7 +135,7 @@ class TestSampleU:
 
 class TestEndpointIndicator:
     def test_zero_jump_path(self):
-        path = JumpPath(r=2, segments=((1.0, 1),), times=np.zeros(0), jumps=[])
+        path = JumpPath(segments=((1.0, 1),), times=np.zeros(0), jumps=[])
         assert path.endpoint_colors() == [1]
 
     def test_two_color_parity(self):
@@ -160,7 +160,7 @@ class TestStepColors:
     @pytest.mark.parametrize("jumps,last", [([(1, 2), (2, 1)], 1), ([(1, 3), (3, 2)], 2),
                                             ([(1, 2), (2, 3)], 3)])
     def test_tied_jumps_apply_in_sequence_order(self, jumps, last):
-        path = JumpPath(r=3, segments=((1.0, 1),), times=np.array([0.5, 0.5]), jumps=jumps)
+        path = JumpPath(segments=((1.0, 1),), times=np.array([0.5, 0.5]), jumps=jumps)
         assert path.color_at_steps(0.1, 10).tolist() == [1] * 5 + [last] * 5
         assert path.endpoint_colors() == [last]
 

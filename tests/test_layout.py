@@ -2,7 +2,7 @@
 class and constant of the package is used somewhere else in the package,
 or is an entry point named below with the reason it stays; and every method
 and dataclass field of a package class is read as an attribute somewhere in
-the package."""
+the package.  The package's settable values are counted and pinned."""
 
 import ast
 from pathlib import Path
@@ -103,3 +103,37 @@ def test_package_members_are_read_in_the_package():
     # weight in the package: delete it, or move what reads it into tests/
     flagged = unread_members()
     assert not flagged, f"the package never reads {flagged}"
+
+
+# Parameters with a default plus dataclass fields with a default in the
+# package.  Each is a value a caller may set, and each doubles the settings
+# that tests and benchmarks may need to cover: a change that adds one raises
+# this number where a reviewer sees it, and a change that removes one lowers
+# it, so the slack cannot be spent unseen later.
+SETTABLE_VALUES = 43
+
+
+def settable_values():
+    """module:owner.name of every parameter and dataclass field with a default."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                named = positional[len(positional) - len(args.defaults):] + [
+                    arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None]
+                owner = getattr(node, "name", "<lambda>")
+                out += [f"{path.name}:{owner}.{arg.arg}" for arg in named]
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                out += [f"{path.name}:{node.name}.{item.target.id}" for item in node.body
+                        if isinstance(item, ast.AnnAssign) and item.value is not None]
+    return out
+
+
+def test_settable_values_are_pinned():
+    found = settable_values()
+    assert len(found) == SETTABLE_VALUES, (
+        f"the package has {len(found)} settable values, pinned at {SETTABLE_VALUES}: "
+        f"update the pin, and say why in the change ({sorted(found)})")
