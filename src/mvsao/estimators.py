@@ -19,9 +19,10 @@ one loop (_moment_weights) from
 
 The colored walk and the self-intersection sampler are those of
 jump_process.  All three estimators draw their paths as _PathBatch chunks
-and read from them the potential integrals, the wall factors (one
-BoundaryWeights object per chunk) and the path values at jump times; the
-kernel's chunks run from x to y and integrate V plus the diagonal noise.
+and read from them the path values at jump times and one exponent,
+-int V + the wall logs, for colors held per segment (exponent_constant) or
+per step (exponent_sample); in the kernel's chunks, which run from x to y,
+V is V plus the diagonal noise.
 Both moment routes weigh the diagonal noise by the batch's one local-time
 norm (norm2_constant, norm2_sample): per color ||sum_k L_k * bump_{eps_k}||^2,
 which at eps = 0 is the white ||L||^2.
@@ -144,17 +145,18 @@ def start_quadrature(spec: ExperimentSpec) -> tuple[np.ndarray, float]:
     return xs, hq
 
 
-def _wall_terms(folded, bounds, point, side, dt, weights) -> list[tuple]:
-    """(colors holding the weight, per-step logs, per-segment sums) for each
-    distinct nonzero weight of one wall.  Its own scope frees the temporaries
-    before the next wall's, which keeps the peak memory of a batch down.
+def _near_wall_steps(folded, bounds, point, side, dt) -> tuple[np.ndarray, np.ndarray]:
+    """The steps of one wall whose factor can differ from 1, in increasing
+    order of their flat indices row * steps + step into the concatenated
+    segments: those indices, and the distances of each step's ends to the
+    wall, shape (m, 2).
 
     A factor whose q is 1e-17 or less is 1 to double precision.  A step with
     both ends at least sqrt(_WALL_REACH_DT dt) from the wall has 2ab/dt >= 40,
     so q <= exp(-40) < 1e-17: only steps with an end nearer than that are
     candidates, and q is computed for those alone."""
     reach = math.sqrt(_WALL_REACH_DT * dt)
-    near = []  # per segment: flat indices into the logs, distances at both step ends
+    at, dists = [], []
     for f, lo in zip(folded, bounds):
         # flat index i of f is the step from flat[i] to flat[i + 1] in row
         # i // width, except at the row ends, which pair one row with the next
@@ -166,59 +168,13 @@ def _wall_terms(folded, bounds, point, side, dt, weights) -> list[tuple]:
         idx = np.flatnonzero(cand)
         ends = flat[idx[:, None] + (0, 1)]  # each candidate step's ends, gathered once
         keep = step_crossing_probs(ends, point, dt, side=side)[:, 0] > 1e-17
-        idx, d = idx[keep], np.abs(ends[keep] - point)
-        near.append((idx + (idx // width) * (bounds[-1] - width) + lo, d[:, 0], d[:, 1]))
-    terms = []
-    for alpha in np.unique(weights[weights != 0.0]):
-        logs = np.zeros((folded[0].shape[0], bounds[-1]))
-        for at, a, b in near:
-            logs.reshape(-1)[at] = log_wall_factor(a, b, dt, alpha)
-        segs = np.stack([logs[:, lo:hi].sum(axis=1) for lo, hi in zip(bounds, bounds[1:])], 1)
-        terms.append((weights == alpha, logs, segs))
-    return terms
-
-
-class BoundaryWeights:
-    """Log boundary weights of a batch of concatenated paths, the single
-    implementation behind every estimator.
-
-    folded holds the segments' paths, shape (n, steps_k + 1) each.  In each
-    step a wall's weight alpha for the color held contributes the exact
-    log_wall_factor of the step's distances to the wall (for a Dirichlet
-    color, the log survival probability).  Each (wall, distinct nonzero
-    weight) pair keeps its per-step logs, shape (n, steps), and their
-    per-segment sums; a zero (Neumann) weight costs nothing.
-    """
-
-    def __init__(self, spec: ExperimentSpec, folded: list[np.ndarray], dt: float):
-        self.n = folded[0].shape[0]
-        bounds = np.cumsum([0] + [f.shape[1] - 1 for f in folded])
-        self.terms = []  # (colors holding the weight, step logs, segment sums)
-        walls = [(0.0, "lower", spec.alphas), (spec.domain.theta, "upper", spec.betas)]
-        # case 1 has no wall, case 2 the lower one, case 3 both
-        for point, side, weights in walls[:spec.domain.case - 1]:
-            weights = np.asarray(weights, dtype=float)
-            if weights.any():
-                self.terms += _wall_terms(folded, bounds, point, side, dt, weights)
-
-    def exponent_constant(self, colors: tuple[int, ...]) -> np.ndarray:
-        """Every sample's log weight when segment k holds colors[k]
-        throughout."""
-        out = np.zeros(self.n)
-        for held, _, segs in self.terms:
-            for k, c in enumerate(colors):
-                if held[c - 1]:
-                    out += segs[:, k]
-        return out
-
-    def exponent_sample(self, s: int, step_colors: np.ndarray) -> float:
-        """Sample s's log weight when step m holds color step_colors[m]."""
-        out = 0.0
-        for held, logs, _ in self.terms:
-            mask = held[step_colors - 1]
-            if mask.any():
-                out += float(logs[s][mask].sum())
-        return out
+        idx = idx[keep]
+        at.append(idx + (idx // width) * (bounds[-1] - width) + lo)
+        dists.append(np.abs(ends[keep] - point))
+    # each segment's indices increase, and the stable sort (a merge sort) merges such runs
+    at = np.concatenate(at)
+    order = np.argsort(at, kind="stable")
+    return at[order], np.concatenate(dists)[order]
 
 
 def _mollifier_kernel(eps: float, h: float) -> np.ndarray | None:
@@ -235,12 +191,13 @@ class _PathBatch:
     with everything the weight assembly needs precomputed and vectorized.
 
     It keeps only what the weights read: the step bins and histograms and
-    the segments' mollifier kernels (unless bins is off), the boundary
-    weights and the integrals of the elementwise diagonal(colors, x)
-    (default spec.potential); the unfolded paths only with keep_free
-    (jump_values), and the step values only for a color-dependent diagonal,
-    which is read per sample.  The bins and the potential are built in row
-    blocks (block_rows)."""
+    the segments' mollifier kernels (unless bins is off), and the exponent
+    -int diagonal(colors, Z) + wall logs (default diagonal spec.potential)
+    per segment and color; for per-step colors, the walls' logs at the
+    near-wall steps alone, and the step values only for a color-dependent
+    diagonal.  The unfolded paths are kept only with keep_free
+    (jump_values).  The bins and the potential are built in row blocks
+    (block_rows)."""
 
     def __init__(self, spec: ExperimentSpec, xs: tuple[float, ...], n: int,
                  rng: np.random.Generator, keep_free: bool = False,
@@ -264,8 +221,7 @@ class _PathBatch:
             folded.append(paths)
         if bins:
             self._bin_steps(folded)
-        self.boundary = BoundaryWeights(spec, folded, self.dt)
-        self._prepare_potential(folded, diagonal)
+        self._prepare_exponent(folded, diagonal)
 
     def _bin_steps(self, folded: list[np.ndarray]):
         """step_bins, seg_hist and full_hist of the steps' left ends, and
@@ -308,46 +264,77 @@ class _PathBatch:
                     flat.ravel(), minlength=len(b) * self.n_bins).reshape(len(b), self.n_bins)
         self.full_hist = self.seg_hist.sum(axis=1)
 
-    # -- potential ----------------------------------------------------------
-    def _prepare_potential(self, folded: list[np.ndarray], diagonal):
-        spec = self.spec
+    # -- exponent: -int diagonal + wall logs ---------------------------------
+    def _prepare_exponent(self, folded: list[np.ndarray], diagonal):
+        """seg_exponent[:, k, c - 1], every sample's exponent over segment k
+        held in color c, and what exponent_sample reads besides it."""
+        spec, n, r = self.spec, self.n, self.spec.domain.r
         pot = spec.potential
-        r = spec.domain.r
-        self.color_free_potential = diagonal is None and (
-            pot.kind != "tabulated" or spec.color_symmetric())
-        if not self.color_free_potential:
-            self.diagonal = diagonal or partial(pot.values, r=r)
-            self.seg_v = []
-            for f in folded:
-                v = np.empty((r, self.n))
+        self.diagonal = diagonal or partial(pot.values, r=r)
+        # a color-free diagonal is integrated for color 1 alone
+        by_color = diagonal is not None or (pot.kind == "tabulated"
+                                            and not spec.color_symmetric())
+        colors = range(1, r + 1) if by_color else (1,)
+        seg_v = np.zeros((n, len(folded), len(colors)))
+        if by_color or pot.kind != "zero":
+            for k, f in enumerate(folded):
                 rows = block_rows(f.shape[1])
-                for lo in range(0, self.n, rows):
+                for lo in range(0, n, rows):
                     values = f[lo:lo + rows, :-1]
-                    for i in range(r):
-                        v[i, lo:lo + rows] = self.diagonal(i + 1, values).sum(axis=1) * self.dt
-                self.seg_v.append(v)
-            # step values: left endpoints of every step, concatenated
+                    for i in colors:
+                        seg_v[lo:lo + rows, k, i - 1] = self.diagonal(i, values).sum(axis=1) * self.dt
+        self.seg_exponent = np.broadcast_to(-seg_v, (n, len(folded), r)).copy()
+        # per-step colors read the step values (left ends) of a color-dependent
+        # diagonal, else each sample's color-free -int V
+        self.step_values = None
+        if by_color:
             self.step_values = (folded[0][:, :-1] if len(folded) == 1
                                 else np.concatenate([f[:, :-1] for f in folded], axis=1))
-        elif pot.kind == "zero":
-            self.v_int = np.zeros(self.n)
         else:
-            # per row block of the concatenated step values (left ends)
-            self.v_int = np.empty(self.n)
-            rows = block_rows(self.total_steps)
-            for lo in range(0, self.n, rows):
-                values = np.concatenate([f[lo:lo + rows, :-1] for f in folded], axis=1)
-                self.v_int[lo:lo + rows] = pot.values(1, values, r).sum(axis=1) * self.dt
+            self.v_exponent = -seg_v.sum(axis=(1, 2))
+        # per wall: each path's near-wall steps at ptr[s]:ptr[s + 1] of steps,
+        # and each distinct nonzero weight's colors and logs at those steps; a
+        # zero (Neumann) weight costs nothing
+        self.walls = []
+        walls = [(0.0, "lower", spec.alphas), (spec.domain.theta, "upper", spec.betas)]
+        # case 1 has no wall, case 2 the lower one, case 3 both
+        for point, side, weights in walls[:spec.domain.case - 1]:
+            weights = np.asarray(weights, dtype=float)
+            if not weights.any():
+                continue
+            at, d = _near_wall_steps(folded, self.seg_bounds, point, side, self.dt)
+            row, steps = np.divmod(at, self.total_steps)
+            # the (row, segment) each step sums into
+            at = row * len(folded) + np.searchsorted(self.seg_bounds[1:], steps, side="right")
+            terms = []
+            for alpha in np.unique(weights[weights != 0.0]):
+                held = weights == alpha
+                logs = log_wall_factor(d[:, 0], d[:, 1], self.dt, alpha)
+                sums = np.bincount(at, weights=logs, minlength=n * len(folded))
+                self.seg_exponent[:, :, held] += sums.reshape(n, len(folded), 1)
+                terms.append((held, logs))
+            self.walls.append((np.searchsorted(row, np.arange(n + 1)),
+                               steps.astype(np.min_scalar_type(self.total_steps - 1)), terms))
 
-    def potential_integral_constant_colors(self, colors: tuple[int, ...]) -> np.ndarray:
-        if self.color_free_potential:
-            return self.v_int
-        return sum(self.seg_v[k][c - 1] for k, c in enumerate(colors))
+    def exponent_constant(self, colors: tuple[int, ...]) -> np.ndarray:
+        """Every sample's -int diagonal + wall logs when segment k holds
+        colors[k] throughout."""
+        held = np.asarray(colors) - 1
+        return self.seg_exponent[:, np.arange(len(held)), held].sum(axis=1)
 
-    def potential_integral_per_sample(self, s: int, step_colors: np.ndarray) -> float:
-        if self.color_free_potential:
-            return float(self.v_int[s])
-        return float(self.diagonal(step_colors, self.step_values[s]).sum() * self.dt)
+    def exponent_sample(self, s: int, step_colors: np.ndarray) -> float:
+        """Sample s's -int diagonal + wall logs when step m holds color
+        step_colors[m]."""
+        if self.step_values is None:
+            out = float(self.v_exponent[s])
+        else:
+            out = -float(self.diagonal(step_colors, self.step_values[s]).sum() * self.dt)
+        for ptr, steps, terms in self.walls:
+            lo, hi = ptr[s], ptr[s + 1]
+            held = step_colors[steps[lo:hi]] - 1
+            for holds, logs in terms:
+                out += float(logs[lo:hi][holds[held]].sum())
+        return out
 
     # -- local-time norms ----------------------------------------------------
     def _smoothed(self, k: int, counts: np.ndarray) -> np.ndarray:
@@ -572,8 +559,7 @@ def _moment_weights(spec: ExperimentSpec, batch: _PathBatch, colors: tuple[int, 
         idx = np.flatnonzero(zero)
         expo = (base[idx]
                 + spec.sigma2 / 2.0 * batch.norm2_constant(colors)[idx]
-                - batch.potential_integral_constant_colors(colors)[idx]
-                + batch.boundary.exponent_constant(colors)[idx])
+                + batch.exponent_constant(colors)[idx])
         weights[idx] = scale * np.exp(expo)
     keep = counts <= spec.n_max
     # odd counts and unmatched endpoint colors keep their zero weight
@@ -588,8 +574,7 @@ def _moment_weights(spec: ExperimentSpec, batch: _PathBatch, colors: tuple[int, 
         step_colors = jp.color_at_steps(batch.dt, batch.total_steps)
         expo = (base[s]
                 + spec.sigma2 / 2.0 * batch.norm2_sample(s, step_colors)
-                - batch.potential_integral_per_sample(s, step_colors)
-                + batch.boundary.exponent_sample(s, step_colors))
+                + batch.exponent_sample(s, step_colors))
         weights[s] = f * math.exp(expo)
     return weights[keep], int(batch.n - keep.sum())
 
@@ -664,10 +649,14 @@ def fk_kernel_regular(spec: ExperimentSpec, t: float, a: tuple[int, float],
         batch = _PathBatch(sub, (x0,), mchunk, rng, keep_free=field is not None, ys=(y0,),
                            diagonal=field.diagonal if field else None, bins=False)
         counts = walk_jump_counts(r, (t,), mchunk, rng)[:, 0]
-        v_int = batch.potential_integral_constant_colors((i0,))
-        for s in range(mchunk):
-            w = _fk_single(batch, s, int(counts[s]), i0, j0, v_int[s], field, rng)
-            comps = np.array(w.components)
+        # a walk without jumps draws no random numbers and holds color i0
+        if i0 == j0:
+            w = np.exp(batch.exponent_constant((i0,))[counts == 0])
+            comp_sum[0] += w.sum()
+            comp_sq[0] += w @ w
+        # without noise the off-diagonal entries, and so the jump product, vanish
+        for s in np.flatnonzero(counts) if field else ():
+            comps = np.array(_fk_single(batch, s, int(counts[s]), i0, j0, field, rng).components)
             comp_sum += comps
             comp_sq += comps**2
         del batch  # free this chunk's paths before the next chunk is drawn
@@ -711,25 +700,19 @@ class _MollifiedNoise:
         return conj(value) if frm > to else value
 
 
-def _fk_single(batch: _PathBatch, s: int, n_jumps: int, i0: int, j0: int, v_int: float,
-               field: _MollifiedNoise | None, rng: np.random.Generator) -> FieldElement:
-    """Sample s's weight; v_int is its potential integral if it holds color i0."""
+def _fk_single(batch: _PathBatch, s: int, n_jumps: int, i0: int, j0: int,
+               field: _MollifiedNoise, rng: np.random.Generator) -> FieldElement:
+    """Sample s's weight when its walk jumps n_jumps > 0 times."""
     spec = batch.spec
     jp = draw_free_walk(((spec.ts[0], i0),), (n_jumps,), spec.domain.r, rng)
-    # without noise the off-diagonal entries, and so the jump product, vanish
-    if jp.endpoint_colors() != [j0] or (n_jumps and field is None):
+    if jp.endpoint_colors() != [j0]:
         return FieldElement(spec.kind, 0.0)
-    step_colors = jp.color_at_steps(batch.dt, batch.total_steps)
-    if not (step_colors == i0).all():
-        v_int = batch.potential_integral_per_sample(s, step_colors)
-    expo = -v_int + batch.boundary.exponent_sample(s, step_colors)
-    weight = math.exp(expo) * (-1.0) ** n_jumps
-    # ordered product of off-diagonal noise at the jump points
+    expo = batch.exponent_sample(s, jp.color_at_steps(batch.dt, batch.total_steps))
+    # the ordered product of off-diagonal noise at the jump points
     prod = one(spec.kind)
-    if n_jumps:
-        for (frm, to), z in zip(jp.jumps, batch.jump_values(s, jp.times, rng)):
-            prod = mul(prod, field.entry(frm, to, z))
-    return prod.scale(weight)
+    for (frm, to), z in zip(jp.jumps, batch.jump_values(s, jp.times, rng)):
+        prod = mul(prod, field.entry(frm, to, z))
+    return prod.scale(math.exp(expo) * (-1.0) ** n_jumps)
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import os
 import tracemalloc
 from dataclasses import replace
@@ -8,7 +9,6 @@ import pytest
 
 from mvsao.algebra import conj
 from mvsao.estimators import (
-    BoundaryWeights,
     _PathBatch,
     child_seed,
     color_patterns,
@@ -29,7 +29,7 @@ from mvsao.stochastic_paths import (
     transition_density,
 )
 from test_acceptance import richardson_extrapolate
-from test_jump_process import colored_hist, hist_norm2, walk
+from test_jump_process import colored_hist, frozen_batch, hist_norm2, walk
 from test_stochastic_paths import reference_bridges
 
 PI = np.pi
@@ -306,8 +306,8 @@ class TestConstantColorFastPaths:
         for colors in ((1, 1), (1, 2), (2, 1)):
             steps = np.repeat(colors, batch.seg_steps)
             np.testing.assert_allclose(
-                [batch.boundary.exponent_sample(s, steps) for s in range(batch.n)],
-                batch.boundary.exponent_constant(colors), rtol=1e-12, atol=1e-12)
+                [batch.exponent_sample(s, steps) for s in range(batch.n)],
+                batch.exponent_constant(colors), rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(
                 [batch.norm2_sample(s, steps) for s in range(batch.n)],
                 batch.norm2_constant(colors), rtol=1e-12)
@@ -383,8 +383,9 @@ class TestSmoothedNorm:
 
 
 def dense_wall_terms(spec, folded, dt):
-    """BoundaryWeights' terms from q over every step of every path: the
-    reference for its near-wall cut."""
+    """(colors holding the weight, its log factor at every step) for each
+    distinct nonzero weight of each wall, from q over every step of every
+    path: the reference for the near-wall cut."""
     bounds = np.cumsum([0] + [f.shape[1] - 1 for f in folded])
     terms = []
     walls = [(0.0, "lower", spec.alphas), (spec.domain.theta, "upper", spec.betas)]
@@ -399,16 +400,48 @@ def dense_wall_terms(spec, folded, dt):
             logs = np.zeros((folded[0].shape[0], bounds[-1]))
             for rows, steps, a, b in near:
                 logs[rows, steps] = log_wall_factor(a, b, dt, alpha)
-            segs = np.stack([logs[:, lo:hi].sum(axis=1)
-                             for lo, hi in zip(bounds, bounds[1:])], 1)
-            terms.append((weights == alpha, logs, segs))
+            terms.append((weights == alpha, logs))
     return terms
+
+
+def dense_exponent(spec, folded, step_colors, diagonal=None):
+    """Every path's -int diagonal + wall logs when step m holds color
+    step_colors[m], from the whole arrays: the potential (default diagonal)
+    over the concatenated step values and the dense wall logs."""
+    dt, r, pot = spec.resolved_dt(), spec.domain.r, spec.potential
+    diagonal = diagonal or (lambda colors, x: pot.values(colors, x, r))
+    values = np.concatenate([f[:, :-1] for f in folded], axis=1)
+    out = -diagonal(step_colors, values).sum(axis=1) * dt
+    for held, logs in dense_wall_terms(spec, folded, dt):
+        out += np.where(held[step_colors - 1], logs, 0.0).sum(axis=1)
+    return out
+
+
+def assert_exponent_matches_dense(batch, folded, diagonal=None):
+    """exponent_constant and exponent_sample of a batch over the folded
+    paths against dense_exponent: every constant color tuple, and per-step
+    colors that change inside the segments."""
+    r = batch.spec.domain.r
+    rng = np.random.default_rng(7)
+    for colors in itertools.product(range(1, r + 1), repeat=len(folded)):
+        steps = np.repeat(colors, batch.seg_steps)
+        want = dense_exponent(batch.spec, folded, steps, diagonal)
+        np.testing.assert_allclose(batch.exponent_constant(colors), want, rtol=1e-12)
+        np.testing.assert_allclose([batch.exponent_sample(s, steps) for s in range(batch.n)],
+                                   want, rtol=1e-12)
+    for _ in range(2):
+        steps = rng.integers(1, r + 1, batch.total_steps)
+        np.testing.assert_allclose([batch.exponent_sample(s, steps) for s in range(batch.n)],
+                                   dense_exponent(batch.spec, folded, steps, diagonal),
+                                   rtol=1e-12)
 
 
 def near_wall_paths(domain, dt, n_rows, n_steps, rng):
     """Frozen paths whose steps touch a wall, step beyond it and have ends
     on both sides of, and just inside and outside, the near-wall reach
-    sqrt(20 dt); also two rows of folded bridges started at the wall."""
+    sqrt(20 dt); the last two of them keep sqrt(10 dt) or more from the
+    walls, so each of their factors is within 1e-8 of 1; also two rows of
+    folded bridges started at the wall."""
     reach = np.sqrt(20.0 * dt)
     dists = np.concatenate([[0.0, 5e-324, 1e-12, -1e-3, -0.05],
                             reach * np.array([0.5, 0.9, 0.999, 1.0 - 1e-15, 1.0,
@@ -417,6 +450,7 @@ def near_wall_paths(domain, dt, n_rows, n_steps, rng):
                             rng.uniform(0.0, 2.0 * reach, 40)])
     walls = [0.0] if domain.case == 2 else [0.0, domain.theta]
     d = rng.choice(dists, size=(n_rows, n_steps + 1))
+    d[-2:] = rng.choice(dists[dists >= np.sqrt(10.0 * dt)], size=(2, n_steps + 1))
     wall = rng.choice(len(walls), size=d.shape)
     rows = np.where(wall == 0, d, domain.theta - d if domain.case == 3 else d)
     bridges = sample_bridge_ensemble(domain, 0.0, 0.0, n_steps * dt, dt, 2, rng)
@@ -424,9 +458,9 @@ def near_wall_paths(domain, dt, n_rows, n_steps, rng):
 
 
 class TestNearWallCut:
-    """BoundaryWeights evaluates wall factors only on steps with an end
-    within sqrt(20 dt) of the wall; every other step's factor is exactly 1,
-    so its logs and segment sums equal those of the dense computation."""
+    """A batch evaluates wall factors only on steps with an end within
+    sqrt(20 dt) of the wall; every other step's factor is exactly 1, so its
+    exponent equals that of the dense computation."""
 
     @pytest.mark.parametrize("case,alphas,betas", [
         (3, (1.0, 1.0), (1.0, 1.0)), (3, (-1.0, -1.0), (-1.0, -1.0)),
@@ -442,16 +476,11 @@ class TestNearWallCut:
                               x_max=4.0, dt=dt)
         rng = np.random.default_rng(41)
         folded = [near_wall_paths(domain, dt, 30, m, rng) for m in spec.step_counts()]
-        got = BoundaryWeights(spec, folded, dt).terms
-        want = dense_wall_terms(spec, folded, dt)
-        assert len(got) == len(want) > 0
-        for (held, logs, segs), (held_d, logs_d, segs_d) in zip(got, want):
-            assert np.array_equal(held, held_d)
-            assert np.array_equal(logs, logs_d)
-            assert np.array_equal(segs, segs_d)
+        assert_exponent_matches_dense(frozen_batch(spec, folded), folded)
         # the cut is not vacuous: some steps beyond it carry no factor, and
         # some steps just inside sqrt(20 dt) carry one
-        assert all((logs == 0.0).any() and (logs != 0.0).any() for _, logs, _ in got)
+        terms = dense_wall_terms(spec, folded, dt)
+        assert terms and all((logs == 0.0).any() and (logs != 0.0).any() for _, logs in terms)
 
 
 class TestNarrowStepBins:
@@ -482,10 +511,10 @@ class TestNarrowStepBins:
             assert draws[0] == draws[1]
 
 
-def reference_batch(spec, xs, n, rng, ys=None, diagonal=None):
+def reference_batch(spec, xs, n, rng, ys=None):
     """A batch's arrays built the whole-array way: all segments' bridges,
-    their concatenated step values, float bins over the whole array, one
-    bincount per segment and the potential over the whole array."""
+    their concatenated step values, float bins over the whole array and one
+    bincount per segment."""
     dt, h = spec.resolved_dt(), spec.resolved_h()
     folded, free = zip(*[reference_bridges(spec.domain, x, y, t, dt, n, rng, return_free=True)
                          for x, y, t in zip(xs, ys or xs, spec.ts)])
@@ -499,13 +528,8 @@ def reference_batch(spec, xs, n, rng, ys=None, diagonal=None):
     seg_hist = np.stack([np.bincount((np.arange(n)[:, None] * n_bins + bins[:, a:b]).ravel(),
                                      minlength=n * n_bins).reshape(n, n_bins)
                          for a, b in zip(bounds, bounds[1:])], axis=1).astype(float)
-    r, pot = spec.domain.r, spec.potential
-    diagonal = diagonal or (lambda colors, x: pot.values(colors, x, r))
     return dict(folded=folded, free=free, step_values=values, step_bins=bins,
-                seg_hist=seg_hist, full_hist=seg_hist.sum(axis=1),
-                v_int=pot.values(1, values, r).sum(axis=1) * dt,
-                seg_v=[np.stack([diagonal(i, f[:, :-1]).sum(axis=1) * dt
-                                 for i in range(1, r + 1)]) for f in folded])
+                seg_hist=seg_hist, full_hist=seg_hist.sum(axis=1))
 
 
 class TestLeanBatch:
@@ -534,17 +558,10 @@ class TestLeanBatch:
             assert got.tobytes() == ref.tobytes()
         assert not hasattr(batch, "folded")
         if potential is self.TABLE:
-            assert not batch.color_free_potential
             assert batch.step_values.tobytes() == want["step_values"].tobytes()
-            for got, ref in zip(batch.seg_v, want["seg_v"]):
-                assert got.tobytes() == ref.tobytes()
         else:
-            assert not hasattr(batch, "step_values")
-            assert batch.v_int.tobytes() == want["v_int"].tobytes()
-        ref_terms = BoundaryWeights(spec, list(want["folded"]), batch.dt).terms
-        assert len(batch.boundary.terms) == len(ref_terms) == 4
-        for got, ref in zip(batch.boundary.terms, ref_terms):
-            assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+            assert batch.step_values is None
+        assert_exponent_matches_dense(batch, want["folded"])
 
     @pytest.mark.parametrize("segments", [1, 2])
     def test_kernel_inputs(self, segments):
@@ -559,24 +576,14 @@ class TestLeanBatch:
         n = 150
         batch = _PathBatch(spec, xs, n, np.random.default_rng(4), keep_free=True, ys=ys,
                            diagonal=diagonal, bins=False)
-        want = reference_batch(spec, xs, n, np.random.default_rng(4), ys=ys, diagonal=diagonal)
+        want = reference_batch(spec, xs, n, np.random.default_rng(4), ys=ys)
         assert not any(hasattr(batch, name) for name in ("step_bins", "seg_hist", "full_hist"))
         for got, ref in zip(batch.free, want["free"]):
             assert got.tobytes() == ref.tobytes()
         for f, y in zip(want["folded"], ys):
             assert np.allclose(f[:, -1], y, rtol=0, atol=1e-12)
-        assert not batch.color_free_potential
         assert batch.step_values.tobytes() == want["step_values"].tobytes()
-        for got, ref in zip(batch.seg_v, want["seg_v"]):
-            assert got.tobytes() == ref.tobytes()
-        colors = np.random.default_rng(5).integers(1, 3, batch.total_steps)
-        for s in (0, n - 1):
-            per_step = diagonal(colors, want["step_values"][s]).sum() * batch.dt
-            assert batch.potential_integral_per_sample(s, colors) == per_step
-        ref_terms = BoundaryWeights(spec, list(want["folded"]), batch.dt).terms
-        assert len(batch.boundary.terms) == len(ref_terms) == 4
-        for got, ref in zip(batch.boundary.terms, ref_terms):
-            assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+        assert_exponent_matches_dense(batch, want["folded"], diagonal)
 
     def test_neumann_white_chunk_memory(self):
         """A Neumann white chunk of 500 paths x 2500 steps (a 10 MB path
@@ -593,6 +600,23 @@ class TestLeanBatch:
         assert batch.total_steps == 2500
         assert peak - start < 20e6
         assert kept - start < 3e6
+
+    def test_dirichlet_smooth_chunk_memory(self):
+        """A Dirichlet smooth chunk of 1250 paths x 1000 steps started near a
+        wall keeps under 20 MB: each wall keeps its logs at the near-wall
+        steps alone.  (One dense log array per wall took 20 MB of the 32 MB
+        such a chunk kept.)"""
+        spec = two_color_spec(dt=5e-4, eps=(0.1,), zetas=(0.1,))
+        rng = np.random.default_rng(6)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            batch = _PathBatch(spec, (0.05,), 1250, rng, keep_free=True)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert batch.total_steps == 1000
+        assert kept - start < 20e6
 
 
 class TestRigidityCovariance:

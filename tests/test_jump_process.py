@@ -1,12 +1,12 @@
 import copy
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from mvsao.combinatorics import random_matching
 from mvsao.estimators import (
-    BoundaryWeights,
     _PathBatch,
     smooth_trace_moment,
     whitenoise_trace_moment,
@@ -56,16 +56,25 @@ def path_sampler(path, dt, h):
     return SelfIntersectionSampler(*step_bins(path, h), dt)
 
 
+def frozen_batch(spec, folded, diagonal=None):
+    """spec's _PathBatch over the given folded paths, one (n, steps_k + 1)
+    array per segment, which stand in for its bridge draws; spec's step
+    counts must match them."""
+    draws = iter(folded)
+    with mock.patch("mvsao.estimators.sample_bridge_ensemble", lambda *a, **kw: next(draws)):
+        return _PathBatch(spec, tuple(f[0, 0] for f in folded), len(folded[0]), None,
+                          diagonal=diagonal, bins=False)
+
+
 def frozen_weights(path, dt, domain, alphas, betas=None, cuts=()):
-    """Boundary weights of one frozen path, split into segments at the
-    given step indices."""
-    n_steps = len(path) - 1
+    """The batch of one frozen path, split into segments at the given step
+    indices; its potential is zero, so its exponent is the wall logs."""
+    bounds = [0, *cuts, len(path) - 1]
     spec = ExperimentSpec(domain=domain, kind="R", sigma2=0.0, upsilon2=0.0,
-                          ts=(n_steps * dt,), seed=0, alphas=alphas, betas=betas,
+                          ts=tuple((hi - lo) * dt for lo, hi in zip(bounds, bounds[1:])),
+                          seed=0, alphas=alphas, betas=betas, dt=dt,
                           x_max=None if domain.case == 3 else 1.0)
-    bounds = [0, *cuts, n_steps]
-    folded = [path[None, lo:hi + 1] for lo, hi in zip(bounds, bounds[1:])]
-    return BoundaryWeights(spec, folded, dt)
+    return frozen_batch(spec, [path[None, lo:hi + 1] for lo, hi in zip(bounds, bounds[1:])])
 
 
 def colored_hist(batch, s, step_colors):
@@ -218,7 +227,7 @@ class TestColoredLocalTime:
 
 
 class TestBoundaryTerm:
-    """BoundaryWeights on frozen paths."""
+    """The wall logs of a batch's exponent on frozen paths."""
 
     def test_case1_zero(self):
         path = frozen_path(dom=DomainConfig(case=1), x=0.0, y=0.0)

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
-from mvsao.estimators import BoundaryWeights, _PathBatch
+from mvsao.estimators import _PathBatch
 from mvsao.experiment import ExperimentSpec
 from mvsao.stochastic_paths import (
     DomainConfig,
@@ -19,7 +19,7 @@ from mvsao.stochastic_paths import (
     step_crossing_probs,
     transition_density,
 )
-from test_jump_process import frozen_weights
+from test_jump_process import frozen_batch, frozen_weights
 
 LINE = DomainConfig(case=1)
 HALF = DomainConfig(case=2)
@@ -195,7 +195,7 @@ class TestLogWallFactor:
 
 
 class TestBoundaryLocalTime:
-    """Robin wall factors of the shared boundary weights."""
+    """Robin wall factors of a batch's exponent."""
 
     def test_far_path_zero(self):
         weights = frozen_weights(np.full(101, 0.5), 0.01, HALF, (1.0,))
@@ -212,12 +212,12 @@ class TestBoundaryLocalTime:
         want = erf(a / math.sqrt(2.0 * t)) + tail
         rng = np.random.default_rng(9)
         spec = ExperimentSpec(domain=HALF, kind="R", sigma2=0.0, upsilon2=0.0, ts=(t,),
-                              seed=0, alphas=(alpha,), x_max=1.0)
+                              seed=0, alphas=(alpha,), x_max=1.0, dt=dt)
         acc = []
         for _ in range(n // 50_000):
             incs = rng.standard_normal((50_000, int(round(t / dt)))) * np.sqrt(dt)
             paths = np.abs(a + np.cumsum(np.pad(incs, ((0, 0), (1, 0))), axis=1))
-            acc.append(np.exp(BoundaryWeights(spec, [paths], dt).exponent_constant((1,))))
+            acc.append(np.exp(frozen_batch(spec, [paths]).exponent_constant((1,))))
         est = np.concatenate(acc)
         se = est.std(ddof=1) / np.sqrt(n)
         assert abs(est.mean() - want) <= 3 * se
@@ -227,10 +227,10 @@ class TestBoundaryLocalTime:
         path = sample_bridge_ensemble(HALF, 0.1, 0.2, 1.0, 1e-3, 1, rng)[0]
         full = frozen_weights(path, 1e-3, HALF, (1.0,)).exponent_constant((1,))
         split = frozen_weights(path, 1e-3, HALF, (1.0,), cuts=(400,))
-        _, _, segs = split.terms[0]
-        assert full[0] > 0 and segs.shape == (1, 2)
+        assert full[0] > 0 and split.seg_steps == [400, 600]
         assert full[0] == pytest.approx(split.exponent_constant((1, 1))[0], abs=1e-12)
-        assert full[0] == pytest.approx(segs.sum(), abs=1e-12)
+        assert full[0] == pytest.approx(split.exponent_sample(0, np.ones(1000, dtype=np.int64)),
+                                        abs=1e-12)
 
 
 def test_crossing_probs_basic():
