@@ -498,7 +498,8 @@ def _run_moment(spec: ExperimentSpec, white: bool, workers: int) -> MomentEstima
         scale = mult * hq**n * pi_z
         node_n = max(acc.n, 1)
         mean = acc.s / node_n
-        node_var = max(acc.s2 / node_n - mean**2, 0.0)
+        # with n - 1, as the oracle's ddof=1
+        node_var = max(acc.s2 / node_n - mean**2, 0.0) * node_n / max(node_n - 1, 1)
         total += scale * mean
         var += scale**2 * node_var / node_n
         n_eff += acc.n
@@ -661,7 +662,8 @@ def fk_kernel_regular(spec: ExperimentSpec, t: float, a: tuple[int, float],
             comp_sq += comps**2
         del batch  # free this chunk's paths before the next chunk is drawn
     mean = prefactor * comp_sum / n_paths
-    var = np.maximum(prefactor**2 * comp_sq / n_paths - mean**2, 0.0)
+    var = (np.maximum(prefactor**2 * comp_sq / n_paths - mean**2, 0.0)
+           * n_paths / max(n_paths - 1, 1))
     se = float(np.sqrt(var.sum() / n_paths))
     pi_z = transition_density(spec.domain, t, x0, y0)
     value = from_components(spec.kind, pi_z * mean[:N_COMPONENTS[spec.kind]])

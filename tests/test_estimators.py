@@ -3,12 +3,14 @@ import itertools
 import os
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from mvsao.algebra import conj
 from mvsao.estimators import (
+    _Accumulator,
     _PathBatch,
     child_seed,
     color_patterns,
@@ -617,6 +619,31 @@ class TestLeanBatch:
             tracemalloc.stop()
         assert batch.total_steps == 1000
         assert kept - start < 20e6
+
+
+class TestUnbiasedStderr:
+    """Both routes divide a node's (the kernel's) sum of squared deviations
+    by n - 1, as the oracle does: with known weights w at one node, the
+    error bar relative to the estimate is std(w, ddof=1) / (mean(w) sqrt(n))."""
+
+    W = np.array([1.0, 2.0, 3.0, 6.0])
+    WANT = W.std(ddof=1) / (W.mean() * np.sqrt(len(W)))
+
+    def test_moment_route(self):
+        spec = dirichlet_interval_spec(zetas=None, n_quad=1)
+        acc = _Accumulator()
+        acc.add_batch(self.W, 0)
+        with mock.patch("mvsao.estimators._node_stats", lambda task: acc):
+            est = whitenoise_trace_moment(spec)
+        assert est.stderr / est.value == pytest.approx(self.WANT, rel=1e-12)
+
+    def test_kernel(self):
+        # r = 1: no walk jumps, so every weight is exp(exponent_constant)
+        weights = np.log(self.W)
+        with mock.patch.object(_PathBatch, "exponent_constant", lambda batch, colors: weights):
+            est = fk_kernel_regular(dirichlet_interval_spec(), 1.0, (1, 0.5), (1, 0.5), None,
+                                    eps=0.1, n_paths=len(weights))
+        assert est.stderr / est.value.a == pytest.approx(self.WANT, rel=1e-12)
 
 
 class TestRigidityCovariance:

@@ -42,14 +42,14 @@ CASES = {
 }
 
 EXPECTED = {
-    'white_dirichlet_n2': [('0.012607971111116186', '0.011708392578318056', '990', '0')],
-    'smooth_dirichlet_n1': [('0.2239863055295656', '0.019989745951243126', '2000', '0')],
-    'neumann_covariance': [('-0.06996517305001149', '0.1692177144509555', '2992', '0')],
-    'white_mixed': [('1.4352972712715246', '0.043449690164950934', '2000', '0')],
-    'smooth_mixed': [('1.410616845153719', '0.050111171110395036', '2000', '0')],
-    'sao_half_line': [('2.9717550119358833', '0.04180858772949274', '1998', '0')],
-    'white_discard': [('0.015137629349229489', '0.014276081593556226', '807', '183')],
-    'smooth_discard': [('0.2224876141826235', '0.01952903585190644', '1972', '28')],
+    'white_dirichlet_n2': [('0.012607971111116186', '0.011816306311885702', '990', '0')],
+    'smooth_dirichlet_n1': [('0.2239863055295656', '0.020009765731875274', '2000', '0')],
+    'neumann_covariance': [('-0.06996517305001149', '0.17116683914838027', '2992', '0')],
+    'white_mixed': [('1.4352972712715246', '0.0435368511154681', '2000', '0')],
+    'smooth_mixed': [('1.410616845153719', '0.05021169512538637', '2000', '0')],
+    'sao_half_line': [('2.9717550119358833', '0.041871505128112246', '1998', '0')],
+    'white_discard': [('0.015137629349229489', '0.01443739844992728', '807', '183')],
+    'smooth_discard': [('0.2224876141826235', '0.019548805057262933', '1972', '28')],
 }
 
 

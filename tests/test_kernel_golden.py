@@ -78,16 +78,16 @@ CASES = [heat_kernel_line, scalar_noise_line, complex_linear_line, complex_mixed
 EXPECTED = {
     "heat_kernel_line": (("0.3989422804014327", "0.0", "0.0", "0.0"), "0.0"),
     "scalar_noise_line": (("0.15492521565887057", "0.0", "0.0", "0.0"),
-                          "0.0015807013484278134"),
+                          "0.001580898973151775"),
     "complex_linear_line": (("-0.1393272868008683", "0.10294532909554996", "0.0", "0.0"),
-                            "0.009322215675284804"),
+                            "0.009322798368392558"),
     "complex_mixed_walls": (("0.0457599340248187", "0.010490617407601526", "0.0", "0.0"),
-                            "0.02460433340536566"),
+                            "0.0246084351530653"),
     "complex_dirichlet": (("0.021334404921926942", "-0.004868846416143396", "0.0", "0.0"),
-                          "0.006066122915122496"),
+                          "0.006066881322691268"),
     "quaternion_tabulated": (("0.046780515470468464", "0.062295080874646205",
                               "-0.06919230688754716", "0.04341051792843129"),
-                             "0.026731912615289642"),
+                             "0.02673636904819804"),
 }
 
 
