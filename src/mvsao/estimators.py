@@ -369,8 +369,9 @@ class _PathBatch:
 
     def jump_values(self, s: int, times: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
-        """Z at the given global times for sample s, by exact conditional
-        interpolation of the free path, then folding."""
+        """Z at the given sorted global times for sample s, drawn from the
+        free path's bridge law between its grid values (interpolate_free),
+        then folded."""
         out = np.empty(len(times))
         starts = self.seg_bounds[:-1] * self.dt
         seg_of = np.minimum(np.searchsorted(starts, times, side="right") - 1,

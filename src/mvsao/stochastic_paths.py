@@ -13,6 +13,7 @@ rejection step is needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,20 +214,30 @@ def log_wall_factor(a, b, dt: float, alpha: float) -> np.ndarray:
 
 def interpolate_free(free: np.ndarray, times: np.ndarray, dt: float,
                      rng: np.random.Generator) -> np.ndarray:
-    """Exact Brownian values of a gridded free path at off-grid times.
+    """Brownian values of a gridded free path at nondecreasing off-grid
+    times, drawn from their exact joint law given the grid.
 
-    Conditionally on the two neighboring grid points the value is Gaussian
-    around the linear interpolation with variance dt * u * (1 - u); sampling
-    it removes the O(sqrt(dt)) evaluation bias at jump times.  free is a
-    single path (1-d array).
+    Between grid points the path is a Brownian bridge, so the times are
+    drawn in order, each given its step's right grid point and the value at
+    the previous time in the same step (at the first, the step's left grid
+    point): Gaussian around the linear interpolation between the two, with
+    variance dt (u - l)(1 - u) / (1 - l), u and l their positions in the
+    step.  One normal per time, in order.  Sampling removes the O(sqrt(dt))
+    evaluation bias at jump times.  free is a single path (1-d array).
     """
-    times = np.asarray(times, dtype=float)
-    pos = times / dt
+    pos = np.asarray(times, dtype=float) / dt
     m = np.minimum(pos.astype(np.int64), len(free) - 2)
-    u = pos - m
-    mean = free[m] + u * (free[m + 1] - free[m])
-    var = np.maximum(dt * u * (1.0 - u), 0.0)
-    return mean + np.sqrt(var) * rng.standard_normal(times.shape)
+    out = np.empty(len(pos))
+    step = -1
+    for i, (k, u, z) in enumerate(zip(m.tolist(), (pos - m).tolist(),
+                                      rng.standard_normal(len(pos)).tolist())):
+        if k != step:
+            step, lo, left = k, 0.0, free[k]
+        mean = left + (u - lo) / (1.0 - lo) * (free[k + 1] - left)
+        var = max(dt * (u - lo) * (1.0 - u) / (1.0 - lo), 0.0)
+        out[i] = left = mean + math.sqrt(var) * z
+        lo = u
+    return out
 
 
 def fold_to_domain(values: np.ndarray, domain: DomainConfig) -> np.ndarray:

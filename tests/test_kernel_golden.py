@@ -79,8 +79,8 @@ EXPECTED = {
     "heat_kernel_line": (("0.3989422804014327", "0.0", "0.0", "0.0"), "0.0"),
     "scalar_noise_line": (("0.15492521565887057", "0.0", "0.0", "0.0"),
                           "0.001580898973151775"),
-    "complex_linear_line": (("-0.1393272868008683", "0.10294532909554996", "0.0", "0.0"),
-                            "0.009322798368392558"),
+    "complex_linear_line": (("-0.13932654597683078", "0.1029452146154475", "0.0", "0.0"),
+                            "0.00932280386899318"),
     "complex_mixed_walls": (("0.0457599340248187", "0.010490617407601526", "0.0", "0.0"),
                             "0.0246084351530653"),
     "complex_dirichlet": (("0.021334404921926942", "-0.004868846416143396", "0.0", "0.0"),

@@ -14,6 +14,7 @@ from mvsao.stochastic_paths import (
     block_rows,
     fold_to_domain,
     gaussian_kernel,
+    interpolate_free,
     log_wall_factor,
     sample_bridge_ensemble,
     step_crossing_probs,
@@ -231,6 +232,42 @@ class TestBoundaryLocalTime:
         assert full[0] == pytest.approx(split.exponent_constant((1, 1))[0], abs=1e-12)
         assert full[0] == pytest.approx(split.exponent_sample(0, np.ones(1000, dtype=np.int64)),
                                         abs=1e-12)
+
+
+class TestInterpolateFree:
+    """Values of a gridded free path at jump times."""
+
+    def test_two_times_in_one_step_follow_the_bridge(self):
+        # Z1, Z2 at u1 = 0.4 and u2 = 0.45 of one step: the Brownian bridge
+        # between the grid values gives Var(Z2 - Z1) = delta (1 - delta / dt)
+        # and keeps each marginal's mean u dZ and variance dt u (1 - u)
+        dt, n, rise = 1e-3, 20_000, 0.01
+        times = np.array([0.40e-3, 0.45e-3])
+        free = np.array([0.0, rise, -0.02])
+        rng = np.random.default_rng(12)
+        z = np.array([interpolate_free(free, times, dt, rng) for _ in range(n)])
+        delta = times[1] - times[0]
+        want = delta * (1.0 - delta / dt)
+        diff = z[:, 1] - z[:, 0]
+        assert abs(diff.var(ddof=1) - want) <= 4 * want * math.sqrt(2.0 / (n - 1))
+        for u, col in zip(times / dt, z.T):
+            var = dt * u * (1.0 - u)
+            assert abs(col.mean() - u * rise) <= 4 * math.sqrt(var / n)
+            assert abs(col.var(ddof=1) - var) <= 4 * var * math.sqrt(2.0 / (n - 1))
+
+    def test_times_in_distinct_steps_are_independent_draws(self):
+        # one time per step: each value is drawn around the linear
+        # interpolation of its step, with one normal per time in order
+        dt = 1e-3
+        free = np.cumsum(np.random.default_rng(3).normal(0.0, math.sqrt(dt), 11))
+        times = np.array([0.2e-3, 1.7e-3, 2.0e-3, 5.99e-3, 9.5e-3])
+        got = interpolate_free(free, times, dt, np.random.default_rng(4))
+        pos = times / dt
+        m = pos.astype(np.int64)
+        u = pos - m
+        want = (free[m] + u * (free[m + 1] - free[m])
+                + np.sqrt(dt * u * (1.0 - u)) * np.random.default_rng(4).standard_normal(5))
+        assert got.tobytes() == want.tobytes()
 
 
 def test_crossing_probs_basic():
