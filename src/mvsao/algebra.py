@@ -61,9 +61,6 @@ class FieldElement:
     def scale(self, s: float) -> "FieldElement":
         return FieldElement(self.kind, s * self.a, s * self.b, s * self.c, s * self.d)
 
-    def abs(self) -> float:
-        return float(np.sqrt(self.a**2 + self.b**2 + self.c**2 + self.d**2))
-
 
 def one(kind: str) -> FieldElement:
     return FieldElement(kind, 1.0)

@@ -13,6 +13,11 @@ from mvsao.algebra import (
 )
 
 
+def field_abs(x: FieldElement) -> float:
+    """The Euclidean norm of x's components."""
+    return float(np.sqrt(x.a**2 + x.b**2 + x.c**2 + x.d**2))
+
+
 def H(a, b=0.0, c=0.0, d=0.0):
     return FieldElement("H", a, b, c, d)
 
@@ -118,7 +123,7 @@ def test_norm_multiplicativity():
     for _ in range(500):
         x = standard_gaussian("H", rng)
         y = standard_gaussian("H", rng)
-        assert mul(x, y).abs() == pytest.approx(x.abs() * y.abs(), rel=1e-12)
+        assert field_abs(mul(x, y)) == pytest.approx(field_abs(x) * field_abs(y), rel=1e-12)
 
 
 def test_from_components_padding():

@@ -31,6 +31,7 @@ from mvsao.stochastic_paths import (
     transition_density,
 )
 from test_acceptance import richardson_extrapolate
+from test_algebra import field_abs
 from test_jump_process import colored_hist, frozen_batch, hist_norm2, walk
 from test_stochastic_paths import reference_bridges
 
@@ -124,7 +125,7 @@ class TestFkKernel:
         ba = fk_kernel_regular(spec, 0.6, (2, -0.1), (1, 0.2), noise, eps=0.2,
                                n_paths=8000)
         diff = ab.value + conj(ba.value).scale(-1.0)
-        assert diff.abs() <= 3 * np.hypot(ab.stderr, ba.stderr)
+        assert field_abs(diff) <= 3 * np.hypot(ab.stderr, ba.stderr)
 
     def test_rejects_bad_scales(self):
         spec = dirichlet_interval_spec()

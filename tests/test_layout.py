@@ -90,10 +90,24 @@ def _members(tree):
                 yield cls.name, node.target.id
 
 
+def _module_names(tree):
+    """Names that the import statements in tree bind to modules."""
+    return {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Import) for alias in node.names}
+
+
+def _member_reads(tree):
+    """Attributes read in tree, except those read off an imported module
+    (np.abs is not a read of a method abs)."""
+    modules = _module_names(tree)
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and not (isinstance(node.value, ast.Name) and node.value.id in modules)}
+
+
 def unread_members():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    read = set().union(*map(_member_reads, trees.values()))
     return [f"{module}:{cls}.{name}" for module, tree in trees.items()
             for cls, name in _members(tree) if name not in read]
 
