@@ -282,7 +282,8 @@ class _PathBatch:
                 for lo in range(0, n, rows):
                     values = f[lo:lo + rows, :-1]
                     for i in colors:
-                        seg_v[lo:lo + rows, k, i - 1] = self.diagonal(i, values).sum(axis=1) * self.dt
+                        v = self.diagonal(i, values).sum(axis=1) * self.dt
+                        seg_v[lo:lo + rows, k, i - 1] = v
         self.seg_exponent = np.broadcast_to(-seg_v, (n, len(folded), r)).copy()
         # per-step colors read the step values (left ends) of a color-dependent
         # diagonal, else each sample's color-free -int V
@@ -305,12 +306,12 @@ class _PathBatch:
             at, d = _near_wall_steps(folded, self.seg_bounds, point, side, self.dt)
             row, steps = np.divmod(at, self.total_steps)
             # the (row, segment) each step sums into
-            at = row * len(folded) + np.searchsorted(self.seg_bounds[1:], steps, side="right")
+            cell = row * len(folded) + np.searchsorted(self.seg_bounds[1:], steps, side="right")
             terms = []
             for alpha in np.unique(weights[weights != 0.0]):
                 held = weights == alpha
                 logs = log_wall_factor(d[:, 0], d[:, 1], self.dt, alpha)
-                sums = np.bincount(at, weights=logs, minlength=n * len(folded))
+                sums = np.bincount(cell, weights=logs, minlength=n * len(folded))
                 self.seg_exponent[:, :, held] += sums.reshape(n, len(folded), 1)
                 terms.append((held, logs))
             self.walls.append((np.searchsorted(row, np.arange(n + 1)),

@@ -229,14 +229,16 @@ def interpolate_free(free: np.ndarray, times: np.ndarray, dt: float,
     m = np.minimum(pos.astype(np.int64), len(free) - 2)
     out = np.empty(len(pos))
     step = -1
-    for i, (k, u, z) in enumerate(zip(m.tolist(), (pos - m).tolist(),
+    # a time rounded past the last grid point takes that point's value
+    for i, (k, u, z) in enumerate(zip(m.tolist(), np.minimum(pos - m, 1.0).tolist(),
                                       rng.standard_normal(len(pos)).tolist())):
         if k != step:
             step, lo, left = k, 0.0, free[k]
-        mean = left + (u - lo) / (1.0 - lo) * (free[k + 1] - left)
-        var = max(dt * (u - lo) * (1.0 - u) / (1.0 - lo), 0.0)
-        out[i] = left = mean + math.sqrt(var) * z
-        lo = u
+        if u > lo:  # else the time equals the previous one and takes its value
+            mean = left + (u - lo) / (1.0 - lo) * (free[k + 1] - left)
+            left = mean + math.sqrt(dt * (u - lo) * (1.0 - u) / (1.0 - lo)) * z
+            lo = u
+        out[i] = left
     return out
 
 

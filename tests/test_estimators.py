@@ -606,9 +606,8 @@ class TestLeanBatch:
 
     def test_dirichlet_smooth_chunk_memory(self):
         """A Dirichlet smooth chunk of 1250 paths x 1000 steps started near a
-        wall keeps under 20 MB: each wall keeps its logs at the near-wall
-        steps alone.  (One dense log array per wall took 20 MB of the 32 MB
-        such a chunk kept.)"""
+        wall keeps under 20 MB, 10 MB of it the unfolded paths: each wall
+        keeps its logs at the near-wall steps alone."""
         spec = two_color_spec(dt=5e-4, eps=(0.1,), zetas=(0.1,))
         rng = np.random.default_rng(6)
         tracemalloc.start()
@@ -640,10 +639,10 @@ class TestUnbiasedStderr:
 
     def test_kernel(self):
         # r = 1: no walk jumps, so every weight is exp(exponent_constant)
-        weights = np.log(self.W)
-        with mock.patch.object(_PathBatch, "exponent_constant", lambda batch, colors: weights):
+        logs = np.log(self.W)
+        with mock.patch.object(_PathBatch, "exponent_constant", lambda batch, colors: logs):
             est = fk_kernel_regular(dirichlet_interval_spec(), 1.0, (1, 0.5), (1, 0.5), None,
-                                    eps=0.1, n_paths=len(weights))
+                                    eps=0.1, n_paths=len(logs))
         assert est.stderr / est.value.a == pytest.approx(self.WANT, rel=1e-12)
 
 

@@ -255,6 +255,14 @@ class TestInterpolateFree:
             assert abs(col.mean() - u * rise) <= 4 * math.sqrt(var / n)
             assert abs(col.var(ddof=1) - var) <= 4 * var * math.sqrt(2.0 / (n - 1))
 
+    def test_tied_times_and_the_last_grid_point(self):
+        # a time equal to the previous one takes its value, and so does a
+        # second time at the last grid point
+        free = np.array([0.0, 0.01, -0.02])
+        times = np.array([0.4e-3, 0.4e-3, 2.0e-3, 2.0e-3])
+        z = interpolate_free(free, times, 1e-3, np.random.default_rng(5))
+        assert z[0] == z[1] and z[2] == z[3] == pytest.approx(-0.02, abs=1e-15)
+
     def test_times_in_distinct_steps_are_independent_draws(self):
         # one time per step: each value is drawn around the linear
         # interpolation of its step, with one normal per time in order
