@@ -77,7 +77,7 @@ _STREAM_WHITE = 2
 
 _MAX_CHUNK_FLOATS = 2**22  # 32 MB of float64 per path array of a chunk
 # steps whose ends both lie sqrt(_WALL_REACH_DT * dt) or more from a wall
-# have a wall factor of exactly 1 (see _wall_terms)
+# have a wall factor of exactly 1 (see _PathBatch._build)
 _WALL_REACH_DT = 20.0
 
 
@@ -145,38 +145,6 @@ def start_quadrature(spec: ExperimentSpec) -> tuple[np.ndarray, float]:
     return xs, hq
 
 
-def _near_wall_steps(folded, bounds, point, side, dt) -> tuple[np.ndarray, np.ndarray]:
-    """The steps of one wall whose factor can differ from 1, in increasing
-    order of their flat indices row * steps + step into the concatenated
-    segments: those indices, and the distances of each step's ends to the
-    wall, shape (m, 2).
-
-    A factor whose q is 1e-17 or less is 1 to double precision.  A step with
-    both ends at least sqrt(_WALL_REACH_DT dt) from the wall has 2ab/dt >= 40,
-    so q <= exp(-40) < 1e-17: only steps with an end nearer than that are
-    candidates, and q is computed for those alone."""
-    reach = math.sqrt(_WALL_REACH_DT * dt)
-    at, dists = [], []
-    for f, lo in zip(folded, bounds):
-        # flat index i of f is the step from flat[i] to flat[i + 1] in row
-        # i // width, except at the row ends, which pair one row with the next
-        width = f.shape[1]
-        flat = f.reshape(-1)
-        close = flat < point + reach if side == "lower" else flat > point - reach
-        cand = close[:-1] | close[1:]
-        cand[width - 1::width] = False
-        idx = np.flatnonzero(cand)
-        ends = flat[idx[:, None] + (0, 1)]  # each candidate step's ends, gathered once
-        keep = step_crossing_probs(ends, point, dt, side=side)[:, 0] > 1e-17
-        idx = idx[keep]
-        at.append(idx + (idx // width) * (bounds[-1] - width) + lo)
-        dists.append(np.abs(ends[keep] - point))
-    # each segment's indices increase, and the stable sort (a merge sort) merges such runs
-    at = np.concatenate(at)
-    order = np.argsort(at, kind="stable")
-    return at[order], np.concatenate(dists)[order]
-
-
 def _mollifier_kernel(eps: float, h: float) -> np.ndarray | None:
     """Discrete convolution kernel of the scaled bump on the bin grid."""
     if eps == 0.0:
@@ -196,8 +164,8 @@ class _PathBatch:
     per segment and color; for per-step colors, the walls' logs at the
     near-wall steps alone, and the step values only for a color-dependent
     diagonal.  The unfolded paths are kept only with keep_free
-    (jump_values).  The bins and the potential are built in row blocks
-    (block_rows)."""
+    (jump_values).  All of it is built in one pass over (segment,
+    block_rows row block), so no temporary spans more than one block."""
 
     def __init__(self, spec: ExperimentSpec, xs: tuple[float, ...], n: int,
                  rng: np.random.Generator, keep_free: bool = False,
@@ -220,12 +188,12 @@ class _PathBatch:
                 self.free.append(free)
             folded.append(paths)
         if bins:
-            self._bin_steps(folded)
-        self._prepare_exponent(folded, diagonal)
+            self._bin_range(folded)
+        self._build(folded, diagonal, bins)
 
-    def _bin_steps(self, folded: list[np.ndarray]):
-        """step_bins, seg_hist and full_hist of the steps' left ends, and
-        the segments' mollifier kernels."""
+    def _bin_range(self, folded: list[np.ndarray]):
+        """The segments' mollifier kernels, the bin range of the steps' left
+        ends and the arrays that _build fills with their bins."""
         spec, n = self.spec, self.n
         self.kernels = [_mollifier_kernel(e, self.h) for e in spec.eps_vector()]
         # step m of segment k counts into row k r + color - 1 of norm2_sample
@@ -246,29 +214,14 @@ class _PathBatch:
         self.step_bins = np.empty((n, self.total_steps), np.min_scalar_type(self.n_bins - 1))
         # per-segment histograms of step counts
         self.seg_hist = np.empty((n, len(folded), self.n_bins))
-        for k, f in enumerate(folded):
-            rows = block_rows(f.shape[1])
-            buf = np.empty((min(rows, n), f.shape[1] - 1))
-            for lo in range(0, n, rows):
-                # bins are integer-valued doubles far below 2**53, so shifting
-                # them before the cast is exact
-                values = f[lo:lo + rows, :-1]
-                b = np.divide(values, self.h, out=buf[:len(values)])
-                np.floor(b, out=b)
-                b -= self.bin_offset
-                np.clip(b, 0, self.n_bins - 1, out=b)
-                bins = self.step_bins[lo:lo + rows, self.seg_bounds[k]:self.seg_bounds[k + 1]]
-                bins[...] = b
-                flat = bins + (np.arange(len(b)) * self.n_bins)[:, None]
-                self.seg_hist[lo:lo + rows, k] = np.bincount(
-                    flat.ravel(), minlength=len(b) * self.n_bins).reshape(len(b), self.n_bins)
-        self.full_hist = self.seg_hist.sum(axis=1)
 
-    # -- exponent: -int diagonal + wall logs ---------------------------------
-    def _prepare_exponent(self, folded: list[np.ndarray], diagonal):
-        """seg_exponent[:, k, c - 1], every sample's exponent over segment k
-        held in color c, and what exponent_sample reads besides it."""
-        spec, n, r = self.spec, self.n, self.spec.domain.r
+    def _build(self, folded: list[np.ndarray], diagonal, bins: bool):
+        """Per (segment, row block): the block's step bins and histograms,
+        its -int diagonal per color, and seg_exponent[:, k, c - 1], every
+        sample's exponent over segment k held in color c: -int diagonal,
+        then the lower wall's logs, then the upper wall's, each summed in
+        step order.  Then what exponent_sample reads besides it."""
+        spec, n, r, dt = self.spec, self.n, self.spec.domain.r, self.dt
         pot = spec.potential
         self.diagonal = diagonal or partial(pot.values, r=r)
         # a color-free diagonal is integrated for color 1 alone
@@ -276,15 +229,62 @@ class _PathBatch:
                                             and not spec.color_symmetric())
         colors = range(1, r + 1) if by_color else (1,)
         seg_v = np.zeros((n, len(folded), len(colors)))
-        if by_color or pot.kind != "zero":
-            for k, f in enumerate(folded):
-                rows = block_rows(f.shape[1])
-                for lo in range(0, n, rows):
-                    values = f[lo:lo + rows, :-1]
+        self.seg_exponent = np.empty((n, len(folded), r))
+        # per wall with a nonzero weight: each distinct nonzero weight and the
+        # colors holding it; a zero (Neumann) weight costs nothing.  Case 1 has
+        # no wall, case 2 the lower one, case 3 both
+        walls = []
+        for point, side, weights in [(0.0, "lower", spec.alphas),
+                                     (spec.domain.theta, "upper", spec.betas)][:spec.domain.case - 1]:
+            weights = np.asarray(weights, dtype=float)
+            if weights.any():
+                walls.append((point, side, [(alpha, weights == alpha)
+                                            for alpha in np.unique(weights[weights != 0.0])]))
+        # per wall and block: the near-wall steps' rows and global steps, and
+        # their logs per weight
+        found = [[] for _ in walls]
+        reach = math.sqrt(_WALL_REACH_DT * dt)
+        row_type, step_type = (np.min_scalar_type(m - 1) for m in (n, self.total_steps))
+        for k, f in enumerate(folded):
+            rows = block_rows(f.shape[1])
+            buf = np.empty((min(rows, n), f.shape[1] - 1))
+            for lo in range(0, n, rows):
+                block = f[lo:lo + rows]
+                values = block[:, :-1]
+                if bins:
+                    # bins are integer-valued doubles far below 2**53, so
+                    # shifting them before the cast is exact
+                    b = np.divide(values, self.h, out=buf[:len(values)])
+                    np.floor(b, out=b)
+                    b -= self.bin_offset
+                    np.clip(b, 0, self.n_bins - 1, out=b)
+                    step_bins = self.step_bins[lo:lo + rows, self.seg_bounds[k]:self.seg_bounds[k + 1]]
+                    step_bins[...] = b
+                    flat = step_bins + (np.arange(len(b)) * self.n_bins)[:, None]
+                    self.seg_hist[lo:lo + rows, k] = np.bincount(
+                        flat.ravel(), minlength=len(b) * self.n_bins).reshape(len(b), self.n_bins)
+                if by_color or pot.kind != "zero":
                     for i in colors:
-                        v = self.diagonal(i, values).sum(axis=1) * self.dt
-                        seg_v[lo:lo + rows, k, i - 1] = v
-        self.seg_exponent = np.broadcast_to(-seg_v, (n, len(folded), r)).copy()
+                        seg_v[lo:lo + rows, k, i - 1] = self.diagonal(i, values).sum(axis=1) * dt
+                cells = self.seg_exponent[lo:lo + rows, k]
+                cells[...] = -seg_v[lo:lo + rows, k]
+                for (point, side, terms), out in zip(walls, found):
+                    # a factor whose q is 1e-17 or less is 1 to double
+                    # precision, and a step with both ends sqrt(_WALL_REACH_DT
+                    # dt) or more from the wall has q <= exp(-40) < 1e-17: q
+                    # is computed only for steps with an end nearer than that
+                    close = block < point + reach if side == "lower" else block > point - reach
+                    row, step = np.nonzero(close[:, :-1] | close[:, 1:])
+                    ends = block[row[:, None], step[:, None] + (0, 1)]
+                    keep = step_crossing_probs(ends, point, dt, side=side)[:, 0] > 1e-17
+                    row, step, d = row[keep], step[keep], np.abs(ends[keep] - point)
+                    logs = [log_wall_factor(d[:, 0], d[:, 1], dt, alpha) for alpha, _ in terms]
+                    for (_, held), w in zip(terms, logs):
+                        cells[:, held] += np.bincount(row, weights=w, minlength=len(block))[:, None]
+                    out.append(((row + lo).astype(row_type),
+                                (step + self.seg_bounds[k]).astype(step_type), logs))
+        if bins:
+            self.full_hist = self.seg_hist.sum(axis=1)
         # per-step colors read the step values (left ends) of a color-dependent
         # diagonal, else each sample's color-free -int V
         self.step_values = None
@@ -294,28 +294,17 @@ class _PathBatch:
         else:
             self.v_exponent = -seg_v.sum(axis=(1, 2))
         # per wall: each path's near-wall steps at ptr[s]:ptr[s + 1] of steps,
-        # and each distinct nonzero weight's colors and logs at those steps; a
-        # zero (Neumann) weight costs nothing
+        # in step order, and each distinct nonzero weight's colors and logs there
         self.walls = []
-        walls = [(0.0, "lower", spec.alphas), (spec.domain.theta, "upper", spec.betas)]
-        # case 1 has no wall, case 2 the lower one, case 3 both
-        for point, side, weights in walls[:spec.domain.case - 1]:
-            weights = np.asarray(weights, dtype=float)
-            if not weights.any():
-                continue
-            at, d = _near_wall_steps(folded, self.seg_bounds, point, side, self.dt)
-            row, steps = np.divmod(at, self.total_steps)
-            # the (row, segment) each step sums into
-            cell = row * len(folded) + np.searchsorted(self.seg_bounds[1:], steps, side="right")
-            terms = []
-            for alpha in np.unique(weights[weights != 0.0]):
-                held = weights == alpha
-                logs = log_wall_factor(d[:, 0], d[:, 1], self.dt, alpha)
-                sums = np.bincount(cell, weights=logs, minlength=n * len(folded))
-                self.seg_exponent[:, :, held] += sums.reshape(n, len(folded), 1)
-                terms.append((held, logs))
-            self.walls.append((np.searchsorted(row, np.arange(n + 1)),
-                               steps.astype(np.min_scalar_type(self.total_steps - 1)), terms))
+        for (_, _, terms), blocks in zip(walls, found):
+            # each segment holds its steps in (row, step) order, so a stable
+            # sort by row puts them in (row, global step) order
+            row = np.concatenate([piece[0] for piece in blocks])
+            order = np.argsort(row, kind="stable")
+            self.walls.append((np.searchsorted(row[order], np.arange(n + 1)),
+                               np.concatenate([piece[1] for piece in blocks])[order],
+                               [(held, np.concatenate([piece[2][j] for piece in blocks])[order])
+                                for j, (_, held) in enumerate(terms)]))
 
     def exponent_constant(self, colors: tuple[int, ...]) -> np.ndarray:
         """Every sample's -int diagonal + wall logs when segment k holds

@@ -607,18 +607,21 @@ class TestLeanBatch:
     def test_dirichlet_smooth_chunk_memory(self):
         """A Dirichlet smooth chunk of 1250 paths x 1000 steps started near a
         wall keeps under 20 MB, 10 MB of it the unfolded paths: each wall
-        keeps its logs at the near-wall steps alone."""
+        keeps its logs at the near-wall steps alone.  It peaks under 50 MB,
+        20 MB of it the folded and unfolded paths: the near-wall search runs
+        one row block at a time."""
         spec = two_color_spec(dt=5e-4, eps=(0.1,), zetas=(0.1,))
         rng = np.random.default_rng(6)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             batch = _PathBatch(spec, (0.05,), 1250, rng, keep_free=True)
-            kept = tracemalloc.get_traced_memory()[0]
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert batch.total_steps == 1000
         assert kept - start < 20e6
+        assert peak - start < 50e6
 
 
 class TestUnbiasedStderr:
