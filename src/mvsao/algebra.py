@@ -7,7 +7,8 @@ sums, noise assembly) does not need to branch on the scalar type.  The
 
     a + b*i + c*j + d*k  ->  [[a+bi, c+di], [-(c-di), a-bi]],
 
-is what the Isserlis machinery and the quaternion eigensolve route use.
+is how the matrix oracle writes quaternion entries for its complex
+eigensolve.
 """
 
 from __future__ import annotations
@@ -94,18 +95,3 @@ def conj(x: FieldElement) -> FieldElement:
     """Conjugation: negates the i, j, k parts."""
     return FieldElement(x.kind, x.a, -x.b, -x.c, -x.d)
 
-
-def embed(x: FieldElement) -> np.ndarray:
-    """2x2 complex matrix representation of a quaternion.
-
-    The map is an injective ring homomorphism; the unit 1 goes to the
-    identity and i to diag(1j, -1j).
-    """
-    if x.kind != "H":
-        raise ValueError("embed is defined for kind H only")
-    a, b, c, d = x.components
-    return np.array(
-        [[a + b * 1j, c + d * 1j],
-         [-(c - d * 1j), a - b * 1j]],
-        dtype=np.complex128,
-    )

@@ -1,6 +1,6 @@
 """Configuration-driven experiment runner.
 
-Subcommands: trace | moment | covariance | oracle | selftest.  Configs are
+Subcommands: trace | moment | covariance | oracle.  Configs are
 strict JSON: unknown keys are rejected and the physics inputs (variances,
 times) have no defaults.  Every result row carries the canonical config
 hash and the seed, and a fixed (config, seed, workers) triple reproduces
@@ -29,7 +29,7 @@ from .estimators import (
     whitenoise_trace_moment,
 )
 from .experiment import DIRICHLET, ExperimentSpec, MomentEstimate, PotentialSpec
-from .matrix_oracle import check_draws, check_grid, oracle_moment
+from .matrix_oracle import check_draws, check_grid, check_noise, oracle_moment
 from .noise_model import load_noise, sao_variances
 from .records import ArchiveError
 from .stochastic_paths import DomainConfig
@@ -100,6 +100,14 @@ def _finite_as_given(v, name: str):
     return v
 
 
+def _integer(v, name: str) -> int:
+    """v itself, which must be an integer: json also reads 1.7 and true,
+    which int() would silently turn into 1."""
+    if type(v) is not int:
+        raise ConfigError(f"'{name}' must be an integer, got {v!r}")
+    return v
+
+
 def _positive_number(cfg: dict, key: str):
     v = cfg.get(key)
     if v is not None and not (type(v) in (int, float) and 0 < v < math.inf):
@@ -142,16 +150,14 @@ def _parse_config(cfg: dict, overrides: dict) -> dict:
         cfg.setdefault("x_max", 10.0)
 
     kind = _require(cfg, "experiment")
-    if kind not in ("trace", "moment", "covariance", "oracle", "selftest"):
+    if kind not in ("trace", "moment", "covariance", "oracle"):
         raise ConfigError(f"unknown experiment kind {kind!r}")
-    if kind == "selftest":
-        return {"experiment": "selftest"}
 
-    seed = int(_require(cfg, "seed"))
+    seed = _integer(_require(cfg, "seed"), "seed")
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    case = int(_require(cfg, "case"))
-    r = int(cfg.get("r", 1))
+    case = _integer(_require(cfg, "case"), "case")
+    r = _integer(cfg.get("r", 1), "r")
     if r > _MAX_COLORS:
         raise ConfigError(f"color count r = {r} above {_MAX_COLORS}")
     theta = cfg.get("theta")
@@ -187,10 +193,11 @@ def _parse_config(cfg: dict, overrides: dict) -> dict:
         seed=seed, potential=potential,
         alphas=_boundary_vector(cfg.get("alpha"), r, "alpha"),
         betas=_boundary_vector(cfg.get("beta"), r, "beta"),
-        eps=eps, zetas=zetas, n_paths=int(cfg.get("paths", 10_000)),
+        eps=eps, zetas=zetas, n_paths=_integer(cfg.get("paths", 10_000), "paths"),
         dt=_positive_number(cfg, "dt"), h=_positive_number(cfg, "h"),
         x_max=_positive_number(cfg, "x_max"),
-        n_quad=int(cfg.get("n_quad", 48)), n_max=int(cfg.get("n_max", 12)))
+        n_quad=_integer(cfg.get("n_quad", 48), "n_quad"),
+        n_max=_integer(cfg.get("n_max", 12), "n_max"))
 
     out = {"experiment": kind, "spec": spec, "white": noise == "white"}
     if kind == "covariance":
@@ -206,7 +213,8 @@ def _parse_config(cfg: dict, overrides: dict) -> dict:
                for k in ("noise_archive", "spectra_out")):
             raise ConfigError("oracle file paths must be strings")
         out["oracle"] = {
-            "draws": int(orc.get("draws", 100)), "grid": int(orc.get("grid", 500)),
+            "draws": _integer(orc.get("draws", 100), "oracle.draws"),
+            "grid": _integer(orc.get("grid", 500), "oracle.grid"),
             "eps": _finite(orc.get("eps", 0.0), "oracle.eps"),
             "zeta": _finite(orc.get("zeta", 0.0), "oracle.zeta"),
             "noise_archive": orc.get("noise_archive"),
@@ -263,11 +271,6 @@ def run(parsed: dict, workers: int = 1, timing: bool = False) -> list[dict]:
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     kind = parsed["experiment"]
-    if kind == "selftest":
-        failures = selftest()
-        if failures:
-            raise RuntimeError(f"{len(failures)} selftest failure(s): {failures}")
-        return []
     spec: ExperimentSpec = parsed["spec"]
     records = []
 
@@ -297,7 +300,13 @@ def run(parsed: dict, workers: int = 1, timing: bool = False) -> list[dict]:
                                (t1, t2), est, wall, spec.seed, run_hash))
     elif kind == "oracle":
         opts = parsed["oracle"]
-        fields = load_noise(opts["noise_archive"]) if opts["noise_archive"] else None
+        fields = None
+        if opts["noise_archive"]:
+            fields = load_noise(opts["noise_archive"])
+            try:
+                check_noise(spec, fields, opts["eps"], opts["zeta"])
+            except ValueError as exc:
+                raise ConfigError(f"{opts['noise_archive']}: {exc}") from exc
         rng = np.random.default_rng(spec.seed)
         est, wall = clock(lambda: oracle_moment(
             spec, opts["draws"], opts["grid"], rng, noise_fields=fields,
@@ -324,60 +333,12 @@ def write_results(records: list[dict], out_path, fmt: str) -> None:
         raise ConfigError(f"unknown output format {fmt!r}")
 
 
-def selftest() -> list[str]:
-    """Quick built-in invariant suite; returns the list of failures."""
-    failures = []
-
-    def check(name, ok):
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-        if not ok:
-            failures.append(name)
-
-    from .algebra import FieldElement, embed, mul
-    ij = mul(FieldElement("H", 0, 1), FieldElement("H", 0, 0, 1))
-    check("quaternion i*j = k", ij == FieldElement("H", 0, 0, 0, 1))
-    check("embedding multiplicative",
-          np.allclose(embed(mul(FieldElement("H", 1, 2, 3, 4),
-                                FieldElement("H", 4, 3, 2, 1))),
-                      embed(FieldElement("H", 1, 2, 3, 4))
-                      @ embed(FieldElement("H", 4, 3, 2, 1))))
-
-    from .combinatorics import constant_c, enumerate_matchings
-    check("matchings 8 -> 105", len(enumerate_matchings(8)) == 105)
-    walk = [(1, 2), (2, 3), (3, 1), (1, 2), (2, 3), (3, 1)]
-    p = ((0, 3), (1, 4), (2, 5))
-    check("walk fixture weights",
-          constant_c("R", walk, p) == 1.0 and constant_c("C", walk, p) == 0.0
-          and abs(constant_c("H", walk, p) + 0.5) < 1e-12)
-
-    from .estimators import _PathBatch
-    from .stochastic_paths import transition_density
-    dom = DomainConfig(case=3, theta=1.0)
-    spec = ExperimentSpec(domain=dom, kind="R", sigma2=0.0, upsilon2=0.0,
-                          ts=(0.5, 0.5), seed=0, alphas=(0.0,), betas=(0.0,))
-    batch = _PathBatch(spec, (0.3, 0.7), 8, np.random.default_rng(0))
-    check("occupation identity",
-          np.allclose(batch.full_hist.sum(axis=1) * batch.dt, sum(spec.ts), atol=1e-9))
-    check("kernel symmetry",
-          abs(transition_density(dom, 0.3, 0.2, 0.8)
-              - transition_density(dom, 0.3, 0.8, 0.2)) < 1e-12)
-
-    spec = ExperimentSpec(domain=DomainConfig(case=3, theta=np.pi, r=1), kind="R",
-                          sigma2=0.0, upsilon2=0.0, ts=(1.0,), seed=1,
-                          alphas=(DIRICHLET,), betas=(DIRICHLET,))
-    from .matrix_oracle import discretize, eigenvalues
-    eigs = eigenvalues(discretize(spec, None, 400))
-    check("Dirichlet ground state", abs(eigs[0] - 0.5) < 1e-3)
-    return failures
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mvsao",
         description="Trace-moment Monte Carlo laboratory for random "
                     "vector-valued Schrodinger operators")
-    parser.add_argument("experiment", choices=["trace", "moment", "covariance",
-                                               "oracle", "selftest"])
+    parser.add_argument("experiment", choices=["trace", "moment", "covariance", "oracle"])
     parser.add_argument("--config", help="JSON experiment configuration")
     parser.add_argument("--seed", type=int, help="run seed (overrides config)")
     parser.add_argument("--out", default="results.csv", help="output path")

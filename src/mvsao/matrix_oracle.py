@@ -59,6 +59,25 @@ def check_grid(spec: ExperimentSpec, n: int, eps: float, zeta: float) -> float:
     return hg
 
 
+def check_noise(spec: ExperimentSpec, fields: list[NoiseField], eps: float,
+                zeta: float) -> None:
+    """ValueError unless every field has the spec's kind and color count,
+    resolves each mollification scale and covers the spec's spatial bounds
+    plus the mollifier margin."""
+    lo, hi = spec.spatial_bounds()
+    margin = max(eps, zeta)
+    for k, field in enumerate(fields):
+        if (field.kind, field.r) != (spec.kind, spec.domain.r):
+            raise ValueError(f"noise field {k} is {field.kind} with r = {field.r}, the run "
+                             f"{spec.kind} with r = {spec.domain.r}")
+        if any(0.0 < scale < 2.0 * field.dx for scale in (eps, zeta)):
+            raise ValueError(f"noise field {k}: cell width {field.dx:g} under-resolves "
+                             f"the mollification scales {eps:g}, {zeta:g}")
+        if field.x_lo > lo - margin + 1e-9 or field.x_hi < hi + margin - 1e-9:
+            raise ValueError(f"noise field {k} spans [{field.x_lo:g}, {field.x_hi:g}], short "
+                             f"of [{lo:g}, {hi:g}] plus the mollifier margin {margin:g}")
+
+
 def check_draws(n_draws: int) -> None:
     if n_draws < 2:
         raise ValueError("need at least 2 draws for a standard error")
@@ -99,6 +118,7 @@ def discretize(spec: ExperimentSpec, noise: NoiseField | None, n: int,
         diag[-1] -= np.where(kept[-1], betas, 0.0) / hg
     # the mass scaling turns a form-level noise entry back into its point value
     if noise is not None:
+        check_noise(spec, [noise], eps, zeta)
         values = _noise_values(spec, noise, nodes, w, eps, zeta)
         index = pair_index(noise.r)
         diag += values[[index[(i, i)] for i in range(1, r + 1)], 0].T
@@ -151,8 +171,6 @@ def _noise_values(spec: ExperimentSpec, noise: NoiseField, nodes: np.ndarray,
     for scale in np.unique(scales):
         use = scales == scale
         if scale > 0.0:
-            if nodes[0] < noise.x_lo + scale - 1e-9 or nodes[-1] > noise.x_hi - scale + 1e-9:
-                raise ValueError("noise grid does not cover the domain plus mollifier margin")
             centers = noise.cell_centers()
             out[use] = [[np.interp(nodes, centers, comp) for comp in pair]
                         for pair in mollified_profiles(noise, scale)[use]]

@@ -6,7 +6,6 @@ from mvsao.algebra import (
     UNIT_NORMALIZATION,
     FieldElement,
     conj,
-    embed,
     from_components,
     mul,
     one,
@@ -16,6 +15,22 @@ from mvsao.algebra import (
 def field_abs(x: FieldElement) -> float:
     """The Euclidean norm of x's components."""
     return float(np.sqrt(x.a**2 + x.b**2 + x.c**2 + x.d**2))
+
+
+def embed(x: FieldElement) -> np.ndarray:
+    """2x2 complex matrix representation of a quaternion.
+
+    The map is an injective ring homomorphism; the unit 1 goes to the
+    identity and i to diag(1j, -1j).
+    """
+    if x.kind != "H":
+        raise ValueError("embed is defined for kind H only")
+    a, b, c, d = x.components
+    return np.array(
+        [[a + b * 1j, c + d * 1j],
+         [-(c - d * 1j), a - b * 1j]],
+        dtype=np.complex128,
+    )
 
 
 def H(a, b=0.0, c=0.0, d=0.0):

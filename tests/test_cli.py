@@ -189,6 +189,12 @@ class TestRunner:
                ("trace", dict(BASE_CONFIG, n_max=-1)), ("trace", dict(BASE_CONFIG, seed=-1)),
                ("covariance", dict(BASE_CONFIG, experiment="covariance", noise="white",
                                    covariance={"t1": 2.0, "t2": 0.5}))]
+        # integer keys must be JSON integers: int() ran 1.7 paths as 1 and r = 2.5 as 2
+        bad += [("trace", dict(BASE_CONFIG, **{key: value})) for key, value in (
+            ("paths", 1.7), ("paths", True), ("r", 2.5), ("case", 3.7), ("seed", "7"),
+            ("seed", 3.9), ("n_quad", 8.0), ("n_max", False))]
+        bad += [("oracle", dict(BASE_CONFIG, noise="white", oracle=oracle)) for oracle in (
+            {"draws": 2.5, "grid": 50}, {"draws": 2, "grid": 50.0}, {"draws": True, "grid": 50})]
         # json reads NaN and Infinity; every number must be finite
         nan, inf = float("nan"), float("inf")
         small = dict(json.loads((CONFIGS / "interval_white_cross.json").read_text()),
@@ -262,10 +268,32 @@ class TestRunner:
             assert main(["oracle", "--config", str(write_config(tmp_path, cfg)),
                          "--out", str(tmp_path / "o.csv")]) == 2
             assert capsys.readouterr().err.startswith(f"error: {path}")
+        # archives that do not fit the run: another color count or field kind,
+        # a grid short of the domain, of the mollifier margin or too coarse
+        # for the mollification scale
+        for k, (top, oracle, r, grid) in enumerate([
+                ({"r": 2}, {}, 1, (0.0, 1.0, 64)), ({"r": 2}, {}, 3, (0.0, 1.0, 64)),
+                ({"field": "C"}, {}, 1, (0.0, 1.0, 64)), ({}, {}, 1, (0.0, 0.5, 64)),
+                ({}, {"eps": 0.1, "zeta": 0.1}, 1, (0.0, 1.0, 64)),
+                ({}, {"eps": 0.1}, 1, (-0.2, 1.2, 8))]):
+            path = tmp_path / f"misfit{k}.mvsao"
+            save_noise(path, [sample_noise("R", r, 0.5, 0.5, grid, np.random.default_rng(k))
+                              for _ in range(2)])
+            cfg = dict(BASE_CONFIG, noise="white", **top,
+                       oracle=dict(oracle, grid=50, noise_archive=str(path)))
+            assert main(["oracle", "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(tmp_path / "o.csv")]) == 2, (top, oracle, r, grid)
+            assert capsys.readouterr().err.startswith(f"error: {path}: noise field 0")
+        cfg = dict(BASE_CONFIG, noise="white", oracle={"grid": 50, "noise_archive": str(good)})
+        assert main(["oracle", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "o.csv")]) == 0
 
-    def test_selftest_exit_zero(self, capsys):
-        assert main(["selftest"]) == 0
-        assert "PASS" in capsys.readouterr().out
+    def test_selftest_subcommand_is_gone(self, capsys):
+        """Its checks are unit tests; argparse rejects the name."""
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'selftest'" in capsys.readouterr().err
 
 
 def test_write_results_rejects_bad_format(tmp_path):
