@@ -234,8 +234,8 @@ class _PathBatch:
         # colors holding it; a zero (Neumann) weight costs nothing.  Case 1 has
         # no wall, case 2 the lower one, case 3 both
         walls = []
-        for point, side, weights in [(0.0, "lower", spec.alphas),
-                                     (spec.domain.theta, "upper", spec.betas)][:spec.domain.case - 1]:
+        sides = [(0.0, "lower", spec.alphas), (spec.domain.theta, "upper", spec.betas)]
+        for point, side, weights in sides[:spec.domain.case - 1]:
             weights = np.asarray(weights, dtype=float)
             if weights.any():
                 walls.append((point, side, [(alpha, weights == alpha)
@@ -258,9 +258,9 @@ class _PathBatch:
                     np.floor(b, out=b)
                     b -= self.bin_offset
                     np.clip(b, 0, self.n_bins - 1, out=b)
-                    step_bins = self.step_bins[lo:lo + rows, self.seg_bounds[k]:self.seg_bounds[k + 1]]
-                    step_bins[...] = b
-                    flat = step_bins + (np.arange(len(b)) * self.n_bins)[:, None]
+                    into = self.step_bins[lo:lo + rows, self.seg_bounds[k]:self.seg_bounds[k + 1]]
+                    into[...] = b
+                    flat = into + (np.arange(len(b)) * self.n_bins)[:, None]
                     self.seg_hist[lo:lo + rows, k] = np.bincount(
                         flat.ravel(), minlength=len(b) * self.n_bins).reshape(len(b), self.n_bins)
                 if by_color or pot.kind != "zero":
@@ -280,7 +280,8 @@ class _PathBatch:
                     row, step, d = row[keep], step[keep], np.abs(ends[keep] - point)
                     logs = [log_wall_factor(d[:, 0], d[:, 1], dt, alpha) for alpha, _ in terms]
                     for (_, held), w in zip(terms, logs):
-                        cells[:, held] += np.bincount(row, weights=w, minlength=len(block))[:, None]
+                        sums = np.bincount(row, weights=w, minlength=len(block))
+                        cells[:, held] += sums[:, None]
                     out.append(((row + lo).astype(row_type),
                                 (step + self.seg_bounds[k]).astype(step_type), logs))
         if bins:
