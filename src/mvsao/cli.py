@@ -29,7 +29,7 @@ from .estimators import (
     whitenoise_trace_moment,
 )
 from .experiment import DIRICHLET, ExperimentSpec, MomentEstimate, PotentialSpec
-from .matrix_oracle import check_draws, check_grid, check_noise, oracle_moment
+from .matrix_oracle import check_draws, check_grid, check_noise, oracle_moment, oracle_scales
 from .noise_model import load_noise, sao_variances
 from .records import ArchiveError
 from .stochastic_paths import DomainConfig
@@ -45,7 +45,7 @@ _TOP_KEYS = {"experiment", "case", "theta", "r", "field", "potential", "alpha",
 _POTENTIAL_KEYS = {"kind", "kappa", "nu", "table_x", "table_v"}
 _NOISE_KEYS = {"eps", "zeta"}
 _COV_KEYS = {"t1", "t2"}
-_ORACLE_KEYS = {"draws", "grid", "eps", "zeta", "noise_archive", "spectra_out"}
+_ORACLE_KEYS = {"draws", "grid", "noise_archive", "spectra_out"}
 # far above any color count a run can afford; parsing allocates r-long vectors
 _MAX_COLORS = 1024
 
@@ -74,7 +74,7 @@ def _boundary_vector(raw, r: int, name: str):
                 raise ConfigError(f"{name} entries are numbers or 'dirichlet'")
             out.append(DIRICHLET)
         else:
-            out.append(_finite(v, name))
+            out.append(float(_finite(v, name)))
     return tuple(out)
 
 
@@ -84,17 +84,9 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _finite(v, name: str) -> float:
-    """float(v), which must be finite: json reads NaN and Infinity."""
-    out = float(v)
-    if not math.isfinite(out):
-        raise ConfigError(f"'{name}' must be a finite number, got {v!r}")
-    return out
-
-
-def _finite_as_given(v, name: str):
-    """v itself, which must be a finite int or float; kept as given so that
-    the config hash does not depend on how the number was written."""
+def _finite(v, name: str):
+    """v itself, which must be a finite JSON number: json also reads true,
+    "0.5", NaN and Infinity, which float() would take."""
     if type(v) not in (int, float) or not math.isfinite(v):
         raise ConfigError(f"'{name}' must be a finite number, got {v!r}")
     return v
@@ -162,7 +154,7 @@ def _parse_config(cfg: dict, overrides: dict) -> dict:
         raise ConfigError(f"color count r = {r} above {_MAX_COLORS}")
     theta = cfg.get("theta")
     if case == 3 and theta is not None:
-        theta = _finite_as_given(theta, "theta")
+        theta = _finite(theta, "theta")
     domain = DomainConfig(case=case, theta=theta if case == 3 else None, r=r)
     field = cfg.get("field", "R")
 
@@ -170,23 +162,25 @@ def _parse_config(cfg: dict, overrides: dict) -> dict:
     _check_keys(pot_raw, _POTENTIAL_KEYS, "potential")
     potential = PotentialSpec(
         kind=pot_raw.get("kind", "zero"),
-        kappa=_finite(pot_raw.get("kappa", 1.0), "potential.kappa"),
-        nu=_finite(pot_raw.get("nu", 0.0), "potential.nu"),
-        table_x=tuple(_finite_as_given(v, "potential.table_x")
-                      for v in pot_raw.get("table_x", ())),
-        table_v=tuple(tuple(_finite_as_given(v, "potential.table_v") for v in row)
+        kappa=float(_finite(pot_raw.get("kappa", 1.0), "potential.kappa")),
+        nu=float(_finite(pot_raw.get("nu", 0.0), "potential.nu")),
+        table_x=tuple(_finite(v, "potential.table_x") for v in pot_raw.get("table_x", ())),
+        table_v=tuple(tuple(_finite(v, "potential.table_v") for v in row)
                       for row in pot_raw.get("table_v", ())))
 
-    ts = tuple(_finite(v, "t") for v in _require(cfg, "t"))
-    sigma2 = _finite(_require(cfg, "sigma2"), "sigma2")
-    upsilon2 = _finite(_require(cfg, "upsilon2"), "upsilon2")
+    ts = tuple(float(_finite(v, "t")) for v in _require(cfg, "t"))
+    sigma2 = float(_finite(_require(cfg, "sigma2"), "sigma2"))
+    upsilon2 = float(_finite(_require(cfg, "upsilon2"), "upsilon2"))
     noise = cfg.get("noise", "white")
     if noise == "white":
         eps = zetas = None
     else:
+        if kind == "covariance":
+            raise ConfigError('a covariance run takes the white route: set "noise": "white"')
         _check_keys(noise, _NOISE_KEYS, "noise")
-        eps = tuple(_finite(v, "noise.eps") for v in noise.get("eps", [0.0] * len(ts)))
-        zetas = tuple(_finite(v, "noise.zeta") for v in noise.get("zeta", [0.0] * len(ts)))
+        eps = tuple(float(_finite(v, "noise.eps")) for v in noise.get("eps", [0.0] * len(ts)))
+        zetas = tuple(float(_finite(v, "noise.zeta"))
+                      for v in noise.get("zeta", [0.0] * len(ts)))
 
     spec = ExperimentSpec(
         domain=domain, kind=field, sigma2=sigma2, upsilon2=upsilon2, ts=ts,
@@ -203,8 +197,8 @@ def _parse_config(cfg: dict, overrides: dict) -> dict:
     if kind == "covariance":
         cov = _require(cfg, "covariance")
         _check_keys(cov, _COV_KEYS, "covariance")
-        out["covariance"] = (_finite(_require(cov, "t1"), "covariance.t1"),
-                             _finite(_require(cov, "t2"), "covariance.t2"))
+        out["covariance"] = (float(_finite(_require(cov, "t1"), "covariance.t1")),
+                             float(_finite(_require(cov, "t2"), "covariance.t2")))
         check_covariance_times(*out["covariance"])
     if kind == "oracle":
         orc = dict(cfg.get("oracle", {}))
@@ -215,13 +209,11 @@ def _parse_config(cfg: dict, overrides: dict) -> dict:
         out["oracle"] = {
             "draws": _integer(orc.get("draws", 100), "oracle.draws"),
             "grid": _integer(orc.get("grid", 500), "oracle.grid"),
-            "eps": _finite(orc.get("eps", 0.0), "oracle.eps"),
-            "zeta": _finite(orc.get("zeta", 0.0), "oracle.zeta"),
             "noise_archive": orc.get("noise_archive"),
             "spectra_out": orc.get("spectra_out"),
         }
         opts = out["oracle"]
-        check_grid(spec, opts["grid"], opts["eps"], opts["zeta"])
+        check_grid(spec, opts["grid"], *oracle_scales(spec))
         if opts["noise_archive"] is None:
             check_draws(opts["draws"])
     else:
@@ -229,16 +221,16 @@ def _parse_config(cfg: dict, overrides: dict) -> dict:
         # times in a moment, t1 and t2 in the covariance's second moment (its
         # first moments then pass too).  dt, or its default for those times,
         # must divide them, and a smooth estimate's mollification scales must
-        # suit its bin width (the covariance always runs the white route)
+        # suit its bin width
         if kind == "trace":
             subs = [_trace_spec(spec, idx) for idx in range(len(ts))]
         elif kind == "covariance":
-            subs = [replace(spec, ts=out["covariance"], eps=None, zetas=None)]
+            subs = [replace(spec, ts=out["covariance"])]
         else:
             subs = [spec]
         for sub in subs:
             sub.step_counts()
-            if noise != "white" and kind != "covariance":
+            if noise != "white":
                 check_mollifiers(sub)
     return out
 
@@ -304,13 +296,13 @@ def run(parsed: dict, workers: int = 1, timing: bool = False) -> list[dict]:
         if opts["noise_archive"]:
             fields = load_noise(opts["noise_archive"])
             try:
-                check_noise(spec, fields, opts["eps"], opts["zeta"])
+                check_noise(spec, fields, *oracle_scales(spec))
             except ValueError as exc:
                 raise ConfigError(f"{opts['noise_archive']}: {exc}") from exc
         rng = np.random.default_rng(spec.seed)
         est, wall = clock(lambda: oracle_moment(
             spec, opts["draws"], opts["grid"], rng, noise_fields=fields,
-            eps=opts["eps"], zeta=opts["zeta"], spectra_path=opts["spectra_out"]))
+            spectra_path=opts["spectra_out"]))
         records.append(_record(f"oracle-{run_hash}-0", "oracle",
                                spec.ts, est, wall, spec.seed, run_hash))
     else:
@@ -359,9 +351,13 @@ def main(argv=None) -> int:
             if not isinstance(raw, dict):
                 raise ConfigError("the config must be a JSON object")
             raw["experiment"] = args.experiment
+        try:
+            times = args.t and [float(v) for v in args.t.split(",")]
+        except ValueError:
+            raise ConfigError(f"--t takes comma-separated numbers, got {args.t!r}") from None
         overrides = {
             "seed": args.seed,
-            "t": args.t.split(",") if args.t else None,
+            "t": times or None,
             "paths": args.paths,
             "preset": args.preset,
         }

@@ -1,19 +1,20 @@
-"""Perfect matchings, binary step sequences and the field-dependent pairing
-weights that multiply each Wick pairing in the trace-moment formulas.
+"""Perfect matchings and the field-dependent pairing weights that multiply
+each Wick pairing in the trace-moment formulas.
 
 Conventions.  Jumps are ordered pairs (from, to) of colors with from != to,
-numbered 0..n-1.  A binary sequence for n jumps has entries m[0..n]; jump k
-owns the step (m[k], m[k+1]).  A matching of n jumps is a partition of
-{0..n-1} into disjoint pairs, stored as a tuple of (lo, hi) pairs sorted by
-their smaller member, which keeps enumeration order canonical and test
-fixtures stable.  Jump sequences are treated as abstract ordered pairs here;
-whether consecutive jumps chain is a property of the process that produced
-them (concatenated paths reset their color at segment boundaries).
+numbered 0..n-1.  A matching of n jumps is a partition of {0..n-1} into
+disjoint pairs, stored as a tuple of (lo, hi) pairs sorted by their smaller
+member, which keeps enumeration order canonical and test fixtures stable.
+Jump sequences are treated as abstract ordered pairs here; whether
+consecutive jumps chain is a property of the process that produced them
+(concatenated paths reset their color at segment boundaries).
+
+The quaternion weight rests on two identities for a standard quaternion
+Gaussian g = (x0 + x1 i + x2 j + x3 k)/2 and a quaternion Q independent of
+it: E[g Q g] = -conj(Q)/2 and E[g Q conj(g)] = Re Q.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 import numpy as np
 
@@ -21,12 +22,6 @@ Jump = tuple[int, int]
 Matching = tuple[tuple[int, int], ...]
 
 N_MAX_DEFAULT = 12
-
-# Allowed (step_1, step_2) combinations for a matched pair of jumps.  Flips
-# are the same-direction combinations that contribute a factor -1.
-_SAME_ALLOWED = {((0, 0), (1, 1)), ((1, 1), (0, 0)), ((0, 1), (1, 0)), ((1, 0), (0, 1))}
-_REVERSED_ALLOWED = {((0, 0), (0, 0)), ((1, 1), (1, 1)), ((0, 1), (1, 0)), ((1, 0), (0, 1))}
-_FLIPS = {((0, 1), (1, 0)), ((1, 0), (0, 1))}
 
 
 class MatchingSizeError(ValueError):
@@ -91,63 +86,24 @@ def _pair_relation(j1: Jump, j2: Jump) -> str | None:
     return None
 
 
-def respects(m, p: Matching, jumps) -> bool:
-    """Whether the binary sequence m is compatible with the matched jumps.
+def _word_weight(word: tuple[tuple[int, bool], ...]) -> float:
+    """E Re of the ordered product of a word of slots (pair, conjugated?),
+    the two slots of a pair holding one standard quaternion Gaussian g.
 
-    For every pair {l1, l2} (l1 < l2) the two owned steps must lie in the
-    allowed set for the pair's jump relation; same-direction and reversed
-    jumps have different allowed sets.  Pairs of unrelated jumps make the
-    whole configuration non-respecting.
+    Eliminates the first slot's pair by the module's identities, with Q the
+    sub-word inside the pair and R the rest: g Q g R gives -Re conj(Q) R / 2
+    and g Q conj(g) R gives Re Q Re R = (Re QR + Re conj(Q) R) / 2, where
+    conj(Q) reverses Q and flips each slot's conjugation.
     """
-    m = tuple(int(v) for v in m)
-    if len(m) != len(jumps) + 1:
-        raise ValueError("binary sequence must have one more entry than there are jumps")
-    for l1, l2 in p:
-        if l1 > l2:
-            l1, l2 = l2, l1
-        rel = _pair_relation(jumps[l1], jumps[l2])
-        steps = ((m[l1], m[l1 + 1]), (m[l2], m[l2 + 1]))
-        if rel == "same":
-            if steps not in _SAME_ALLOWED:
-                return False
-        elif rel == "reversed":
-            if steps not in _REVERSED_ALLOWED:
-                return False
-        else:
-            return False
-    return True
-
-
-def count_flips(m, p: Matching, jumps) -> int:
-    """Number of matched same-direction pairs whose steps are a flip."""
-    m = tuple(int(v) for v in m)
-    flips = 0
-    for l1, l2 in p:
-        if l1 > l2:
-            l1, l2 = l2, l1
-        if jumps[l1] != jumps[l2]:
-            continue
-        steps = ((m[l1], m[l1 + 1]), (m[l2], m[l2 + 1]))
-        if steps in _FLIPS:
-            flips += 1
-    return flips
-
-
-def quaternion_weight(jumps, p: Matching) -> float:
-    """The signed, normalized count of respecting binary sequences.
-
-    Direct enumeration of all sequences with endpoints 0; at most 2^(n/2)
-    survive the respects filter, so this is cheap at desk scale.
-    """
-    n = len(jumps)
-    if n == 0:
+    if not word:
         return 1.0
-    total = 0
-    for interior in product((0, 1), repeat=n - 1):
-        m = (0,) + interior + (0,)
-        if respects(m, p, jumps):
-            total += (-1) ** count_flips(m, p, jumps)
-    return float(total) * 2.0 ** (-n / 2)
+    (pair, conj), rest = word[0], word[1:]
+    k = next(i for i, slot in enumerate(rest) if slot[0] == pair)
+    inner, outer = rest[:k], rest[k + 1:]
+    flipped = tuple((q, not c) for q, c in reversed(inner))
+    if rest[k][1] == conj:
+        return -0.5 * _word_weight(flipped + outer)
+    return 0.5 * (_word_weight(inner + outer) + _word_weight(flipped + outer))
 
 
 def constant_c(kind: str, jumps, p: Matching) -> float:
@@ -155,8 +111,9 @@ def constant_c(kind: str, jumps, p: Matching) -> float:
 
     R: 1 when every matched pair is the same jump up to orientation, else 0.
     C: 1 when every matched pair is reversed, else 0.
-    H: the signed flip sum over respecting binary sequences when the R
-    condition holds, else 0.  Always lies in [-1, 1].
+    H: when the R condition holds, E Re of the ordered product of standard
+    quaternion Gaussians, one per pair, the second member conjugated when
+    the pair is reversed; else 0.  Always lies in [-1, 1].
     """
     jumps = [tuple(j) for j in jumps]
     n = len(jumps)
@@ -174,5 +131,9 @@ def constant_c(kind: str, jumps, p: Matching) -> float:
     if kind == "C":
         return 1.0 if all(rel == "reversed" for rel in relations) else 0.0
     if kind == "H":
-        return quaternion_weight(jumps, p)
+        slots = [None] * n
+        for k, ((l1, l2), rel) in enumerate(zip(p, relations)):
+            slots[min(l1, l2)] = (k, False)
+            slots[max(l1, l2)] = (k, rel == "reversed")
+        return _word_weight(tuple(slots))
     raise ValueError(f"unknown field kind {kind!r}")

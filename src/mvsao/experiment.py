@@ -192,9 +192,9 @@ class MomentEstimate:
 
     def __post_init__(self):
         if not np.isfinite(self.value):
-            raise ValueError("estimate value must be finite")
+            raise InvariantError(f"estimate value must be finite, got {self.value!r}")
         if self.stderr < 0:
-            raise ValueError("standard error must be nonnegative")
+            raise InvariantError(f"standard error must be nonnegative, got {self.stderr!r}")
 
     @property
     def discard_rate(self) -> float:

@@ -78,6 +78,18 @@ def check_noise(spec: ExperimentSpec, fields: list[NoiseField], eps: float,
                              f"of [{lo:g}, {hi:g}] plus the mollifier margin {margin:g}")
 
 
+def oracle_scales(spec: ExperimentSpec) -> tuple[float, float]:
+    """The (eps, zeta) of the one operator that serves all of spec's times;
+    ValueError when the times carry different or negative scales."""
+    eps, zetas = set(spec.eps_vector()), set(spec.zeta_vector())
+    if len(eps) > 1 or len(zetas) > 1:
+        raise ValueError("the oracle builds one operator for all times: noise.eps and "
+                         f"noise.zeta must each hold one value, got {spec.eps}, {spec.zetas}")
+    if min(eps | zetas) < 0:
+        raise ValueError(f"mollification scales must be nonnegative, got {spec.eps}, {spec.zetas}")
+    return eps.pop(), zetas.pop()
+
+
 def check_draws(n_draws: int) -> None:
     if n_draws < 2:
         raise ValueError("need at least 2 draws for a standard error")
@@ -219,14 +231,15 @@ def default_noise_grid(spec: ExperimentSpec, scale: float) -> tuple[float, float
 def oracle_moment(spec: ExperimentSpec, n_draws: int, n_grid: int,
                   rng: np.random.Generator,
                   noise_fields: list[NoiseField] | None = None,
-                  eps: float = 0.0, zeta: float = 0.0,
                   spectra_path=None) -> MomentEstimate:
     """Ensemble mean of the product of spectral traces over noise draws.
 
+    The operator's mollification scales are spec's (oracle_scales).
     Supplying noise_fields reuses serialized draws so estimators can be
     cross-validated on identical noise; otherwise n_draws fresh fields are
-    sampled on a grid sized for the requested mollification scales.
+    sampled on a grid sized for the scales.
     """
+    eps, zeta = oracle_scales(spec)
     if noise_fields is None:
         check_draws(n_draws)
         grid = default_noise_grid(spec, min((s for s in (eps, zeta) if s > 0), default=0.0))

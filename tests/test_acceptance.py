@@ -230,8 +230,7 @@ class TestCriterion5SmoothCrossValidation:
         fields = [sample_noise("R", 2, 0.5, 0.5, grid, rng) for _ in range(200)]
         archive = tmp_path / "draws.mvsao"
         save_noise(archive, fields)
-        oracle = oracle_moment(spec, 0, 400, rng, noise_fields=load_noise(archive),
-                               eps=0.1, zeta=0.1)
+        oracle = oracle_moment(spec, 0, 400, rng, noise_fields=load_noise(archive))
         comb = float(np.hypot(est.stderr, oracle.stderr))
         assert abs(est.value - oracle.value) <= 3 * comb
         report("criterion 5 (smooth cross-validation)",

@@ -18,6 +18,7 @@ from mvsao.cli import (
     write_results,
 )
 from mvsao.experiment import DIRICHLET
+from mvsao.matrix_oracle import oracle_scales
 from mvsao.noise_model import sample_noise, save_noise
 from mvsao.records import ArchiveError, read_records
 
@@ -83,6 +84,18 @@ class TestParsing:
         assert parsed["spec"].seed == 99
         assert parsed["spec"].ts == (0.25,)
         assert parsed["spec"].n_paths == 500
+
+    def test_oracle_reads_scales_from_noise(self):
+        # the oracle builds one operator, so each scale holds one value
+        for noise, want in (("white", (0.0, 0.0)), ({"eps": [0.1, 0.1]}, (0.1, 0.0)),
+                            ({"eps": [0.1, 0.1], "zeta": [0.2, 0.2]}, (0.1, 0.2))):
+            cfg = dict(BASE_CONFIG, experiment="oracle", t=[0.5, 0.25], noise=noise,
+                       oracle={"grid": 64})
+            assert oracle_scales(parse_config(cfg)["spec"]) == want
+        with pytest.raises(ConfigError, match="one value"):
+            parse_config(dict(cfg, noise={"eps": [0.1, 0.2], "zeta": [0.2, 0.2]}))
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(dict(cfg, oracle={"grid": 64, "eps": 0.1}))
 
     def test_sao_preset(self):
         cfg = {"experiment": "trace", "t": [0.5], "seed": 1, "preset": "sao",
@@ -182,7 +195,16 @@ class TestRunner:
                # oracle inputs that discretize or oracle_moment would reject
                ("oracle", dict(BASE_CONFIG, noise="white", oracle={"grid": 8})),
                ("oracle", dict(BASE_CONFIG, noise="white", oracle={"draws": 1, "grid": 50})),
-               ("oracle", dict(BASE_CONFIG, noise="white", oracle={"eps": 0.01, "grid": 64})),
+               ("oracle", dict(BASE_CONFIG, noise={"eps": [0.01], "zeta": [0.1]},
+                               oracle={"grid": 64})),
+               # the oracle's scales: one value over the times, none negative
+               ("oracle", dict(BASE_CONFIG, t=[0.5, 0.25], oracle={"grid": 64},
+                               noise={"eps": [0.1, 0.2], "zeta": [0.1, 0.1]})),
+               ("oracle", dict(BASE_CONFIG, noise={"eps": [-0.1], "zeta": [0.1]},
+                               oracle={"grid": 64})),
+               # a covariance runs the white route only
+               ("covariance", dict(BASE_CONFIG, experiment="covariance",
+                                   covariance={"t1": 0.5, "t2": 0.25})),
                # counts and covariance times out of range
                ("trace", dict(BASE_CONFIG, n_quad=0)), ("trace", dict(BASE_CONFIG, n_quad=-3)),
                ("trace", dict(BASE_CONFIG, paths=0)), ("trace", dict(BASE_CONFIG, paths=-5)),
@@ -193,6 +215,10 @@ class TestRunner:
         bad += [("trace", dict(BASE_CONFIG, **{key: value})) for key, value in (
             ("paths", 1.7), ("paths", True), ("r", 2.5), ("case", 3.7), ("seed", "7"),
             ("seed", 3.9), ("n_quad", 8.0), ("n_max", False))]
+        # float keys must be JSON numbers: float() took true as 1 and "0.5" as 0.5
+        bad += [("trace", dict(BASE_CONFIG, **change)) for change in (
+            {"sigma2": True}, {"sigma2": "0.5"}, {"t": [True]}, {"t": ["0.5"]},
+            {"alpha": [True]}, {"noise": {"eps": [0.0], "zeta": [True]}})]
         bad += [("oracle", dict(BASE_CONFIG, noise="white", oracle=oracle)) for oracle in (
             {"draws": 2.5, "grid": 50}, {"draws": 2, "grid": 50.0}, {"draws": True, "grid": 50})]
         # json reads NaN and Infinity; every number must be finite
@@ -218,8 +244,10 @@ class TestRunner:
                                     covariance={"t1": nan, "t2": 0.5})),
                 ("covariance", dict(small, experiment="covariance",
                                     covariance={"t1": 0.5, "t2": inf})),
-                ("oracle", dict(small, experiment="oracle", oracle={"grid": 64, "eps": nan})),
-                ("oracle", dict(small, experiment="oracle", oracle={"grid": 64, "zeta": inf}))]
+                ("oracle", dict(small, experiment="oracle", oracle={"grid": 64},
+                                noise={"eps": [nan], "zeta": [0.1]})),
+                ("oracle", dict(small, experiment="oracle", oracle={"grid": 64},
+                                noise={"eps": [0.1], "zeta": [inf]}))]
         # mollification scales the smooth route cannot run: eps below twice
         # the bin width (2 h = 0.0447 at the default dt), zeta = 0 under
         # off-diagonal noise, a negative eps
@@ -274,12 +302,12 @@ class TestRunner:
         for k, (top, oracle, r, grid) in enumerate([
                 ({"r": 2}, {}, 1, (0.0, 1.0, 64)), ({"r": 2}, {}, 3, (0.0, 1.0, 64)),
                 ({"field": "C"}, {}, 1, (0.0, 1.0, 64)), ({}, {}, 1, (0.0, 0.5, 64)),
-                ({}, {"eps": 0.1, "zeta": 0.1}, 1, (0.0, 1.0, 64)),
-                ({}, {"eps": 0.1}, 1, (-0.2, 1.2, 8))]):
+                ({"noise": {"eps": [0.1], "zeta": [0.1]}}, {}, 1, (0.0, 1.0, 64)),
+                ({"noise": {"eps": [0.1]}}, {}, 1, (-0.2, 1.2, 8))]):
             path = tmp_path / f"misfit{k}.mvsao"
             save_noise(path, [sample_noise("R", r, 0.5, 0.5, grid, np.random.default_rng(k))
                               for _ in range(2)])
-            cfg = dict(BASE_CONFIG, noise="white", **top,
+            cfg = dict(dict(BASE_CONFIG, noise="white"), **top,
                        oracle=dict(oracle, grid=50, noise_archive=str(path)))
             assert main(["oracle", "--config", str(write_config(tmp_path, cfg)),
                          "--out", str(tmp_path / "o.csv")]) == 2, (top, oracle, r, grid)
@@ -287,6 +315,15 @@ class TestRunner:
         cfg = dict(BASE_CONFIG, noise="white", oracle={"grid": 50, "noise_archive": str(good)})
         assert main(["oracle", "--config", str(write_config(tmp_path, cfg)),
                      "--out", str(tmp_path / "o.csv")]) == 0
+
+    def test_non_finite_estimate_exit_code(self, tmp_path, capsys):
+        # sigma2 = 1e5 overflows the weights' exponential: a computed result,
+        # not a config fault
+        cfg = dict(BASE_CONFIG, sigma2=1e5, noise="white", paths=64, n_quad=2)
+        assert main(["trace", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_selftest_subcommand_is_gone(self, capsys):
         """Its checks are unit tests; argparse rejects the name."""
@@ -306,20 +343,18 @@ _FULL_CONFIG = dict(BASE_CONFIG, r=2, alpha=[0.5, "dirichlet"], beta=[-1.0, 0.0]
                     t=[0.5, 0.25], noise={"eps": [0.1, 0.1], "zeta": [0.1, 0.1]},
                     potential={"kind": "tabulated", "kappa": 1.0, "nu": 0.0,
                                "table_x": [0.0, 1.0], "table_v": [[0.0, 1.0], [1.0, 0.0]]},
-                    covariance={"t1": 0.5, "t2": 0.25},
-                    oracle={"grid": 64, "eps": 0.1, "zeta": 0.1})
+                    covariance={"t1": 0.5, "t2": 0.25}, oracle={"grid": 64})
 _NUMERIC_INPUTS = [("theta",), ("sigma2",), ("upsilon2",), ("t", 0), ("t", 1), ("alpha", 0),
                    ("beta", 0), ("beta", 1), ("potential", "kappa"), ("potential", "nu"),
                    ("potential", "table_x", 1), ("potential", "table_v", 1, 0),
                    ("noise", "eps", 0), ("noise", "zeta", 1), ("covariance", "t1"),
-                   ("covariance", "t2"), ("oracle", "eps"), ("oracle", "zeta")]
+                   ("covariance", "t2")]
 
 
-@pytest.mark.parametrize("where", _NUMERIC_INPUTS, ids=lambda w: "/".join(map(str, w)))
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_non_finite_numbers_rejected(where, value):
-    experiment = {"covariance": "covariance", "oracle": "oracle"}.get(where[0], "moment")
+def _reject_non_finite(experiment, where, value):
     cfg = json.loads(json.dumps(dict(_FULL_CONFIG, experiment=experiment)))
+    if experiment == "covariance":
+        cfg["noise"] = "white"
     parse_config(cfg)
     node = cfg
     for key in where[:-1]:
@@ -327,6 +362,20 @@ def test_non_finite_numbers_rejected(where, value):
     node[where[-1]] = value
     with pytest.raises(ConfigError, match="finite"):
         parse_config(cfg)
+
+
+@pytest.mark.parametrize("where", _NUMERIC_INPUTS, ids=lambda w: "/".join(map(str, w)))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_numbers_rejected(where, value):
+    _reject_non_finite("covariance" if where[0] == "covariance" else "moment", where, value)
+
+
+@pytest.mark.parametrize("where", [("noise", "eps", 0), ("noise", "zeta", 0)],
+                         ids=lambda w: "/".join(map(str, w)))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_oracle_scales_rejected(where, value):
+    # the oracle's mollification scales are the noise section's
+    _reject_non_finite("oracle", where, value)
 
 
 _JSON = st.recursive(

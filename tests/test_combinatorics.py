@@ -1,17 +1,93 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from mvsao.combinatorics import (
     MatchingSizeError,
     constant_c,
-    count_flips,
     enumerate_matchings,
-    quaternion_weight,
     random_matching,
-    respects,
+    reversed_jump,
     validate_matching,
 )
 from wick_oracle import pairing_moment_mc
+
+# The paper's binary-sequence route to the quaternion weight, kept here as a
+# reference for constant_c.  A binary sequence for n jumps has entries
+# m[0..n]; jump k owns the step (m[k], m[k+1]).  Allowed (step_1, step_2)
+# combinations for a matched pair of jumps; flips are the same-direction
+# combinations that contribute a factor -1.
+_SAME_ALLOWED = {((0, 0), (1, 1)), ((1, 1), (0, 0)), ((0, 1), (1, 0)), ((1, 0), (0, 1))}
+_REVERSED_ALLOWED = {((0, 0), (0, 0)), ((1, 1), (1, 1)), ((0, 1), (1, 0)), ((1, 0), (0, 1))}
+_FLIPS = {((0, 1), (1, 0)), ((1, 0), (0, 1))}
+
+
+def respects(m, p, jumps) -> bool:
+    """Whether the binary sequence m is compatible with the matched jumps.
+
+    For every pair {l1, l2} (l1 < l2) the two owned steps must lie in the
+    allowed set for the pair's jump relation; same-direction and reversed
+    jumps have different allowed sets.  Pairs of unrelated jumps make the
+    whole configuration non-respecting.
+    """
+    m = tuple(int(v) for v in m)
+    if len(m) != len(jumps) + 1:
+        raise ValueError("binary sequence must have one more entry than there are jumps")
+    for l1, l2 in p:
+        l1, l2 = min(l1, l2), max(l1, l2)
+        steps = ((m[l1], m[l1 + 1]), (m[l2], m[l2 + 1]))
+        if tuple(jumps[l1]) == tuple(jumps[l2]):
+            allowed = _SAME_ALLOWED
+        elif tuple(jumps[l1]) == reversed_jump(tuple(jumps[l2])):
+            allowed = _REVERSED_ALLOWED
+        else:
+            return False
+        if steps not in allowed:
+            return False
+    return True
+
+
+def count_flips(m, p, jumps) -> int:
+    """Number of matched same-direction pairs whose steps are a flip."""
+    m = tuple(int(v) for v in m)
+    flips = 0
+    for l1, l2 in p:
+        l1, l2 = min(l1, l2), max(l1, l2)
+        if jumps[l1] != jumps[l2]:
+            continue
+        steps = ((m[l1], m[l1 + 1]), (m[l2], m[l2 + 1]))
+        if steps in _FLIPS:
+            flips += 1
+    return flips
+
+
+def quaternion_weight(jumps, p) -> float:
+    """The signed, normalized count of respecting binary sequences, by
+    enumerating all sequences with endpoints 0."""
+    n = len(jumps)
+    if n == 0:
+        return 1.0
+    total = 0
+    for interior in product((0, 1), repeat=n - 1):
+        m = (0,) + interior + (0,)
+        if respects(m, p, jumps):
+            total += (-1) ** count_flips(m, p, jumps)
+    return float(total) * 2.0 ** (-n / 2)
+
+
+def reference_c(kind, jumps, p) -> float:
+    """The pairing weight as the paper defines it: R and C by the relation
+    of each pair, H by the binary-sequence enumeration."""
+    same = [jumps[a] == jumps[b] for a, b in p]
+    reverse = [jumps[a] == reversed_jump(jumps[b]) for a, b in p]
+    if not all(s or rv for s, rv in zip(same, reverse)):
+        return 0.0
+    if kind == "R":
+        return 1.0
+    if kind == "C":
+        return 1.0 if all(reverse) else 0.0
+    return quaternion_weight(jumps, p)
 
 # Appendix-style fixtures.  Jump indices are 0-based; each tuple is
 # (jumps, matching) with the properties asserted in the tests.
@@ -122,6 +198,39 @@ class TestRespectsAndFlips:
 
 
 class TestConstantC:
+    def test_binary_fixture_weights(self):
+        # all reversed; one same-direction pair; three of them and one reversed
+        for (jumps, p, _), want in ((BINARY_NON_EXAMPLE, 1.0), (BINARY_1, -0.5),
+                                    (BINARY_2, 0.25)):
+            assert constant_c("H", jumps, p) == want
+            assert quaternion_weight(jumps, p) == want
+
+    def test_equals_reference_exhaustively(self):
+        # every jump sequence over r = 3 with n <= 4 and every matching
+        moves = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j]
+        cases = 0
+        for n in (0, 2, 4):
+            for jumps in product(moves, repeat=n):
+                for p in enumerate_matchings(n):
+                    for kind in ("R", "C", "H"):
+                        assert constant_c(kind, jumps, p) == reference_c(kind, jumps, p), (
+                            kind, jumps, p)
+                        cases += 1
+        assert cases == 11_775
+
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_equals_reference_on_related_pairings(self, n):
+        # every pair same or reversed, so that the H weight is rarely 0
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            p = random_matching(n, rng)
+            jumps = [None] * n
+            for l1, l2 in p:
+                jumps[l1] = random_jumps(1, 3, rng)[0]
+                jumps[l2] = jumps[l1] if rng.random() < 0.5 else reversed_jump(jumps[l1])
+            for kind in ("R", "C", "H"):
+                assert constant_c(kind, jumps, p) == reference_c(kind, jumps, p)
+
     def test_walk_1_and_4(self):
         jumps, p = WALK_1_AND_4
         assert constant_c("R", jumps, p) == 1.0

@@ -257,12 +257,13 @@ class TestOracleMoment:
         assert est.value == pytest.approx(trace_semigroup(eigs, 1.0), rel=1e-12)
 
     def test_reused_draws_reproduce(self):
-        spec = make_spec(r=2, sigma2=0.5, upsilon2=0.5, theta=1.0, ts=(0.5,))
+        spec = make_spec(r=2, sigma2=0.5, upsilon2=0.5, theta=1.0, ts=(0.5,),
+                         eps=(0.1,), zetas=(0.1,))
         rng = np.random.default_rng(5)
         grid = default_noise_grid(spec, 0.1)
         fields = [sample_noise("R", 2, 0.5, 0.5, grid, rng) for _ in range(3)]
-        a = oracle_moment(spec, 0, 128, rng, noise_fields=fields, eps=0.1, zeta=0.1)
-        b = oracle_moment(spec, 0, 128, rng, noise_fields=fields, eps=0.1, zeta=0.1)
+        a = oracle_moment(spec, 0, 128, rng, noise_fields=fields)
+        b = oracle_moment(spec, 0, 128, rng, noise_fields=fields)
         assert a.value == b.value and a.stderr == b.stderr
 
     def test_product_moment_uses_all_times(self):

@@ -5,7 +5,7 @@ For a jump sequence and a matching, each pair gets one independent standard
 field-valued Gaussian; the second member reuses the draw as-is when its jump
 equals the first member's and conjugated when it is reversed.  The mean of
 the real part of the ordered product then equals the pairing weight exactly,
-which checks the enumeration route without going through it.
+which checks constant_c without going through it.
 """
 
 import numpy as np
