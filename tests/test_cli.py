@@ -92,10 +92,6 @@ class TestParsing:
             cfg = dict(BASE_CONFIG, experiment="oracle", t=[0.5, 0.25], noise=noise,
                        oracle={"grid": 64})
             assert oracle_scales(parse_config(cfg)["spec"]) == want
-        with pytest.raises(ConfigError, match="one value"):
-            parse_config(dict(cfg, noise={"eps": [0.1, 0.2], "zeta": [0.2, 0.2]}))
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config(dict(cfg, oracle={"grid": 64, "eps": 0.1}))
 
     def test_sao_preset(self):
         cfg = {"experiment": "trace", "t": [0.5], "seed": 1, "preset": "sao",
@@ -197,7 +193,9 @@ class TestRunner:
                ("oracle", dict(BASE_CONFIG, noise="white", oracle={"draws": 1, "grid": 50})),
                ("oracle", dict(BASE_CONFIG, noise={"eps": [0.01], "zeta": [0.1]},
                                oracle={"grid": 64})),
-               # the oracle's scales: one value over the times, none negative
+               # the oracle's scales: from noise only, one value over the times,
+               # none negative
+               ("oracle", dict(BASE_CONFIG, noise="white", oracle={"grid": 64, "eps": 0.1})),
                ("oracle", dict(BASE_CONFIG, t=[0.5, 0.25], oracle={"grid": 64},
                                noise={"eps": [0.1, 0.2], "zeta": [0.1, 0.1]})),
                ("oracle", dict(BASE_CONFIG, noise={"eps": [-0.1], "zeta": [0.1]},
