@@ -485,10 +485,12 @@ def _run_moment(spec: ExperimentSpec, white: bool, workers: int) -> MomentEstima
     abs_contrib = 0.0
     warnings = []
 
-    for acc, (pat, mult, xv) in zip(results, nodes):
-        pi_z = float(np.prod([transition_density(spec.domain, t, x, x)
-                              for t, x in zip(spec.ts, xv)]))
-        scale = mult * hq**n * pi_z
+    # pi_z of every node: one density call per segment, multiplied in segment order
+    starts = np.array([xv for _, _, xv in nodes])
+    pi_z = np.prod([transition_density(spec.domain, t, x, x)
+                    for t, x in zip(spec.ts, starts.T)], axis=0)
+    for acc, (pat, mult, xv), node_pi in zip(results, nodes, pi_z):
+        scale = mult * hq**n * float(node_pi)
         node_n = max(acc.n, 1)
         mean = acc.s / node_n
         # with n - 1, as the oracle's ddof=1
@@ -554,7 +556,8 @@ def _moment_weights(spec: ExperimentSpec, batch: _PathBatch, colors: tuple[int, 
         expo = (base[idx]
                 + spec.sigma2 / 2.0 * batch.norm2_constant(colors)[idx]
                 + batch.exponent_constant(colors)[idx])
-        weights[idx] = scale * np.exp(expo)
+        with np.errstate(over="ignore"):  # an overflow is reported as a non-finite estimate
+            weights[idx] = scale * np.exp(expo)
     keep = counts <= spec.n_max
     # odd counts and unmatched endpoint colors keep their zero weight
     for s in np.flatnonzero(~zero & keep & (counts % 2 == 0)):
@@ -569,8 +572,16 @@ def _moment_weights(spec: ExperimentSpec, batch: _PathBatch, colors: tuple[int, 
         expo = (base[s]
                 + spec.sigma2 / 2.0 * batch.norm2_sample(s, step_colors)
                 + batch.exponent_sample(s, step_colors))
-        weights[s] = f * math.exp(expo)
+        weights[s] = f * _exp(expo)
     return weights[keep], int(batch.n - keep.sum())
+
+
+def _exp(x: float) -> float:
+    """math.exp with inf for an overflow, which the estimate's finiteness check reports."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _matching_sum(spec: ExperimentSpec, batch: _PathBatch, s: int, jp: JumpPath,

@@ -10,6 +10,10 @@ construction.  Entries come from the quadratic form with a lumped
 (trapezoid) mass, symmetrized by the inverse square-root mass, which keeps
 Robin rows second-order accurate.  Quaternion eigenvalues are
 de-duplicated since the embedding doubles every multiplicity.
+
+The ensemble eigensolves only the eigenvalues up to lambda_min + 50 / min t,
+the ones a trace can see, with one band reduction per draw; its spectra
+archives hold those alone.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from .noise_model import (
 from .records import ArchiveError, read_records, write_records
 
 _NOISE_CELLS_PER_SCALE = 16  # noise cells per smallest mollification scale
+# eigenvalues past lambda_min + _TRACE_CUTOFF / t weigh below e^-50 in Tr e^{-tH}
+_TRACE_CUTOFF = 50.0
 
 
 @dataclass
@@ -193,20 +199,59 @@ def _noise_values(spec: ExperimentSpec, noise: NoiseField, nodes: np.ndarray,
     return amp[:, None, None] * out
 
 
-def eigenvalues(op: DiscreteOperator) -> np.ndarray:
+def ground_bound(op: DiscreteOperator) -> float:
+    """Upper bound U on the lowest eigenvalue, with U - lambda_min < 1.
+
+    A - sigma I has a banded Cholesky factor exactly when sigma < lambda_min,
+    so bisection on that test between the Gershgorin lower bound and the
+    smallest diagonal entry (a Rayleigh quotient) brackets lambda_min
+    without a band reduction."""
+    u = op.band.shape[0] - 1
+    diag = op.band[u].real
+    radius = np.zeros(op.dim)
+    for d in range(1, u + 1):
+        # entry (j - d, j) counts in the Gershgorin radius of rows j - d and j
+        off = np.abs(op.band[u - d, d:])
+        radius[d:] += off
+        radius[:-d] += off
+    lo, hi = float((diag - radius).min()), float(diag.min())
+    pbtrf, = scipy.linalg.get_lapack_funcs(("pbtrf",), (op.band,))
+    shifted = op.band.copy()
+    while hi - lo >= 1.0:
+        mid = 0.5 * (lo + hi)
+        shifted[u] = diag - mid
+        if pbtrf(shifted)[1] == 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def eigenvalues(op: DiscreteOperator, t_min: float | None = None) -> np.ndarray:
     """Ascending spectrum; quaternion spectra are de-duplicated by halving
-    the doubled multiplicities of the complex embedding."""
+    the doubled multiplicities of the complex embedding.
+
+    With t_min, only the eigenvalues up to ground_bound + _TRACE_CUTOFF /
+    t_min: in a trace at any t >= t_min the rest weigh less than
+    e^-_TRACE_CUTOFF of the lowest.  A cutoff that splits a quaternion pair
+    drops the unpaired top value, whose partner lies past the cutoff."""
+    select = {}
+    if t_min is not None:
+        if t_min <= 0:
+            raise ValueError("eigenvalues requires t_min > 0")
+        select = {"select": "v",
+                  "select_range": (-np.inf, ground_bound(op) + _TRACE_CUTOFF / t_min)}
     try:
-        eigs = scipy.linalg.eig_banded(op.band, eigvals_only=True)
+        eigs = scipy.linalg.eig_banded(op.band, eigvals_only=True, **select)
     except scipy.linalg.LinAlgError as exc:
         raise RuntimeError(
             f"eigensolve failed for {op.dim}x{op.dim} band matrix "
             f"(max entry {np.abs(op.band).max():.2e})") from exc
     if op.kind != "H":
         return eigs
-    spread = max(1.0, float(np.abs(eigs).max()))
-    pairs = eigs.reshape(-1, 2)
-    if np.abs(pairs[:, 0] - pairs[:, 1]).max() > 1e-6 * spread:
+    spread = float(np.abs(eigs).max(initial=1.0))
+    pairs = eigs[:len(eigs) // 2 * 2].reshape(-1, 2)
+    if np.abs(pairs[:, 0] - pairs[:, 1]).max(initial=0.0) > 1e-6 * spread:
         raise RuntimeError("quaternion embedding lost its even multiplicities")
     return pairs.mean(axis=1)
 
@@ -250,7 +295,7 @@ def oracle_moment(spec: ExperimentSpec, n_draws: int, n_grid: int,
     spectra = []
     for fieldr in noise_fields:
         op = discretize(spec, fieldr, n_grid, eps=eps, zeta=zeta)
-        eigs = eigenvalues(op)
+        eigs = eigenvalues(op, t_min=min(spec.ts))
         spectra.append(eigs)
         vals.append(np.prod([trace_semigroup(eigs, t) for t in spec.ts]))
     vals = np.array(vals)

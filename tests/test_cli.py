@@ -314,14 +314,18 @@ class TestRunner:
         assert main(["oracle", "--config", str(write_config(tmp_path, cfg)),
                      "--out", str(tmp_path / "o.csv")]) == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_estimate_exit_code(self, tmp_path, capsys):
         # sigma2 = 1e5 overflows the weights' exponential: a computed result,
-        # not a config fault
-        cfg = dict(BASE_CONFIG, sigma2=1e5, noise="white", paths=64, n_quad=2)
-        assert main(["trace", "--config", str(write_config(tmp_path, cfg)),
-                     "--out", str(tmp_path / "x.csv")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        # not a config fault.  With r = 2 the jump samples overflow too, on
+        # the white and on the smooth route.
+        base = dict(BASE_CONFIG, sigma2=1e5, noise="white", paths=64, n_quad=2)
+        jumps = dict(base, r=2, upsilon2=0.5)
+        for cfg in (base, jumps, dict(jumps, noise={"eps": [0.1], "zeta": [0.1]})):
+            assert main(["trace", "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(tmp_path / "x.csv")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: estimate value must be finite") and "Traceback" not in err
 
     def test_selftest_subcommand_is_gone(self, capsys):
         """Its checks are unit tests; argparse rejects the name."""

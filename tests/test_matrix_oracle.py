@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mvsao.experiment import DIRICHLET, ExperimentSpec, PotentialSpec
 from mvsao.matrix_oracle import (
@@ -7,6 +8,7 @@ from mvsao.matrix_oracle import (
     default_noise_grid,
     discretize,
     eigenvalues,
+    ground_bound,
     load_spectra,
     oracle_moment,
     save_spectra,
@@ -183,6 +185,7 @@ PINNED_SPECTRA = {
 
 @pytest.mark.parametrize("name", sorted(PINNED_SPECTRA))
 def test_spectra_pinned(name):
+    """On the full spectrum and on the partial one of a trace at t >= 0.5."""
     spec, seed, n, scale = _pinned_cases()[name]
     lo, hi = spec.spatial_bounds()
     field = sample_noise(spec.kind, spec.domain.r, 0.5, 0.5, (lo - 0.5, hi + 0.5, 2048),
@@ -190,8 +193,62 @@ def test_spectra_pinned(name):
     op = discretize(spec, field, n, eps=scale, zeta=scale)
     dim, want = PINNED_SPECTRA[name]
     assert op.dim == dim
-    np.testing.assert_allclose(eigenvalues(op)[:8], want, rtol=1e-9,
-                               atol=1e-9 * np.abs(want).max())
+    for t_min in (None, 0.5):
+        eigs = eigenvalues(op, t_min)
+        assert len(eigs) >= 8
+        np.testing.assert_allclose(eigs[:8], want, rtol=1e-9,
+                                   atol=1e-9 * np.abs(want).max())
+
+
+def _lattice_operator(kind, seed, n=500):
+    """An operator of the benchmark's oracle setting: r = 2 on [0, 1] with
+    Dirichlet walls, both variances 1/2, lattice white noise, grid n."""
+    spec = make_spec(r=2, kind=kind, theta=1.0, sigma2=0.5, upsilon2=0.5, ts=(0.5,))
+    field = sample_noise(kind, 2, 0.5, 0.5, (0.0, 1.0, 4096), np.random.default_rng(seed))
+    return discretize(spec, field, n)
+
+
+class TestPartialSpectrum:
+    @pytest.mark.parametrize("kind", ["R", "C", "H"])
+    def test_returns_every_eigenvalue_the_trace_sees(self, kind):
+        t = 0.5
+        for seed in (21, 22):
+            op = _lattice_operator(kind, seed)
+            full = eigenvalues(op)
+            bound = ground_bound(op)
+            assert full[0] <= bound < full[0] + 1.0
+            part = eigenvalues(op, t)
+            assert np.all(full[:len(part)] <= bound + 50.0 / t)
+            assert len(part) >= np.count_nonzero(full <= full[0] + 50.0 / t)
+            np.testing.assert_allclose(part, full[:len(part)], rtol=1e-9)
+
+    def test_cutoff_inside_a_quaternion_pair(self):
+        """A cutoff between the two embedding copies of one eigenvalue keeps
+        the pairs below it: the lone copy below the cutoff is dropped."""
+        op = _lattice_operator("H", 23, n=128)
+        embedded = scipy.linalg.eig_banded(op.band, eigvals_only=True)
+        full = eigenvalues(op)
+        bound = ground_bound(op)
+        split = 0
+        for k in range(1, 30):
+            lo, hi = embedded[2 * k], embedded[2 * k + 1]
+            if lo == hi:
+                continue
+            cut = 0.5 * (lo + hi)
+            t_min = 50.0 / (cut - bound)
+            # the partial route's own rounding decides on which side of the
+            # cutoff each copy falls: at most one pair more than below it
+            kept = scipy.linalg.eig_banded(op.band, eigvals_only=True, select="v",
+                                           select_range=(-np.inf, bound + 50.0 / t_min))
+            split += len(kept) % 2
+            part = eigenvalues(op, t_min)
+            assert len(part) == len(kept) // 2 and len(part) in (k, k + 1)
+            np.testing.assert_allclose(part, full[:len(part)], rtol=1e-9)
+        assert split > 0
+
+    def test_t_min_nonpositive_rejected(self):
+        with pytest.raises(ValueError):
+            eigenvalues(_lattice_operator("R", 24, n=64), 0.0)
 
 
 class TestSemigroup:
@@ -253,7 +310,7 @@ class TestOracleMoment:
         rng = np.random.default_rng(4)
         est = oracle_moment(spec, n_draws=4, n_grid=200, rng=rng)
         assert est.stderr == pytest.approx(0.0, abs=1e-12)
-        eigs = eigenvalues(discretize(spec, None, 200))
+        eigs = eigenvalues(discretize(spec, None, 200), 1.0)
         assert est.value == pytest.approx(trace_semigroup(eigs, 1.0), rel=1e-12)
 
     def test_reused_draws_reproduce(self):
@@ -270,7 +327,7 @@ class TestOracleMoment:
         spec = make_spec(ts=(0.5, 1.0), theta=1.0)
         rng = np.random.default_rng(6)
         est = oracle_moment(spec, n_draws=2, n_grid=150, rng=rng)
-        eigs = eigenvalues(discretize(spec, None, 150))
+        eigs = eigenvalues(discretize(spec, None, 150), 0.5)
         want = trace_semigroup(eigs, 0.5) * trace_semigroup(eigs, 1.0)
         assert est.value == pytest.approx(want, rel=1e-12)
 
