@@ -489,7 +489,7 @@ def _run_moment(spec: ExperimentSpec, white: bool, workers: int) -> MomentEstima
     starts = np.array([xv for _, _, xv in nodes])
     pi_z = np.prod([transition_density(spec.domain, t, x, x)
                     for t, x in zip(spec.ts, starts.T)], axis=0)
-    for acc, (pat, mult, xv), node_pi in zip(results, nodes, pi_z):
+    for acc, (_, mult, _), node_pi in zip(results, nodes, pi_z):
         scale = mult * hq**n * float(node_pi)
         node_n = max(acc.n, 1)
         mean = acc.s / node_n

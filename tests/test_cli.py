@@ -325,7 +325,8 @@ class TestRunner:
             assert main(["trace", "--config", str(write_config(tmp_path, cfg)),
                          "--out", str(tmp_path / "x.csv")]) == 1
             err = capsys.readouterr().err
-            assert err.startswith("error: estimate value must be finite") and "Traceback" not in err
+            assert err.startswith("error: estimate value must be finite")
+            assert "Traceback" not in err
 
     def test_selftest_subcommand_is_gone(self, capsys):
         """Its checks are unit tests; argparse rejects the name."""
