@@ -8,8 +8,8 @@ by a midpoint rule over the (truncated) domain and summed exactly over
 colors, while the path expectation at each starting tuple is a Monte Carlo
 mean.  The color-endpoint conditioning of the jump walk is absorbed into an
 indicator on free walks, which is what replaces the product of walk
-transition kernels.  Both moment routes assemble every sample's weight in
-one loop (_moment_weights) from
+transition kernels.  Both moment routes assemble a chunk's weights in one
+batched loop (_moment_weights) from
 
   * the pairing sum over matchings of the realized jumps (smooth route) or
     the sampled matching weight (white route),
@@ -18,19 +18,30 @@ one loop (_moment_weights) from
     the color held, whose Dirichlet limit is the survival probability.
 
 The colored walk and the self-intersection sampler are those of
-jump_process.  All three estimators draw their paths as _PathBatch chunks
+jump_process, drawn for all of a chunk's jumping samples at once.  All three
+estimators draw their paths as _PathBatch chunks
 and read from them the path values at jump times and one exponent,
 -int V + the wall logs, for colors held per segment (exponent_constant) or
-per step (exponent_sample); in the kernel's chunks, which run from x to y,
+per step (exponent_steps); in the kernel's chunks, which run from x to y,
 V is V plus the diagonal noise.
 Both moment routes weigh the diagonal noise by the batch's one local-time
-norm (norm2_constant, norm2_sample): per color ||sum_k L_k * bump_{eps_k}||^2,
+norm (norm2_constant, norm2_steps): per color ||sum_k L_k * bump_{eps_k}||^2,
 which at eps = 0 is the white ||L||^2.
 
-Seed policy: every (starting tuple, grid node, chunk) triple owns the rng
-stream SeedSequence(entropy=seed, spawn_key=(stream, node, chunk)), which
-makes results bit-identical for a fixed configuration regardless of how
-work is distributed over workers.
+Packed chunks: every grid node gets per_node samples.  Consecutive nodes of
+one color pattern share a chunk, whole, until it holds a block_rows row
+block of its widest segment (at most _chunk_rows rows); each row carries its
+node's starting tuple, and the chunk's weights are merged into per-node
+statistics by the rows' node index.  A node with a row block or more of its
+own is a chunk alone, split into chunks of _chunk_rows rows when it has
+more.
+
+Seed policy: chunk c of the chunks whose first node is node owns the rng
+stream SeedSequence(entropy=seed, spawn_key=(stream, node, c)): a packed
+chunk is chunk 0 of its first node, and a node alone keeps the stream of
+its own chunks.  A task is one packed chunk or one node's chunks, and its
+result does not depend on the other tasks, so results are bit-identical for
+a fixed configuration regardless of how work is distributed over workers.
 """
 
 from __future__ import annotations
@@ -55,10 +66,11 @@ from .combinatorics import constant_c, enumerate_matchings
 from .experiment import ExperimentSpec, InvariantError, MomentEstimate
 from .jump_process import (  # draw_jumps_along: perfbench traces this binding
     JumpPath,
-    SelfIntersectionSampler,
-    draw_free_walk,
     draw_jumps_along,
+    free_walk_times,
+    row_ranges,
     singular_jump_counts,
+    singular_walk_times,
     walk_jump_counts,
 )
 from .noise_model import NoiseField, bump_scaled, mollified_profiles, pair_index, rho
@@ -155,8 +167,9 @@ def _mollifier_kernel(eps: float, h: float) -> np.ndarray | None:
 
 
 class _PathBatch:
-    """One chunk of concatenated bridges from x_k to ys[k] (default x_k),
-    with everything the weight assembly needs precomputed and vectorized.
+    """One chunk of concatenated bridges, segment k of row i from xs[i, k]
+    to ys[i, k] (default xs[i, k]), with everything the weight assembly
+    needs precomputed and vectorized.
 
     It keeps only what the weights read: the step bins and histograms and
     the segments' mollifier kernels (unless bins is off), and the exponent
@@ -167,9 +180,11 @@ class _PathBatch:
     (jump_values).  All of it is built in one pass over (segment,
     block_rows row block), so no temporary spans more than one block."""
 
-    def __init__(self, spec: ExperimentSpec, xs: tuple[float, ...], n: int,
+    def __init__(self, spec: ExperimentSpec, xs, n: int,
                  rng: np.random.Generator, keep_free: bool = False,
-                 ys: tuple[float, ...] | None = None, diagonal=None, bins: bool = True):
+                 ys=None, diagonal=None, bins: bool = True):
+        """xs (ys, default xs) holds the segments' start (end) points: one
+        per segment, or one row of them per path, shape (n, segments)."""
         self.spec = spec
         self.n = n
         self.dt = spec.resolved_dt()
@@ -178,9 +193,11 @@ class _PathBatch:
         self.seg_steps = spec.step_counts()
         self.total_steps = sum(self.seg_steps)
         self.seg_bounds = np.concatenate([[0], np.cumsum(self.seg_steps)])
+        xs = np.broadcast_to(np.asarray(xs, dtype=float), (n, len(spec.ts)))
+        ys = xs if ys is None else np.broadcast_to(np.asarray(ys, dtype=float), xs.shape)
         folded = []
         self.free = []
-        for x, y, t in zip(xs, ys or xs, spec.ts):
+        for x, y, t in zip(xs.T, ys.T, spec.ts):
             paths = sample_bridge_ensemble(spec.domain, x, y, t, self.dt, n, rng,
                                            return_free=keep_free)
             if keep_free:
@@ -196,7 +213,7 @@ class _PathBatch:
         ends and the arrays that _build fills with their bins."""
         spec, n = self.spec, self.n
         self.kernels = [_mollifier_kernel(e, self.h) for e in spec.eps_vector()]
-        # step m of segment k counts into row k r + color - 1 of norm2_sample
+        # step m of segment k counts into row k r + color - 1 of norm2_steps
         self.step_row = np.repeat(np.arange(len(folded)) * spec.domain.r - 1, self.seg_steps)
         # bin range: realized values padded by the largest mollifier width,
         # clipped to the domain (the mu-norm integrates over I only)
@@ -220,7 +237,7 @@ class _PathBatch:
         its -int diagonal per color, and seg_exponent[:, k, c - 1], every
         sample's exponent over segment k held in color c: -int diagonal,
         then the lower wall's logs, then the upper wall's, each summed in
-        step order.  Then what exponent_sample reads besides it."""
+        step order.  Then what exponent_steps reads besides it."""
         spec, n, r, dt = self.spec, self.n, self.spec.domain.r, self.dt
         pot = spec.potential
         self.diagonal = diagonal or partial(pot.values, r=r)
@@ -314,18 +331,20 @@ class _PathBatch:
         held = np.asarray(colors) - 1
         return self.seg_exponent[:, np.arange(len(held)), held].sum(axis=1)
 
-    def exponent_sample(self, s: int, step_colors: np.ndarray) -> float:
-        """Sample s's -int diagonal + wall logs when step m holds color
-        step_colors[m]."""
+    def exponent_steps(self, rows: np.ndarray, step_colors: np.ndarray) -> np.ndarray:
+        """Sample rows[i]'s -int diagonal + wall logs when its step m holds
+        color step_colors[i, m]: the walls' logs gathered at the rows'
+        near-wall steps and summed per row."""
         if self.step_values is None:
-            out = float(self.v_exponent[s])
+            out = self.v_exponent[rows]
         else:
-            out = -float(self.diagonal(step_colors, self.step_values[s]).sum() * self.dt)
+            out = -(self.diagonal(step_colors, self.step_values[rows]).sum(axis=1) * self.dt)
         for ptr, steps, terms in self.walls:
-            lo, hi = ptr[s], ptr[s + 1]
-            held = step_colors[steps[lo:hi]] - 1
+            local, idx = row_ranges(ptr, rows)
+            held = step_colors[local, steps[idx]] - 1
             for holds, logs in terms:
-                out += float(logs[lo:hi][holds[held]].sum())
+                out = out + np.bincount(local, weights=np.where(holds[held], logs[idx], 0.0),
+                                        minlength=len(rows))
         return out
 
     # -- local-time norms ----------------------------------------------------
@@ -349,15 +368,18 @@ class _PathBatch:
             out += (field**2).sum(axis=1) * ((self.dt / self.h) ** 2 * self.h)
         return out
 
-    def norm2_sample(self, s: int, step_colors: np.ndarray) -> float:
-        """The same norm for sample s when step m holds color step_colors[m]:
-        one bincount over (segment, color, bin)."""
+    def norm2_steps(self, rows: np.ndarray, step_colors: np.ndarray) -> np.ndarray:
+        """The same norm for sample rows[i] when its step m holds color
+        step_colors[i, m]: one bincount over (row, segment, color, bin)."""
         r, n_bins, n_segs = self.spec.domain.r, self.n_bins, len(self.seg_steps)
-        flat = (self.step_row + step_colors) * n_bins + self.step_bins[s]
-        counts = np.bincount(flat, minlength=n_segs * r * n_bins).astype(float)
-        field = sum(self._smoothed(k, c) for k, c in enumerate(counts.reshape(n_segs, r, -1)))
+        width = n_segs * r * n_bins
+        flat = (self.step_row + step_colors) * n_bins + self.step_bins[rows]
+        flat += (np.arange(len(rows)) * width)[:, None]
+        counts = np.bincount(flat.ravel(), minlength=len(rows) * width).astype(float)
+        counts = counts.reshape(len(rows), n_segs, r, n_bins)
+        field = sum(self._smoothed(k, counts[:, k]) for k in range(n_segs))
         # scaled by (dt/h)^2, then by h: one precomputed scale moves white bits
-        return float((field**2).sum() * (self.dt / self.h) ** 2 * self.h)
+        return (field**2).sum(axis=(1, 2)) * (self.dt / self.h) ** 2 * self.h
 
     def jump_values(self, s: int, times: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
@@ -388,23 +410,37 @@ class FieldEstimate:
 
 
 class _Accumulator:
-    def __init__(self):
-        self.s = 0.0
-        self.s2 = 0.0
-        self.n = 0
-        self.n_discarded = 0
-        self.max_abs = 0.0
-        self.abs_sum = 0.0
+    """Weight statistics of consecutive start nodes: per node the sample
+    count, mean and sum of squared deviations from it (M2), merged chunk by
+    chunk with the Chan-Golub-LeVeque update, and the largest and summed
+    |weight|; and the samples discarded."""
 
-    def add_batch(self, w: np.ndarray, discarded: int):
-        self.s += float(w.sum())
-        self.s2 += float(w @ w)
-        self.n += len(w)
+    def __init__(self, nodes: int):
+        self.n = np.zeros(nodes, dtype=np.int64)
+        self.mean = np.zeros(nodes)
+        self.m2 = np.zeros(nodes)
+        self.max_abs = np.zeros(nodes)
+        self.abs_sum = np.zeros(nodes)
+        self.n_discarded = 0
+
+    def add_batch(self, node: np.ndarray, w: np.ndarray, discarded: int):
+        """Merge one chunk's weights w, w[j] drawn at node node[j]."""
+        k = len(self.n)
+        n_b = np.bincount(node, minlength=k)
+        # a non-finite weight is reported by the estimate, without a warning
+        with np.errstate(invalid="ignore", over="ignore"):
+            mean_b = np.bincount(node, weights=w, minlength=k) / np.maximum(n_b, 1)
+            m2_b = np.bincount(node, weights=(w - mean_b[node]) ** 2, minlength=k)
+            n = self.n + n_b
+            delta = mean_b - self.mean
+            share = n_b / np.maximum(n, 1)
+            self.mean = self.mean + delta * share
+            self.m2 = self.m2 + m2_b + delta**2 * self.n * share
+        self.n = n
         self.n_discarded += discarded
-        if len(w):
-            contrib = np.abs(w)
-            self.max_abs = max(self.max_abs, float(contrib.max()))
-            self.abs_sum += float(contrib.sum())
+        contrib = np.abs(w)
+        np.maximum.at(self.max_abs, node, contrib)
+        self.abs_sum += np.bincount(node, weights=contrib, minlength=k)
 
 
 def smooth_trace_moment(spec: ExperimentSpec, workers: int = 1) -> MomentEstimate:
@@ -443,17 +479,22 @@ def whitenoise_trace_moment(spec: ExperimentSpec, workers: int = 1) -> MomentEst
     return _run_moment(spec, white=True, workers=workers)
 
 
-def _node_stats(args) -> _Accumulator:
-    """Accumulated weight statistics for one starting-tuple node."""
-    spec, white, node_idx, pat, xv, per_node = args
+def _chunk_stats(args) -> _Accumulator:
+    """Weight statistics of consecutive start nodes of one color pattern,
+    per_node samples each: one packed chunk of whole nodes, or the chunks of
+    _chunk_rows samples of one node."""
+    spec, white, pat, starts, first_node, per_node = args
     stream = _STREAM_WHITE if white else _STREAM_SMOOTH
-    acc = _Accumulator()
-    chunk_size = _chunk_rows(spec)
-    for chunk_idx, done in enumerate(range(0, per_node, chunk_size)):
-        m = min(chunk_size, per_node - done)
-        rng = derived_rng(spec.seed, stream, node_idx, chunk_idx)
-        batch = _PathBatch(spec, tuple(xv), m, rng, keep_free=not white)
-        acc.add_batch(*_moment_weights(spec, batch, pat, rng, white))
+    acc = _Accumulator(len(starts))
+    xs = np.repeat(starts, per_node, axis=0)
+    node = np.repeat(np.arange(len(starts)), per_node)
+    size = _chunk_rows(spec)
+    for chunk_idx, lo in enumerate(range(0, len(xs), size)):
+        rng = derived_rng(spec.seed, stream, first_node, chunk_idx)
+        rows = xs[lo:lo + size]
+        batch = _PathBatch(spec, rows, len(rows), rng, keep_free=not white)
+        w, keep = _moment_weights(spec, batch, pat, rng, white)
+        acc.add_batch(node[lo:lo + size][keep], w[keep], int(batch.n - keep.sum()))
     return acc
 
 
@@ -461,47 +502,43 @@ def _run_moment(spec: ExperimentSpec, white: bool, workers: int) -> MomentEstima
     xs, hq = start_quadrature(spec)
     patterns = color_patterns(spec)
     n = spec.n_factors
-    nodes = [(pat, mult, xv) for pat, mult in patterns
-             for xv in np.stack(np.meshgrid(*[xs] * n, indexing="ij"), -1).reshape(-1, n)]
-    per_node = max(16, spec.n_paths // max(1, len(nodes)))
-
-    tasks = [(spec, white, node_idx, pat, tuple(xv), per_node)
-             for node_idx, (pat, _, xv) in enumerate(nodes)]
+    grid = np.stack(np.meshgrid(*[xs] * n, indexing="ij"), -1).reshape(-1, n)
+    per_node = max(16, spec.n_paths // max(1, len(patterns) * len(grid)))
+    # consecutive nodes of one pattern share a chunk until it holds a row
+    # block of its widest segment (within _chunk_rows); a larger node is alone
+    pack = max(1, min(-(-block_rows(max(spec.step_counts()) + 1) // per_node),
+                      _chunk_rows(spec) // per_node))
+    tasks = [(spec, white, pat, grid[lo:lo + pack], p * len(grid) + lo, per_node)
+             for p, (pat, _) in enumerate(patterns) for lo in range(0, len(grid), pack)]
     # a pool starts all its processes at once; the result is the same for any number
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only parallel runs need it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_node_stats, tasks, chunksize=4))
+            results = list(pool.map(_chunk_stats, tasks, chunksize=4))
     else:
-        results = [_node_stats(t) for t in tasks]
+        results = [_chunk_stats(t) for t in tasks]
 
-    total = 0.0
-    var = 0.0
-    n_eff = 0
-    n_disc = 0
-    max_contrib = 0.0
-    abs_contrib = 0.0
-    warnings = []
-
-    # pi_z of every node: one density call per segment, multiplied in segment order
-    starts = np.array([xv for _, _, xv in nodes])
-    pi_z = np.prod([transition_density(spec.domain, t, x, x)
-                    for t, x in zip(spec.ts, starts.T)], axis=0)
-    for acc, (_, mult, _), node_pi in zip(results, nodes, pi_z):
-        scale = mult * hq**n * float(node_pi)
-        node_n = max(acc.n, 1)
-        mean = acc.s / node_n
+    # per node, in node order: pattern-major, then grid order
+    counts, mean, m2, max_abs, abs_sum = (np.concatenate([getattr(acc, name) for acc in results])
+                                          for name in ("n", "mean", "m2", "max_abs", "abs_sum"))
+    n_eff = int(counts.sum())
+    n_disc = sum(acc.n_discarded for acc in results)
+    # pi_z of every grid node: one density call per segment, multiplied in segment order
+    pi_z = np.prod([transition_density(spec.domain, t, x, x) for t, x in zip(spec.ts, grid.T)],
+                   axis=0)
+    mults = np.repeat([mult for _, mult in patterns], len(grid))
+    scale = mults * hq**n * np.tile(pi_z, len(patterns))
+    node_n = np.maximum(counts, 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        total = float((scale * mean).sum())
         # with n - 1, as the oracle's ddof=1
-        node_var = max(acc.s2 / node_n - mean**2, 0.0) * node_n / max(node_n - 1, 1)
-        total += scale * mean
-        var += scale**2 * node_var / node_n
-        n_eff += acc.n
-        n_disc += acc.n_discarded
-        max_contrib = max(max_contrib, acc.max_abs * abs(scale) / node_n)
-        abs_contrib += acc.abs_sum * abs(scale) / node_n
+        var = float((scale**2 * (m2 / np.maximum(counts - 1, 1)) / node_n).sum())
+        max_contrib = float((max_abs * np.abs(scale) / node_n).max())
+        abs_contrib = float((abs_sum * np.abs(scale) / node_n).sum())
 
+    warnings = []
     if n_disc > 0.01 * max(1, n_eff + n_disc):
         warnings.append(f"discard rate {n_disc / (n_eff + n_disc):.2%} above 1%")
     est = MomentEstimate(value=total, stderr=float(np.sqrt(var)), n_paths=n_eff,
@@ -517,12 +554,17 @@ def _run_moment(spec: ExperimentSpec, white: bool, workers: int) -> MomentEstima
 
 
 def _moment_weights(spec: ExperimentSpec, batch: _PathBatch, colors: tuple[int, ...],
-                    rng: np.random.Generator, white: bool) -> tuple[np.ndarray, int]:
+                    rng: np.random.Generator, white: bool) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample weights factor * exp(base + sigma2/2 ||L||^2 - int V +
-    wall logs) of one chunk, and the number discarded for a jump count above
-    n_max.  The route sets, before the shared loop, the jump counts, the log
-    base, the jump-free factor, and how a sample's jumps are drawn and
-    weighed (draw, factor)."""
+    wall logs) of one chunk, and the mask of samples kept (jump count at
+    most n_max; the rest are discarded).
+
+    The route sets the jump counts, the log base and the jump-free factor.
+    Every kept sample with an even, nonzero jump count then draws its jumps
+    in one batch (the singular or the free walk), the endpoint indicator is
+    read off the batch, the pairing factor runs per accepted sample, and
+    the step colors, norms and exponents of the samples with a nonzero
+    factor run as array operations, one block_rows row block at a time."""
     r = spec.domain.r
     segments = tuple(zip(spec.ts, colors))
     if white:
@@ -530,74 +572,71 @@ def _moment_weights(spec: ExperimentSpec, batch: _PathBatch, colors: tuple[int, 
         counts = singular_jump_counts(r, l2, rng)
         base = (r - 1) ** 2 / 2.0 * l2
         scale = 1.0
-
-        def draw(s, n):
-            sampler = SelfIntersectionSampler(batch.step_bins[s], batch.full_hist[s], batch.dt)
-            return sampler.sample(n, segments, r, rng)
-
-        def factor(s, n, jp):
-            return spec.upsilon2 ** (n / 2.0) * constant_c(spec.kind, jp.jumps, jp.matching)
     else:
         seg_counts = walk_jump_counts(r, spec.ts, batch.n, rng)
         counts = seg_counts.sum(axis=1)
         base = np.zeros(batch.n)
         scale = math.exp((r - 1) * sum(spec.ts))
 
-        def draw(s, n):
-            return draw_free_walk(segments, seg_counts[s], r, rng)
-
-        def factor(s, n, jp):
-            return scale * _matching_sum(spec, batch, s, jp, rng)
-
     weights = np.zeros(batch.n)
     zero = counts == 0
-    if zero.any():
-        idx = np.flatnonzero(zero)
-        expo = (base[idx]
-                + spec.sigma2 / 2.0 * batch.norm2_constant(colors)[idx]
-                + batch.exponent_constant(colors)[idx])
-        with np.errstate(over="ignore"):  # an overflow is reported as a non-finite estimate
+    # an overflow is reported as a non-finite estimate
+    with np.errstate(over="ignore"):
+        if zero.any():
+            idx = np.flatnonzero(zero)
+            expo = (base[idx]
+                    + spec.sigma2 / 2.0 * batch.norm2_constant(colors)[idx]
+                    + batch.exponent_constant(colors)[idx])
             weights[idx] = scale * np.exp(expo)
-    keep = counts <= spec.n_max
-    # odd counts and unmatched endpoint colors keep their zero weight
-    for s in np.flatnonzero(~zero & keep & (counts % 2 == 0)):
-        n = int(counts[s])
-        jp = draw(s, n)
-        if jp.endpoint_colors() != list(colors):
-            continue
-        f = factor(s, n, jp)
-        if f == 0.0:
-            continue
-        step_colors = jp.color_at_steps(batch.dt, batch.total_steps)
-        expo = (base[s]
-                + spec.sigma2 / 2.0 * batch.norm2_sample(s, step_colors)
-                + batch.exponent_sample(s, step_colors))
-        weights[s] = f * _exp(expo)
-    return weights[keep], int(batch.n - keep.sum())
+        keep = counts <= spec.n_max
+        # odd counts and unmatched endpoint colors keep their zero weight
+        rows = np.flatnonzero(~zero & keep & (counts % 2 == 0))
+        if white:
+            drawn = singular_walk_times(batch.step_bins[rows], batch.full_hist[rows],
+                                        counts[rows], batch.dt, batch.seg_bounds, rng)
+        else:
+            drawn = free_walk_times(segments, seg_counts[rows], rng)
+        jumps = draw_jumps_along(segments, r, *drawn, rng)
+        accepted = np.flatnonzero((jumps.endpoint_colors() == colors).all(axis=1))
+        factors = np.array([_pairing_factor(spec, batch, rows[i], JumpPath(jumps, i), scale, rng)
+                            for i in accepted])
+        live = factors != 0.0
+        accepted, factors = accepted[live], factors[live]
+        block = block_rows(batch.total_steps)
+        for lo in range(0, len(accepted), block):
+            at = accepted[lo:lo + block]
+            step_colors = jumps.step_colors(at, batch.dt, batch.seg_bounds)
+            s = rows[at]
+            expo = (base[s]
+                    + spec.sigma2 / 2.0 * batch.norm2_steps(s, step_colors)
+                    + batch.exponent_steps(s, step_colors))
+            weights[s] = factors[lo:lo + block] * np.exp(expo)
+    return weights, keep
 
 
-def _exp(x: float) -> float:
-    """math.exp with inf for an overflow, which the estimate's finiteness check reports."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
+def _pairing_factor(spec: ExperimentSpec, batch: _PathBatch, s: int, path: JumpPath,
+                    scale: float, rng: np.random.Generator) -> float:
+    """The pairing factor of sample s with jumps path: the sampled
+    matching's weight (white route) or the sum over matchings (smooth
+    route, times the jump-free factor scale)."""
+    if path.matching is None:
+        return scale * _matching_sum(spec, batch, s, path, rng)
+    return spec.upsilon2 ** (len(path.jumps) / 2.0) * constant_c(spec.kind, path.jumps,
+                                                                 path.matching)
 
 
-def _matching_sum(spec: ExperimentSpec, batch: _PathBatch, s: int, jp: JumpPath,
+def _matching_sum(spec: ExperimentSpec, batch: _PathBatch, s: int, path: JumpPath,
                   rng: np.random.Generator) -> float:
-    """Sum over pairings of the realized jumps (at least one), each weighted
+    """Sum over pairings of sample s's jumps (at least one), each weighted
     by the field constant and the product of convolution kernels at the
     displacements."""
     if spec.upsilon2 == 0.0:
         return 0.0
-    zvals = batch.jump_values(s, jp.times, rng)
-    seg_of = np.minimum(np.searchsorted(jp.segment_starts, jp.times, side="right") - 1,
-                        len(spec.ts) - 1)
-    zeta_of = np.asarray(spec.zeta_vector())[seg_of]
+    zvals = batch.jump_values(s, path.times, rng)
+    zeta_of = np.asarray(spec.zeta_vector())[path.seg]
     total = 0.0
-    for p in _matchings(jp.n_jumps, spec.n_max):
-        c = constant_c(spec.kind, jp.jumps, p)
+    for p in _matchings(len(path.jumps), spec.n_max):
+        c = constant_c(spec.kind, path.jumps, p)
         if c == 0.0:
             continue
         prod = 1.0
@@ -708,15 +747,19 @@ class _MollifiedNoise:
 
 def _fk_single(batch: _PathBatch, s: int, n_jumps: int, i0: int, j0: int,
                field: _MollifiedNoise, rng: np.random.Generator) -> FieldElement:
-    """Sample s's weight when its walk jumps n_jumps > 0 times."""
+    """Sample s's weight when its walk, a batch of one, jumps n_jumps > 0
+    times."""
     spec = batch.spec
-    jp = draw_free_walk(((spec.ts[0], i0),), (n_jumps,), spec.domain.r, rng)
-    if jp.endpoint_colors() != [j0]:
+    segments = ((spec.ts[0], i0),)
+    drawn = free_walk_times(segments, np.array([[n_jumps]]), rng)
+    path = JumpPath(draw_jumps_along(segments, spec.domain.r, *drawn, rng), 0)
+    if path.endpoint_colors() != [j0]:
         return FieldElement(spec.kind, 0.0)
-    expo = batch.exponent_sample(s, jp.color_at_steps(batch.dt, batch.total_steps))
+    step_colors = path.color_at_steps(batch.dt, batch.seg_bounds)[None]
+    expo = batch.exponent_steps(np.array([s]), step_colors)[0]
     # the ordered product of off-diagonal noise at the jump points
     prod = one(spec.kind)
-    for (frm, to), z in zip(jp.jumps, batch.jump_values(s, jp.times, rng)):
+    for (frm, to), z in zip(path.jumps, batch.jump_values(s, path.times, rng)):
         prod = mul(prod, field.entry(frm, to, z))
     return prod.scale(math.exp(expo) * (-1.0) ** n_jumps)
 

@@ -117,30 +117,43 @@ def transition_density(domain: DomainConfig, t: float, x, y) -> np.ndarray | flo
     return out if out.ndim else float(out)
 
 
-def sample_bridge_ensemble(domain: DomainConfig, x: float, y: float, t: float,
+def sample_bridge_ensemble(domain: DomainConfig, x, y, t: float,
                            dt: float, n_paths: int, rng: np.random.Generator,
                            return_free: bool = False):
-    """n_paths bridges of Z from x to y over [0, t], shape (n_paths, steps+1).
+    """n_paths bridges of Z over [0, t], row i from x[i] to y[i] (x and y
+    are scalars or one value per row), shape (n_paths, steps+1).
 
     The free endpoint is drawn from the image mixture, the free bridge is
     then folded; folded endpoints hit y exactly.  With return_free the
     unfolded free paths x + W are returned alongside (used for exact
     interpolation at off-grid times).
 
-    After the endpoint draws for all paths, the paths are built in row
-    blocks of about _BLOCK_BYTES, each pass over a block running in cache:
-    the block's normals go into one reused buffer (block by block they are
-    the C-order draw of the whole array), are scaled and summed into the
-    output rows, which are pulled to their endpoints, shifted by x and
-    folded in place.
+    One uniform per row picks its image endpoint, by inversion of the
+    mixture's CDF for each run of rows with equal (x, y): for one (x, y)
+    this is the draw of rng.choice(p=weights).  The paths are then built in
+    row blocks of about _BLOCK_BYTES, each pass over a block running in
+    cache: the block's normals go into one reused buffer (block by block
+    they are the C-order draw of the whole array), are scaled and summed
+    into the output rows, which are pulled to their endpoints, shifted by x
+    and folded in place.
     """
-    if not (domain.contains(x) and domain.contains(y)):
-        raise ValueError(f"endpoints ({x}, {y}) outside the domain closure")
+    x = np.broadcast_to(np.asarray(x, dtype=float), (n_paths,))
+    y = np.broadcast_to(np.asarray(y, dtype=float), (n_paths,))
+    cuts = np.flatnonzero((x[1:] != x[:-1]) | (y[1:] != y[:-1])) + 1
+    runs = list(zip(np.append(0, cuts), np.append(cuts, n_paths)))
+    for lo, _ in runs:
+        if not (domain.contains(x[lo]) and domain.contains(y[lo])):
+            raise ValueError(f"endpoints ({x[lo]}, {y[lo]}) outside the domain closure")
     if dt <= 0 or dt > t:
         raise ValueError("need 0 < dt <= t")
     n_steps = max(1, int(round(t / dt)))
-    e, wts = _image_endpoints(domain, x, y, t)
-    ends = e[rng.choice(len(e), size=n_paths, p=wts / wts.sum())]
+    u = rng.random(n_paths)
+    ends = np.empty(n_paths)
+    for lo, hi in runs:
+        e, wts = _image_endpoints(domain, x[lo], y[lo], t)
+        cdf = (wts / wts.sum()).cumsum()
+        cdf /= cdf[-1]
+        ends[lo:hi] = e[cdf.searchsorted(u[lo:hi], side="right")]
     step_sd = np.sqrt(t / n_steps)
     s = np.linspace(0.0, 1.0, n_steps + 1)[1:]
     out = np.empty((n_paths, n_steps + 1))
@@ -158,7 +171,7 @@ def sample_bridge_ensemble(domain: DomainConfig, x: float, y: float, t: float,
         # pull the end to the endpoint; column 0 stays 0.0 (0.0 - +-0.0 = 0.0),
         # so only the later columns need the correction, built in incs' buffer
         w[:, 1:] -= np.multiply((w[:, -1] - ends[lo:lo + rows])[:, None], s, out=incs)
-        w += x
+        w += x[lo:lo + rows, None]
         if free is not out:
             free[lo:lo + rows] = w
         if domain.case == 2:

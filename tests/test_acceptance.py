@@ -25,7 +25,7 @@ from noise_probe import (
     two_point_components,
 )
 from test_combinatorics import WALK_1_AND_4, WALK_2, random_jumps
-from test_jump_process import walk
+from test_jump_process import poisson_product, walks
 from wick_oracle import pairing_moment_mc
 
 pytestmark = pytest.mark.acceptance
@@ -374,14 +374,9 @@ class TestCriterion9PoissonConditioning:
             return 0.7 + 0.25 * np.sin(3.0 * x)
 
         n = 50_000
-        prods = np.empty(n)
-        for s in range(n):
-            u = walk(3, [(t, 1)], rng)
-            if u.n_jumps == 0:
-                prods[s] = 1.0
-            else:
-                idx = np.minimum((u.times / dt).astype(int), len(path) - 2)
-                prods[s] = np.prod(eta(path[idx]))
+        jumps = walks(3, [(t, 1)], n, rng)
+        idx = np.minimum((jumps.times / dt).astype(int), len(path) - 2)
+        prods = poisson_product(jumps, eta(path[idx]), n)
         want = float(np.exp(2.0 * (eta(path[:-1]).sum() * dt - t)))
         mean, se = mean_with_se(prods)
         assert abs(mean - want) <= 4 * se

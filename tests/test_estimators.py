@@ -22,7 +22,7 @@ from mvsao.estimators import (
 )
 from mvsao.experiment import DIRICHLET, ExperimentSpec, PotentialSpec
 from mvsao.noise_model import bump_scaled, sample_noise
-from mvsao.jump_process import SelfIntersectionSampler
+from mvsao.jump_process import singular_walk_times
 from mvsao.stochastic_paths import (
     DomainConfig,
     log_wall_factor,
@@ -32,7 +32,14 @@ from mvsao.stochastic_paths import (
 )
 from test_acceptance import richardson_extrapolate
 from test_algebra import field_abs
-from test_jump_process import colored_hist, frozen_batch, hist_norm2, walk
+from test_jump_process import (
+    colored_hist,
+    frozen_batch,
+    hist_norm2,
+    norm2_at,
+    poisson_product,
+    walks,
+)
 from test_stochastic_paths import reference_bridges
 
 PI = np.pi
@@ -246,7 +253,8 @@ class TestWhiteMoment:
     @pytest.mark.parametrize("cores, started", [(1, None), (3, 3), (64, 4)])
     def test_pool_capped_by_tasks_and_cores(self, monkeypatch, cores, started):
         # the fake pool records its size and maps in-process: no count that
-        # reaches it starts a process
+        # reaches it starts a process.  Four nodes of 200 paths each fill a
+        # row block of their 1000 steps (130 rows), so none packs: four tasks
         sizes = []
 
         class FakePool:
@@ -264,10 +272,39 @@ class TestWhiteMoment:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        spec = two_color_spec(n_paths=64, n_quad=4)  # one color pattern, 4 nodes
+        spec = two_color_spec(n_paths=800, n_quad=4)  # one color pattern, 4 nodes
         est = whitenoise_trace_moment(spec, workers=4096)
         assert sizes == ([] if started is None else [started])
         assert est == whitenoise_trace_moment(spec)
+        # the same four nodes at 16 paths each pack into one chunk: one task
+        sizes.clear()
+        whitenoise_trace_moment(replace(spec, n_paths=64), workers=4096)
+        assert sizes == []
+
+    @pytest.mark.parametrize("spec, tasks", [
+        (two_color_spec(ts=(0.5, 0.5), n_paths=1152, n_quad=6, dt=5e-4), [9] * 8),
+        (two_color_spec(ts=(0.5,), n_paths=300, n_quad=2, dt=5e-6), [1, 1])],
+        ids=["packed", "split"])
+    def test_workers_byte_identical(self, spec, tasks):
+        """Nodes of 16 paths that pack 9 to a chunk (a row block of 1000
+        steps is 130 rows; two patterns of 36 nodes), and nodes of 150 paths
+        that split into chunks of 64, 64 and 22 (100000 steps), give the same
+        output for 1 and 2 workers."""
+        from mvsao import estimators
+
+        seen = []
+
+        def spy(task):
+            seen.append(len(task[3]))
+            return run_task(task)
+
+        run_task = estimators._chunk_stats
+        with mock.patch("mvsao.estimators._chunk_stats", spy):
+            one = whitenoise_trace_moment(spec)
+        assert seen == tasks
+        two = whitenoise_trace_moment(spec, workers=2)
+        assert repr(one) == repr(two)
+        assert one.n_paths + one.n_discarded == sum(tasks) * (16 if len(tasks) > 2 else 150)
 
 
 class TestPoissonConditioningIdentity:
@@ -283,17 +320,17 @@ class TestPoissonConditioningIdentity:
 
         n = 40_000
         r = 3
-        prods = np.empty(n)
-        for s in range(n):
-            u = walk(r, [(t, 1)], rng)
-            if u.n_jumps == 0:
-                prods[s] = 1.0
-            else:
-                idx = np.minimum((u.times / dt).astype(int), len(path) - 2)
-                prods[s] = np.prod(eta(path[idx]))
+        jumps = walks(r, [(t, 1)], n, rng)
+        idx = np.minimum((jumps.times / dt).astype(int), len(path) - 2)
+        prods = poisson_product(jumps, eta(path[idx]), n)
         want = np.exp((r - 1) * (eta(path[:-1]).sum() * dt - t))
         se = prods.std(ddof=1) / np.sqrt(n)
         assert abs(prods.mean() - want) <= 4 * se
+
+
+def every_row(batch, steps):
+    """Every row of a batch, each holding the step colors steps."""
+    return np.arange(batch.n), np.tile(np.asarray(steps, dtype=np.uint8), (batch.n, 1))
 
 
 class TestConstantColorFastPaths:
@@ -308,24 +345,23 @@ class TestConstantColorFastPaths:
         batch = _PathBatch(spec, (0.02, 0.97), 6, np.random.default_rng(3))
         for colors in ((1, 1), (1, 2), (2, 1)):
             steps = np.repeat(colors, batch.seg_steps)
-            np.testing.assert_allclose(
-                [batch.exponent_sample(s, steps) for s in range(batch.n)],
-                batch.exponent_constant(colors), rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(
-                [batch.norm2_sample(s, steps) for s in range(batch.n)],
-                batch.norm2_constant(colors), rtol=1e-12)
+            rows, per_row = every_row(batch, steps)
+            np.testing.assert_allclose(batch.exponent_steps(rows, per_row),
+                                       batch.exponent_constant(colors), rtol=1e-12, atol=1e-12)
+            norms = batch.norm2_steps(rows, per_row)
+            np.testing.assert_allclose(norms, batch.norm2_constant(colors), rtol=1e-12)
             for s in range(batch.n):
                 hist = colored_hist(batch, s, steps)
                 np.testing.assert_array_equal(hist.sum(axis=0), batch.full_hist[s])
                 for i in (1, 2):
                     ks = [k for k, c in enumerate(colors) if c == i]
                     np.testing.assert_array_equal(hist[i - 1], batch.seg_hist[s, ks].sum(axis=0))
-                assert batch.norm2_sample(s, steps) == hist_norm2(batch, hist)
+                assert norms[s] == hist_norm2(batch, hist)
 
 
 def smoothed_norm2_reference(batch, colors, step_colors):
     """The mollified local-time norm in mass units, the reference for
-    norm2_constant and norm2_sample: per color, the segments' histograms
+    norm2_constant and norm2_steps: per color, the segments' histograms
     times dt/h, each convolved with its segment's bump kernel, summed,
     squared and integrated against h.  For every sample, segment k holding
     colors[k], and for sample 0 with per-step colors step_colors."""
@@ -363,7 +399,7 @@ def smoothed_norm2_reference(batch, colors, step_colors):
 
 
 class TestSmoothedNorm:
-    """norm2_constant and norm2_sample with mollifier kernels: the smooth
+    """norm2_constant and norm2_steps with mollifier kernels: the smooth
     route's ||sum_k L_k * bump_{eps_k}||^2."""
 
     @pytest.mark.parametrize("eps", [(0.0, 0.1), (0.1, 0.05)])
@@ -375,14 +411,14 @@ class TestSmoothedNorm:
         for colors in ((1, 1), (1, 2), (2, 1)):
             steps = np.repeat(colors, batch.seg_steps)
             constant = batch.norm2_constant(colors)
-            np.testing.assert_allclose([batch.norm2_sample(s, steps) for s in range(batch.n)],
+            np.testing.assert_allclose(batch.norm2_steps(*every_row(batch, steps)),
                                        constant, rtol=1e-12)
             want_constant, _ = smoothed_norm2_reference(batch, colors, steps)
             np.testing.assert_allclose(constant, want_constant, rtol=1e-12)
         # per-step colors that change inside the segments
         steps = np.random.default_rng(10).integers(1, 3, batch.total_steps)
         _, want_sample = smoothed_norm2_reference(batch, (1, 2), steps)
-        assert batch.norm2_sample(0, steps) == pytest.approx(want_sample, rel=1e-12)
+        assert norm2_at(batch, 0, steps) == pytest.approx(want_sample, rel=1e-12)
 
 
 def dense_wall_terms(spec, folded, dt):
@@ -421,7 +457,7 @@ def dense_exponent(spec, folded, step_colors, diagonal=None):
 
 
 def assert_exponent_matches_dense(batch, folded, diagonal=None):
-    """exponent_constant and exponent_sample of a batch over the folded
+    """exponent_constant and exponent_steps of a batch over the folded
     paths against dense_exponent: every constant color tuple, and per-step
     colors that change inside the segments."""
     r = batch.spec.domain.r
@@ -430,13 +466,20 @@ def assert_exponent_matches_dense(batch, folded, diagonal=None):
         steps = np.repeat(colors, batch.seg_steps)
         want = dense_exponent(batch.spec, folded, steps, diagonal)
         np.testing.assert_allclose(batch.exponent_constant(colors), want, rtol=1e-12)
-        np.testing.assert_allclose([batch.exponent_sample(s, steps) for s in range(batch.n)],
+        np.testing.assert_allclose(batch.exponent_steps(*every_row(batch, steps)),
                                    want, rtol=1e-12)
     for _ in range(2):
         steps = rng.integers(1, r + 1, batch.total_steps)
-        np.testing.assert_allclose([batch.exponent_sample(s, steps) for s in range(batch.n)],
+        np.testing.assert_allclose(batch.exponent_steps(*every_row(batch, steps)),
                                    dense_exponent(batch.spec, folded, steps, diagonal),
                                    rtol=1e-12)
+    # rows in any order, each with its own step colors
+    rows = rng.permutation(batch.n)[:4]
+    steps = rng.integers(1, r + 1, (len(rows), batch.total_steps))
+    want = [dense_exponent(batch.spec, folded, row_steps, diagonal)[s]
+            for s, row_steps in zip(rows, steps)]
+    np.testing.assert_allclose(batch.exponent_steps(rows, steps.astype(np.uint8)), want,
+                               rtol=1e-12)
 
 
 def near_wall_paths(domain, dt, n_rows, n_steps, rng):
@@ -488,8 +531,8 @@ class TestNearWallCut:
 
 class TestNarrowStepBins:
     """_PathBatch stores step bins in the narrowest unsigned type; bin
-    counts, the colored local-time norm and the sampler's draws equal those
-    from int64 bins."""
+    counts, the colored local-time norm and the singular walks' draws equal
+    those from int64 bins."""
 
     @pytest.mark.parametrize("h,dtype", [(0.05, np.uint8), (2e-3, np.uint16),
                                          (1e-5, np.uint32)])
@@ -505,13 +548,13 @@ class TestNarrowStepBins:
             flat = (steps - 1) * batch.n_bins + wide[s]
             hist = np.bincount(flat, minlength=2 * batch.n_bins).reshape(2, batch.n_bins)
             np.testing.assert_array_equal(hist.sum(axis=0), batch.full_hist[s])
-            assert batch.norm2_sample(s, steps) == hist_norm2(batch, hist)
-            draws = []
-            for bins in (batch.step_bins[s], wide[s]):
-                sampler = SelfIntersectionSampler(bins, batch.full_hist[s], batch.dt)
-                rng = np.random.default_rng(s)
-                draws.append([sampler.sample_pair(rng) for _ in range(200)])
-            assert draws[0] == draws[1]
+            assert norm2_at(batch, s, steps) == hist_norm2(batch, hist)
+        draws = []
+        for bins in (batch.step_bins, wide):
+            drawn = singular_walk_times(bins, batch.full_hist, np.full(batch.n, 200), batch.dt,
+                                        batch.seg_bounds, np.random.default_rng(5))
+            draws.append(b"".join(np.asarray(a).tobytes() for a in drawn))
+        assert draws[0] == draws[1]
 
 
 def reference_batch(spec, xs, n, rng, ys=None):
@@ -634,11 +677,12 @@ class TestUnbiasedStderr:
 
     def test_moment_route(self):
         spec = dirichlet_interval_spec(zetas=None, n_quad=1)
-        acc = _Accumulator()
-        acc.add_batch(self.W, 0)
-        with mock.patch("mvsao.estimators._node_stats", lambda task: acc):
+        acc = _Accumulator(1)
+        acc.add_batch(np.zeros(len(self.W), dtype=np.int64), self.W, 0)
+        with mock.patch("mvsao.estimators._chunk_stats", lambda task: acc):
             est = whitenoise_trace_moment(spec)
         assert est.stderr / est.value == pytest.approx(self.WANT, rel=1e-12)
+
 
     def test_kernel(self):
         # r = 1: no walk jumps, so every weight is exp(exponent_constant)
@@ -648,6 +692,44 @@ class TestUnbiasedStderr:
                                     eps=0.1, n_paths=len(logs))
         assert est.stderr / est.value.a == pytest.approx(self.WANT, rel=1e-12)
 
+
+class TestAccumulator:
+    """Per-node statistics merged chunk by chunk (Chan-Golub-LeVeque)."""
+
+    def test_large_offset_variance(self):
+        # weights 1e8 + O(1): the sum of squares minus n mean^2 cancels to
+        # about 1e-16 * 1e16 = 1, the merged M2 keeps the variance
+        rng = np.random.default_rng(8)
+        w = 1e8 + rng.standard_normal(4000)
+        node = np.repeat([0, 1], 2000)
+        acc = _Accumulator(2)
+        for lo in range(0, 4000, 300):
+            acc.add_batch(node[lo:lo + 300], w[lo:lo + 300], 0)
+        for k in (0, 1):
+            mine = w[node == k]
+            want = np.var(mine - 1e8, ddof=1)
+            assert acc.m2[k] / (acc.n[k] - 1) == pytest.approx(want, rel=1e-6)
+            assert acc.mean[k] == pytest.approx(mine.mean(), rel=1e-15)
+            cancelled = (mine @ mine / len(mine) - mine.mean() ** 2) * len(mine) / (len(mine) - 1)
+            assert abs(cancelled - want) > 1e-3 * want
+        assert acc.n.tolist() == [2000, 2000]
+
+    def test_merge_matches_two_pass(self):
+        rng = np.random.default_rng(9)
+        w = rng.exponential(size=500)
+        node = rng.integers(0, 5, 500)
+        acc = _Accumulator(6)  # node 5 gets no sample
+        for lo in (0, 7, 100, 101, 350):
+            acc.add_batch(node[lo:lo + 93], w[lo:lo + 93], 1)
+        rows = np.concatenate([np.arange(lo, min(lo + 93, 500)) for lo in (0, 7, 100, 101, 350)])
+        for k in range(6):
+            mine = w[rows][node[rows] == k]
+            assert acc.n[k] == len(mine)
+            if len(mine):
+                assert acc.mean[k] == pytest.approx(mine.mean(), rel=1e-13)
+                assert acc.m2[k] == pytest.approx(((mine - mine.mean()) ** 2).sum(), rel=1e-12)
+                assert acc.max_abs[k] == mine.max()
+        assert acc.n_discarded == 5
 
 class TestRigidityCovariance:
     def test_zero_noise_vanishes(self):

@@ -8,8 +8,12 @@ must leave them bit for bit.  Regenerate the table only for a change that
 is meant to alter the estimator:
 
     PYTHONPATH=src python tests/test_golden.py
+
+prints each case's recorded and new estimate and stderr, with the change
+in combined standard errors, on stderr, and the new table on stdout.
 """
 
+import math
 import sys
 
 from mvsao.cli import parse_config, run
@@ -64,8 +68,21 @@ def test_golden_outputs():
         assert pinned(name) == EXPECTED[name], name
 
 
+def shift_in_se(old: tuple[str, str], new: tuple[str, str]) -> float:
+    """(new - old) / sqrt(se_old^2 + se_new^2) of two (estimate, stderr) reprs."""
+    (a, sa), (b, sb) = ((float(v), float(e)) for v, e in (old, new))
+    return (b - a) / math.hypot(sa, sb) if sa or sb else 0.0
+
+
 if __name__ == "__main__":
+    table = {name: pinned(name) for name in CASES}
+    sys.stderr.write(f"{'case':22s} {'recorded':>28s} {'new':>28s} {'shift/se':>9s}\n")
+    for name, rows in table.items():
+        for old, new in zip(EXPECTED.get(name, rows), rows):
+            sys.stderr.write(f"{name:22s} {float(old[0]):13.6g} +- {float(old[1]):10.4g}"
+                             f" {float(new[0]):13.6g} +- {float(new[1]):10.4g}"
+                             f" {shift_in_se(old[:2], new[:2]):+9.2f}\n")
     sys.stdout.write("EXPECTED = {\n")
-    for name in CASES:
-        sys.stdout.write(f"    {name!r}: {pinned(name)!r},\n")
+    for name, rows in table.items():
+        sys.stdout.write(f"    {name!r}: {rows!r},\n")
     sys.stdout.write("}\n")

@@ -9,6 +9,10 @@ one chunk.  Regenerate the table only for a change that is meant to alter
 the estimator:
 
     PYTHONPATH=src python tests/test_kernel_golden.py
+
+prints each case's recorded and new value and stderr, with the change in
+combined standard errors per component, on stderr, and the new table on
+stdout.
 """
 
 import sys
@@ -103,7 +107,17 @@ def test_kernel_golden_outputs():
 
 
 if __name__ == "__main__":
+    table = {case.__name__: pinned(case) for case in CASES}
+    for name, (comps, se) in table.items():
+        old_comps, old_se = EXPECTED.get(name, (comps, se))
+        comb = float(np.hypot(float(old_se), float(se)))
+        shifts = [(float(b) - float(a)) / comb if comb else 0.0
+                  for a, b in zip(old_comps, comps)]
+        sys.stderr.write(f"{name:22s} recorded {[float(c) for c in old_comps]}"
+                         f" +- {float(old_se):.4g}\n"
+                         f"{'':22s} new      {[float(c) for c in comps]} +- {float(se):.4g}\n"
+                         f"{'':22s} shift/se {[round(x, 2) for x in shifts]}\n")
     sys.stdout.write("EXPECTED = {\n")
-    for case in CASES:
-        sys.stdout.write(f"    {case.__name__!r}: {pinned(case)!r},\n")
+    for name, pins in table.items():
+        sys.stdout.write(f"    {name!r}: {pins!r},\n")
     sys.stdout.write("}\n")

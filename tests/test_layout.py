@@ -14,6 +14,8 @@ ENTRY_POINTS = {
     "save_noise": "writes the noise archives that the oracle's noise_archive option reads",
     "load_spectra": "reads the files that the oracle's spectra_out option writes",
     "__version__": "the package version",
+    "random_matching": "perfbench traces it (combinatorics.matching_s) and its tests require "
+                       "every trace target to resolve; the batched white draw does not call it",
 }
 
 

@@ -230,8 +230,8 @@ class TestBoundaryLocalTime:
         split = frozen_weights(path, 1e-3, HALF, (1.0,), cuts=(400,))
         assert full[0] > 0 and split.seg_steps == [400, 600]
         assert full[0] == pytest.approx(split.exponent_constant((1, 1))[0], abs=1e-12)
-        assert full[0] == pytest.approx(split.exponent_sample(0, np.ones(1000, dtype=np.int64)),
-                                        abs=1e-12)
+        ones = np.ones((1, 1000), dtype=np.uint8)
+        assert full[0] == pytest.approx(split.exponent_steps(np.array([0]), ones)[0], abs=1e-12)
 
 
 class TestInterpolateFree:
