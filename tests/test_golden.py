@@ -46,14 +46,14 @@ CASES = {
 }
 
 EXPECTED = {
-    'white_dirichlet_n2': [('0.012607971111116186', '0.011816306311885702', '990', '0')],
-    'smooth_dirichlet_n1': [('0.2239863055295656', '0.020009765731875274', '2000', '0')],
-    'neumann_covariance': [('-0.06996517305001149', '0.17116683914838027', '2992', '0')],
-    'white_mixed': [('1.4352972712715246', '0.0435368511154681', '2000', '0')],
-    'smooth_mixed': [('1.410616845153719', '0.05021169512538637', '2000', '0')],
-    'sao_half_line': [('2.9717550119358833', '0.041871505128112246', '1998', '0')],
-    'white_discard': [('0.015137629349229489', '0.01443739844992728', '807', '183')],
-    'smooth_discard': [('0.2224876141826235', '0.019548805057262933', '1972', '28')],
+    'white_dirichlet_n2': [('0.05173113457977435', '0.023017727332558423', '990', '0')],
+    'smooth_dirichlet_n1': [('0.22141940532540763', '0.020043201772092123', '2000', '0')],
+    'neumann_covariance': [('0.20096815413512026', '0.1672515967378036', '2992', '0')],
+    'white_mixed': [('1.459830361152393', '0.03915745161684551', '2000', '0')],
+    'smooth_mixed': [('1.4077188048567981', '0.04838499200965697', '2000', '0')],
+    'sao_half_line': [('2.9716409251899036', '0.041879095804523765', '1998', '0')],
+    'white_discard': [('0.06310920520345326', '0.029190339383027473', '802', '188')],
+    'smooth_discard': [('0.22721710470060114', '0.02113270518289832', '1972', '28')],
 }
 
 

@@ -85,7 +85,7 @@ EXPECTED = {
                           "0.001580898973151775"),
     "complex_linear_line": (("-0.13932654597683078", "0.1029452146154475", "0.0", "0.0"),
                             "0.00932280386899318"),
-    "complex_mixed_walls": (("0.0457599340248187", "0.010490617407601526", "0.0", "0.0"),
+    "complex_mixed_walls": (("0.04575993402481871", "0.010490617407601526", "0.0", "0.0"),
                             "0.0246084351530653"),
     "complex_dirichlet": (("0.021334404921926942", "-0.004868846416143396", "0.0", "0.0"),
                           "0.006066881322691268"),
