@@ -263,7 +263,9 @@ class _PathBatch:
         reach = math.sqrt(_WALL_REACH_DT * dt)
         row_type, step_type = (np.min_scalar_type(m - 1) for m in (n, self.total_steps))
         for k, f in enumerate(folded):
-            rows = block_rows(f.shape[1])
+            # a row block holds the bin buffer and about three more arrays of
+            # its size (near-wall masks and gathers), so four fit in cache
+            rows = block_rows(4 * f.shape[1])
             buf = np.empty((min(rows, n), f.shape[1] - 1))
             for lo in range(0, n, rows):
                 block = f[lo:lo + rows]
@@ -277,7 +279,9 @@ class _PathBatch:
                     np.clip(b, 0, self.n_bins - 1, out=b)
                     into = self.step_bins[lo:lo + rows, self.seg_bounds[k]:self.seg_bounds[k + 1]]
                     into[...] = b
-                    flat = into + (np.arange(len(b)) * self.n_bins)[:, None]
+                    # the block's flat (row, bin) indices reuse buf: b is spent
+                    flat = np.add(into, (np.arange(len(b)) * self.n_bins)[:, None],
+                                  out=buf[:len(b)].view(np.int64))
                     self.seg_hist[lo:lo + rows, k] = np.bincount(
                         flat.ravel(), minlength=len(b) * self.n_bins).reshape(len(b), self.n_bins)
                 if by_color or pot.kind != "zero":
@@ -292,8 +296,8 @@ class _PathBatch:
                     # is computed only for steps with an end nearer than that
                     close = block < point + reach if side == "lower" else block > point - reach
                     near = close[:, :-1] | close[:, 1:]
-                    row, step = np.divmod(np.flatnonzero(near), near.shape[1])
-                    ends = np.stack((block[:, :-1][near], block[:, 1:][near]), axis=1)
+                    row, step = np.nonzero(near)
+                    ends = np.stack((block[row, step], block[row, step + 1]), axis=1)
                     keep = step_crossing_probs(ends, point, dt, side=side)[:, 0] > 1e-17
                     row, step, d = row[keep], step[keep], np.abs(ends[keep] - point)
                     logs = [log_wall_factor(d[:, 0], d[:, 1], dt, alpha) for alpha, _ in terms]
@@ -312,6 +316,8 @@ class _PathBatch:
                                 else np.concatenate([f[:, :-1] for f in folded], axis=1))
         else:
             self.v_exponent = -seg_v.sum(axis=(1, 2))
+        # the paths are spent: free them before the walls are assembled
+        folded.clear()
         # per wall: each path's near-wall steps at ptr[s]:ptr[s + 1] of steps,
         # in step order, and each distinct nonzero weight's colors and logs there
         self.walls = []

@@ -51,10 +51,9 @@ class JumpBatch:
         """Left-limit color at each segment's right endpoint, shape (m, K)."""
         m, k = len(self.ptr) - 1, len(self.segments)
         out = np.tile([c for _, c in self.segments], m)
-        if len(self.times):
-            run = np.repeat(np.arange(m), np.diff(self.ptr)) * k + self.seg
-            last = np.flatnonzero(np.append(run[1:] != run[:-1], True))
-            out[run[last]] = self.to[last]
+        run = np.repeat(np.arange(m), np.diff(self.ptr)) * k + self.seg
+        last = np.flatnonzero(np.diff(run, append=-1))  # each (row, segment) run's last jump
+        out[run[last]] = self.to[last]
         return out.reshape(m, k)
 
     def step_colors(self, rows: np.ndarray, dt: float, seg_bounds: np.ndarray) -> np.ndarray:
@@ -83,7 +82,8 @@ class JumpPath:
     """Row row of a JumpBatch, the walk of one path: its jump times, segments
     and jumps as (from, to) pairs, and for the singular process its matching
     in sorted-time indexing.  The per-sample pairing weights read it, and
-    the kernel estimator reads its walks, batches of one, through it."""
+    the kernel estimator reads its walks, batches of one, through it,
+    endpoint and step colors included."""
 
     def __init__(self, batch: JumpBatch, row: int):
         self.batch, self.row = batch, row
@@ -110,11 +110,12 @@ def draw_jumps_along(segments, r: int, ptr: np.ndarray, times: np.ndarray, seg: 
     and the color resets to the segment's initial one at each segment
     start."""
     n = len(times)
-    inc = rng.integers(1, r, size=n) if n else np.zeros(0, dtype=np.int64)
+    # a single color never jumps
+    inc = rng.integers(1, r, size=n) if r > 1 else np.zeros(n, dtype=np.int64)
     run = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)) * len(segments) + seg
     # the increments summed since the start of each (row, segment) run
     total = np.cumsum(inc)
-    first = np.flatnonzero(np.append(True, run[1:] != run[:-1])) if n else np.zeros(0, int)
+    first = np.flatnonzero(np.diff(run, prepend=-1))
     within = total - np.repeat((total - inc)[first], np.diff(np.append(first, n)))
     start = np.array([c - 1 for _, c in segments])[seg]
     return JumpBatch(segments=segments, ptr=ptr, times=times, seg=seg,
