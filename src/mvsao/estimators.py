@@ -296,8 +296,8 @@ class _PathBatch:
                     # is computed only for steps with an end nearer than that
                     close = block < point + reach if side == "lower" else block > point - reach
                     near = close[:, :-1] | close[:, 1:]
-                    row, step = np.nonzero(near)
-                    ends = np.stack((block[row, step], block[row, step + 1]), axis=1)
+                    row, step = np.divmod(np.flatnonzero(near), near.shape[1])
+                    ends = np.stack((block[:, :-1][near], block[:, 1:][near]), axis=1)
                     keep = step_crossing_probs(ends, point, dt, side=side)[:, 0] > 1e-17
                     row, step, d = row[keep], step[keep], np.abs(ends[keep] - point)
                     logs = [log_wall_factor(d[:, 0], d[:, 1], dt, alpha) for alpha, _ in terms]

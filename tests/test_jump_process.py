@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from mvsao import jump_process
+from mvsao.combinatorics import constant_c
 from mvsao.estimators import (
     _PathBatch,
     smooth_trace_moment,
     whitenoise_trace_moment,
 )
 from mvsao.experiment import DIRICHLET, ExperimentSpec
-from mvsao import jump_process
 from mvsao.jump_process import (
     JumpBatch,
     draw_jumps_along,
@@ -22,7 +23,6 @@ from mvsao.jump_process import (
     walk_jump_counts,
 )
 from mvsao.stochastic_paths import DomainConfig, log_wall_factor, sample_bridge_ensemble
-from mvsao.combinatorics import constant_c
 from walk_reference import JumpPath, SelfIntersectionSampler, draw_free_walk
 
 HALF = DomainConfig(case=2)
@@ -73,7 +73,7 @@ def step_bins(path, h):
 
 
 def bin_walks(path, h, counts, dt, segments, r, rng):
-    """singular_walks with counts[i] jumps on row i, every row the same
+    """The singular walks with counts[i] jumps on row i, every row the same
     frozen path binned at width h."""
     bins, hist = step_bins(path, h)
     m = len(counts)
