@@ -8,6 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from mvsao import estimators
 from mvsao.algebra import conj
 from mvsao.estimators import (
     _Accumulator,
@@ -281,30 +282,29 @@ class TestWhiteMoment:
         whitenoise_trace_moment(replace(spec, n_paths=64), workers=4096)
         assert sizes == []
 
-    @pytest.mark.parametrize("spec, tasks", [
-        (two_color_spec(ts=(0.5, 0.5), n_paths=1152, n_quad=6, dt=5e-4), [9] * 8),
-        (two_color_spec(ts=(0.5,), n_paths=300, n_quad=2, dt=5e-6), [1, 1])],
+    @pytest.mark.parametrize("spec, tasks, per_node, chunk", [
+        (two_color_spec(ts=(0.5, 0.5), n_paths=1152, n_quad=6, dt=5e-4), [9] * 8, 16, 2097),
+        (two_color_spec(ts=(0.5,), n_paths=300, n_quad=2, dt=5e-6), [1, 1], 150, 64)],
         ids=["packed", "split"])
-    def test_workers_byte_identical(self, spec, tasks):
+    def test_workers_byte_identical(self, spec, tasks, per_node, chunk):
         """Nodes of 16 paths that pack 9 to a chunk (a row block of 1000
         steps is 130 rows; two patterns of 36 nodes), and nodes of 150 paths
         that split into chunks of 64, 64 and 22 (100000 steps), give the same
         output for 1 and 2 workers."""
-        from mvsao import estimators
-
         seen = []
 
         def spy(task):
-            seen.append(len(task[3]))
+            seen.append((len(task[3]), task[5]))
             return run_task(task)
 
         run_task = estimators._chunk_stats
         with mock.patch("mvsao.estimators._chunk_stats", spy):
             one = whitenoise_trace_moment(spec)
-        assert seen == tasks
+        assert seen == [(nodes, per_node) for nodes in tasks]
+        assert estimators._chunk_rows(spec) == chunk
         two = whitenoise_trace_moment(spec, workers=2)
         assert repr(one) == repr(two)
-        assert one.n_paths + one.n_discarded == sum(tasks) * (16 if len(tasks) > 2 else 150)
+        assert one.n_paths + one.n_discarded == sum(tasks) * per_node
 
 
 class TestPoissonConditioningIdentity:
