@@ -58,24 +58,28 @@ class JumpBatch:
 
     def step_colors(self, rows: np.ndarray, dt: float, seg_bounds: np.ndarray) -> np.ndarray:
         """Color held over each step [m dt, (m + 1) dt) of the given rows,
-        shape (len(rows), seg_bounds[-1]), uint8.  Segment k holds steps
-        seg_bounds[k]:seg_bounds[k + 1] and starts in its initial color; a
-        jump takes effect from step ceil(tau / dt) on, tied jumps in
-        sequence order, unless that step lies in the next segment."""
+        shape (len(rows), seg_bounds[-1]), uint8 (uint16 from 128 colors
+        on).  Segment k holds steps seg_bounds[k]:seg_bounds[k + 1] and
+        starts in its initial color; a jump takes effect from step
+        ceil(tau / dt) on, tied jumps in sequence order, unless that step
+        lies in the next segment."""
         local, idx = row_ranges(self.ptr, rows)
         step = np.ceil(self.times[idx] / dt - 1e-9).astype(np.int64)
         inside = step < seg_bounds[self.seg[idx] + 1]
         # each step holds the color changes of the jumps there, and a
         # segment's first step its initial color too: within a segment the
-        # changes telescope, so their running sum is the color held
-        out = np.zeros((len(rows), int(seg_bounds[-1])), dtype=np.int8)
+        # changes telescope, so their running sum is the color held, and
+        # every sum lies in (-top, top]
+        top = max(max(c for _, c in self.segments), int(self.to.max(initial=0)))
+        signed, unsigned = (np.int8, np.uint8) if top < 128 else (np.int16, np.uint16)
+        out = np.zeros((len(rows), int(seg_bounds[-1])), dtype=signed)
         np.add.at(out, (local[inside], step[inside]),
-                  (self.to[idx] - self.frm[idx])[inside].astype(np.int8))
+                  (self.to[idx] - self.frm[idx])[inside].astype(signed))
         for (_, color), lo, hi in zip(self.segments, seg_bounds[:-1], seg_bounds[1:]):
             part = out[:, lo:hi]
             part[:, 0] += color
             np.cumsum(part, axis=1, out=part)
-        return out.view(np.uint8)
+        return out.view(unsigned)
 
 
 class JumpPath:

@@ -258,12 +258,16 @@ class TestStepColors:
             assert jumps.endpoint_colors()[i].tolist() == ref.endpoint_colors()
         assert ties > 20
 
-    def test_free_walks_match_reference_colors(self):
-        """Free walks over three segments, with jumps near the segment ends."""
+    @pytest.mark.parametrize("r, dtype", [(3, np.uint8), (127, np.uint8), (300, np.uint16)])
+    def test_free_walks_match_reference_colors(self, r, dtype):
+        """Free walks over three segments, with jumps near the segment ends;
+        many colors widen the step colors."""
         dt = 0.01
         segments = ((0.3, 2), (0.2, 1), (0.5, 3))
-        jumps = walks(3, segments, 400, np.random.default_rng(12))
+        rng = np.random.default_rng(12)
+        jumps = free_walks(segments, rng.poisson(3.0, (400, 3)), r, rng)
         steps = jumps.step_colors(np.arange(400), dt, np.array([0, 30, 50, 100]))
+        assert steps.dtype == dtype
         for i in range(400):
             ref = as_path(jumps, i)
             assert steps[i].tolist() == ref.color_at_steps(dt, 100).tolist()
