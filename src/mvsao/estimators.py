@@ -565,10 +565,11 @@ def _moment_weights(spec: ExperimentSpec, batch: _PathBatch, colors: tuple[int, 
     wall logs) of one chunk, and the mask of samples kept (jump count at
     most n_max; the rest are discarded).
 
-    The route sets the jump counts, the log base and the jump-free factor.
-    Every kept sample with an even, nonzero jump count then draws its jumps
-    in one batch (the singular or the free walk), the endpoint indicator is
-    read off the batch, the pairing factor runs per accepted sample, and
+    The route sets the jump counts, the log base, the jump-free factor and
+    how jumps are drawn and weighed (draw, factor).  Every kept sample with
+    an even, nonzero jump count then draws its jump times in one batch (the
+    singular or the free walk), the endpoint indicator is read off the
+    batch, the pairing factor runs per accepted sample, and
     the step colors, norms and exponents of the samples with a nonzero
     factor run as array operations, one block_rows row block at a time."""
     r = spec.domain.r
@@ -578,11 +579,25 @@ def _moment_weights(spec: ExperimentSpec, batch: _PathBatch, colors: tuple[int, 
         counts = singular_jump_counts(r, l2, rng)
         base = (r - 1) ** 2 / 2.0 * l2
         scale = 1.0
+
+        def draw(rows):
+            return singular_walk_times(batch.step_bins[rows], batch.full_hist[rows],
+                                       counts[rows], batch.dt, batch.seg_bounds, rng)
+
+        def factor(s, path):
+            return spec.upsilon2 ** (len(path.jumps) / 2.0) * constant_c(spec.kind, path.jumps,
+                                                                         path.matching)
     else:
         seg_counts = walk_jump_counts(r, spec.ts, batch.n, rng)
         counts = seg_counts.sum(axis=1)
         base = np.zeros(batch.n)
         scale = math.exp((r - 1) * sum(spec.ts))
+
+        def draw(rows):
+            return free_walk_times(segments, seg_counts[rows], rng)
+
+        def factor(s, path):
+            return scale * _matching_sum(spec, batch, s, path, rng)
 
     weights = np.zeros(batch.n)
     zero = counts == 0
@@ -597,15 +612,9 @@ def _moment_weights(spec: ExperimentSpec, batch: _PathBatch, colors: tuple[int, 
         keep = counts <= spec.n_max
         # odd counts and unmatched endpoint colors keep their zero weight
         rows = np.flatnonzero(~zero & keep & (counts % 2 == 0))
-        if white:
-            drawn = singular_walk_times(batch.step_bins[rows], batch.full_hist[rows],
-                                        counts[rows], batch.dt, batch.seg_bounds, rng)
-        else:
-            drawn = free_walk_times(segments, seg_counts[rows], rng)
-        jumps = draw_jumps_along(segments, r, *drawn, rng)
+        jumps = draw_jumps_along(segments, r, *draw(rows), rng)
         accepted = np.flatnonzero((jumps.endpoint_colors() == colors).all(axis=1))
-        factors = np.array([_pairing_factor(spec, batch, rows[i], JumpPath(jumps, i), scale, rng)
-                            for i in accepted])
+        factors = np.array([factor(rows[i], JumpPath(jumps, i)) for i in accepted])
         live = factors != 0.0
         accepted, factors = accepted[live], factors[live]
         block = block_rows(batch.total_steps)
@@ -618,17 +627,6 @@ def _moment_weights(spec: ExperimentSpec, batch: _PathBatch, colors: tuple[int, 
                     + batch.exponent_steps(s, step_colors))
             weights[s] = factors[lo:lo + block] * np.exp(expo)
     return weights, keep
-
-
-def _pairing_factor(spec: ExperimentSpec, batch: _PathBatch, s: int, path: JumpPath,
-                    scale: float, rng: np.random.Generator) -> float:
-    """The pairing factor of sample s with jumps path: the sampled
-    matching's weight (white route) or the sum over matchings (smooth
-    route, times the jump-free factor scale)."""
-    if path.matching is None:
-        return scale * _matching_sum(spec, batch, s, path, rng)
-    return spec.upsilon2 ** (len(path.jumps) / 2.0) * constant_c(spec.kind, path.jumps,
-                                                                 path.matching)
 
 
 def _matching_sum(spec: ExperimentSpec, batch: _PathBatch, s: int, path: JumpPath,
