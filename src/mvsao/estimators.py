@@ -19,11 +19,13 @@ batched loop (_moment_weights) from
 
 The colored walk and the self-intersection sampler are those of
 jump_process, drawn for all of a chunk's jumping samples at once.  All three
-estimators draw their paths as _PathBatch chunks
-and read from them the path values at jump times and one exponent,
--int V + the wall logs, for colors held per segment (exponent_constant) or
-per step (exponent_steps); in the kernel's chunks, which run from x to y,
-V is V plus the diagonal noise.
+estimators draw their paths as _PathBatch chunks and read from them the path
+values at jump times and one exponent, -int V + the wall logs, for colors
+held per segment (exponent_constant) or per step (exponent_steps); in the
+kernel's chunks, which run from x to y, V is V plus the diagonal noise.  The
+kernel multiplies its off-diagonal noise entries as the oracle does, as 2x2
+complex blocks (quaternion_block), and pools the components (a, b, c, d) of
+its weights through the moment routes' _Accumulator, one slot per component.
 Both moment routes weigh the diagonal noise by the batch's one local-time
 norm (norm2_constant, norm2_steps): per color ||sum_k L_k * bump_{eps_k}||^2,
 which at eps = 0 is the white ||L||^2.
@@ -53,15 +55,6 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .algebra import (
-    N_COMPONENTS,
-    UNIT_NORMALIZATION,
-    FieldElement,
-    conj,
-    from_components,
-    mul,
-    one,
-)
 from .combinatorics import constant_c, enumerate_matchings
 from .experiment import ExperimentSpec, InvariantError, MomentEstimate
 from .jump_process import (  # draw_jumps_along: perfbench traces this binding
@@ -73,7 +66,15 @@ from .jump_process import (  # draw_jumps_along: perfbench traces this binding
     singular_walk_times,
     walk_jump_counts,
 )
-from .noise_model import NoiseField, bump_scaled, mollified_profiles, pair_index, rho
+from .noise_model import (
+    UNIT_NORMALIZATION,
+    NoiseField,
+    bump_scaled,
+    mollified_profiles,
+    pair_index,
+    quaternion_block,
+    rho,
+)
 from .stochastic_paths import (
     block_rows,
     interpolate_free,
@@ -408,9 +409,10 @@ class _PathBatch:
 
 @dataclass
 class FieldEstimate:
-    """Kernel estimate with componentwise standard errors."""
+    """Kernel estimate: the components (a, b, c, d) of the value
+    a + b*i + c*j + d*k, and the standard error of their vector."""
 
-    value: FieldElement
+    value: np.ndarray
     stderr: float
     n_paths: int
 
@@ -677,6 +679,9 @@ def fk_kernel_regular(spec: ExperimentSpec, t: float, a: tuple[int, float],
     if t <= 0:
         raise ValueError("t must be positive")
     r = spec.domain.r
+    if noise is not None and (noise.kind, noise.r) != (spec.kind, r):
+        raise ValueError(f"noise field 0 is {noise.kind} with r = {noise.r}, the run "
+                         f"{spec.kind} with r = {r}")
     i0, x0 = int(a[0]), float(a[1])
     j0, y0 = int(b[0]), float(b[1])
     if not (1 <= i0 <= r and 1 <= j0 <= r):
@@ -688,33 +693,28 @@ def fk_kernel_regular(spec: ExperimentSpec, t: float, a: tuple[int, float],
     sub = replace(spec, ts=(t,), eps=None, zetas=None)
     chunk_size = _chunk_rows(sub)
     field = _MollifiedNoise(spec, noise, eps) if noise is not None else None
-    prefactor = math.exp((r - 1) * t)
 
-    comp_sum, comp_sq = np.zeros(4), np.zeros(4)
+    # one accumulator slot per component: the key of weight w[s, c] is c
+    acc = _Accumulator(4)
     for chunk_idx, done in enumerate(range(0, n_paths, chunk_size)):
         mchunk = min(chunk_size, n_paths - done)
         rng = derived_rng(spec.seed, _STREAM_FK, 0, chunk_idx)
         batch = _PathBatch(sub, (x0,), mchunk, rng, keep_free=field is not None, ys=(y0,),
                            diagonal=field.diagonal if field else None, bins=False)
         counts = walk_jump_counts(r, (t,), mchunk, rng)[:, 0]
+        w = np.zeros((mchunk, 4))
         # a walk without jumps draws no random numbers and holds color i0
         if i0 == j0:
-            w = np.exp(batch.exponent_constant((i0,))[counts == 0])
-            comp_sum[0] += w.sum()
-            comp_sq[0] += w @ w
+            still = counts == 0
+            w[still, 0] = np.exp(batch.exponent_constant((i0,))[still])
         # without noise the off-diagonal entries, and so the jump product, vanish
         for s in np.flatnonzero(counts) if field else ():
-            comps = np.array(_fk_single(batch, s, int(counts[s]), i0, j0, field, rng).components)
-            comp_sum += comps
-            comp_sq += comps**2
+            w[s] = _fk_single(batch, s, int(counts[s]), i0, j0, field, rng)
+        acc.add_batch(np.tile(np.arange(4), mchunk), w.ravel(), 0)
         del batch  # free this chunk's paths before the next chunk is drawn
-    mean = prefactor * comp_sum / n_paths
-    var = (np.maximum(prefactor**2 * comp_sq / n_paths - mean**2, 0.0)
-           * n_paths / max(n_paths - 1, 1))
-    se = float(np.sqrt(var.sum() / n_paths))
-    pi_z = transition_density(spec.domain, t, x0, y0)
-    value = from_components(spec.kind, pi_z * mean[:N_COMPONENTS[spec.kind]])
-    return FieldEstimate(value=value, stderr=pi_z * se, n_paths=n_paths)
+    scale = math.exp((r - 1) * t) * transition_density(spec.domain, t, x0, y0)
+    se = math.sqrt(acc.m2.sum() / max(n_paths - 1, 1) / n_paths)
+    return FieldEstimate(value=scale * acc.mean, stderr=scale * se, n_paths=n_paths)
 
 
 class _MollifiedNoise:
@@ -738,34 +738,36 @@ class _MollifiedNoise:
             v[at] += sigma * np.interp(x[at], self.centers, self.pair[i, i][0])
         return v
 
-    def entry(self, frm: int, to: int, z: float) -> FieldElement:
-        """Entry (frm, to) of the mollified off-diagonal noise at z."""
+    def entry(self, frm: int, to: int, z: float) -> np.ndarray:
+        """The 2x2 block of entry (frm, to) of the mollified off-diagonal
+        noise at z."""
         lo, hi = min(frm, to), max(frm, to)
         comps = np.array([np.interp(z, self.centers, self.pair[lo, hi][c])
                           for c in range(4)]) * self.norm
-        value = from_components(self.spec.kind, comps)
-        # the noise is Hermitian: entry (to, frm) below the diagonal is
-        # the conjugate of the stored entry (frm, to)
-        return conj(value) if frm > to else value
+        block = quaternion_block(*comps)
+        # the noise is Hermitian: entry (to, frm) below the diagonal is the
+        # conjugate of the stored (frm, to), whose block is the conjugate transpose
+        return block.conj().T if frm > to else block
 
 
 def _fk_single(batch: _PathBatch, s: int, n_jumps: int, i0: int, j0: int,
-               field: _MollifiedNoise, rng: np.random.Generator) -> FieldElement:
-    """Sample s's weight when its walk, a batch of one, jumps n_jumps > 0
-    times."""
+               field: _MollifiedNoise, rng: np.random.Generator) -> np.ndarray:
+    """Sample s's weight components (a, b, c, d) when its walk, a batch of
+    one, jumps n_jumps > 0 times."""
     spec = batch.spec
     segments = ((spec.ts[0], i0),)
     drawn = free_walk_times(segments, np.array([[n_jumps]]), rng)
     path = JumpPath(draw_jumps_along(segments, spec.domain.r, *drawn, rng), 0)
     if path.endpoint_colors() != [j0]:
-        return FieldElement(spec.kind, 0.0)
+        return np.zeros(4)
     step_colors = path.color_at_steps(batch.dt, batch.seg_bounds)[None]
     expo = batch.exponent_steps(np.array([s]), step_colors)[0]
-    # the ordered product of off-diagonal noise at the jump points
-    prod = one(spec.kind)
+    # the ordered product of off-diagonal noise blocks at the jump points
+    prod = np.eye(2, dtype=complex)
     for (frm, to), z in zip(path.jumps, batch.jump_values(s, path.times, rng)):
-        prod = mul(prod, field.entry(frm, to, z))
-    return prod.scale(math.exp(expo) * (-1.0) ** n_jumps)
+        prod = prod @ field.entry(frm, to, z)
+    comps = np.array([prod[0, 0].real, prod[0, 0].imag, prod[0, 1].real, prod[0, 1].imag])
+    return comps * (math.exp(expo) * (-1.0) ** n_jumps)
 
 
 # --------------------------------------------------------------------------

@@ -2,14 +2,14 @@
 the operator on a grid as a Hermitian band matrix, eigensolve it, sum the
 spectral exponentials, average over noise draws.
 
-Rows are node-major, row = (node, color, and for H the 2x2 complex
-embedding component), so the operator lies within r (R, C) or 2r (H) rows
-of the diagonal and is written straight into LAPACK upper band storage;
-with only the upper band stored and a real diagonal it is Hermitian by
-construction.  Entries come from the quadratic form with a lumped
-(trapezoid) mass, symmetrized by the inverse square-root mass, which keeps
-Robin rows second-order accurate.  Quaternion eigenvalues are
-de-duplicated since the embedding doubles every multiplicity.
+Rows are node-major, row = (node, color, and for H the component of the
+entry's 2x2 complex block, noise_model.quaternion_block), so the operator
+lies within r (R, C) or 2r (H) rows of the diagonal and is written straight
+into LAPACK upper band storage; with only the upper band stored and a real
+diagonal it is Hermitian by construction.  Entries come from the quadratic
+form with a lumped (trapezoid) mass, symmetrized by the inverse square-root
+mass, which keeps Robin rows second-order accurate.  Quaternion eigenvalues
+are de-duplicated since the embedding doubles every multiplicity.
 
 The ensemble eigensolves only the eigenvalues up to lambda_min + 50 / min t,
 the ones a trace can see, with one band reduction per draw; its spectra
@@ -23,13 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .algebra import UNIT_NORMALIZATION
 from .experiment import ExperimentSpec, MomentEstimate
 from .noise_model import (
+    UNIT_NORMALIZATION,
     NoiseField,
     lattice_white_values,
     mollified_profiles,
     pair_index,
+    quaternion_block,
     sample_noise,
 )
 from .records import ArchiveError, read_records, write_records
@@ -161,14 +162,10 @@ def discretize(spec: ExperimentSpec, noise: NoiseField | None, n: int,
                 shared = kept[:, i - 1] & kept[:, j - 1]
                 a, b, c, d = values[index[(i, j)]][:, shared]
                 ri, rj = row[shared, i - 1], row[shared, j - 1]
-                if spec.kind == "R":
-                    put(ri, rj, a)
-                elif spec.kind == "C":
-                    put(ri, rj, a + 1j * b)
-                else:
-                    for si, sj, v in ((0, 0, a + 1j * b), (0, 1, c + 1j * d),
-                                      (1, 0, -c + 1j * d), (1, 1, a - 1j * b)):
-                        put(2 * ri + si, 2 * rj + sj, v)
+                # R writes a, C the block's top-left entry a + ib, H all four
+                block = [[a]] if spec.kind == "R" else quaternion_block(a, b, c, d)
+                for si, sj in np.ndindex(mult, mult):
+                    put(mult * ri + si, mult * rj + sj, block[si][sj])
     return DiscreteOperator(kind=spec.kind, band=band)
 
 

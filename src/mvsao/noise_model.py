@@ -1,7 +1,8 @@
 """Matrix-noise realizations: the driving Brownian increments per entry and
 component, the mollifier family and its twofold convolutions, the mollified
 profiles and lattice sums that the estimators and the matrix oracle read,
-and the binary noise archives.
+the one quaternion arithmetic (the 2x2 complex block of an entry), and the
+binary noise archives.
 
 Increments are stored raw (standard, variance = cell width); the diagonal
 variance sigma^2, off-diagonal variance upsilon^2 and the field-kind
@@ -17,10 +18,23 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import N_COMPONENTS
 from .records import ArchiveError, read_records, write_records
 
 BUMP_NORM = 15.0 / 16.0
+
+# components drawn per kind, and the normalization of a standard noise unit:
+# x (R), (x + y*i)/sqrt(2) (C), (x + y*i + z*j + w*k)/2 (H)
+N_COMPONENTS = {"R": 1, "C": 2, "H": 4}
+UNIT_NORMALIZATION = {"R": 1.0, "C": 1.0 / np.sqrt(2.0), "H": 0.5}
+
+
+def quaternion_block(a, b, c, d) -> np.ndarray:
+    """The 2x2 complex block [[a+ib, c+id], [-c+id, a-ib]] of the entry
+    a + b*i + c*j + d*k, elementwise for array components (block axes
+    first).  The map is multiplicative, takes the quaternion conjugate to
+    the conjugate transpose, and embeds an R or C value z as diag(z, conj z):
+    entry products are block products, and (M00, M01) reads a product back."""
+    return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
 
 
 def bump(x) -> np.ndarray:

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvsao.algebra import N_COMPONENTS, UNIT_NORMALIZATION
-from mvsao.noise_model import bump_scaled, pair_index, rho
+from mvsao.noise_model import N_COMPONENTS, UNIT_NORMALIZATION, bump_scaled, pair_index, rho
 
 
 @dataclass

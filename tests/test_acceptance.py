@@ -108,9 +108,9 @@ class TestCriterion2KernelAnchor:
         est = fk_kernel_regular(spec, 1.0, (1, 0.0), (1, 0.0), None, eps=0.1,
                                 n_paths=100_000)
         want = 1.0 / np.sqrt(2 * PI)
-        assert abs(est.value.a - want) <= 3 * est.stderr + 1e-12
+        assert abs(est.value[0] - want) <= 3 * est.stderr + 1e-12
         report("criterion 2 (kernel anchor)",
-               f"K(1;0,0) = {est.value.a:.6f} vs {want:.6f} "
+               f"K(1;0,0) = {est.value[0]:.6f} vs {want:.6f} "
                f"(se {est.stderr:.2e}, 1e5 bridges)")
 
 

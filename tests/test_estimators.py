@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from mvsao import estimators
-from mvsao.algebra import conj
 from mvsao.estimators import (
     _Accumulator,
     _PathBatch,
@@ -22,7 +21,15 @@ from mvsao.estimators import (
     whitenoise_trace_moment,
 )
 from mvsao.experiment import DIRICHLET, ExperimentSpec, PotentialSpec
-from mvsao.noise_model import bump_scaled, sample_noise
+from mvsao.noise_model import (
+    N_COMPONENTS,
+    UNIT_NORMALIZATION,
+    bump_scaled,
+    mollified_profiles,
+    pair_index,
+    quaternion_block,
+    sample_noise,
+)
 from mvsao.jump_process import singular_walk_times
 from mvsao.stochastic_paths import (
     DomainConfig,
@@ -32,7 +39,6 @@ from mvsao.stochastic_paths import (
     transition_density,
 )
 from test_acceptance import richardson_extrapolate
-from test_algebra import field_abs
 from test_jump_process import (
     colored_hist,
     frozen_batch,
@@ -87,7 +93,7 @@ class TestFkKernel:
                               x_max=8.0)
         est = fk_kernel_regular(spec, 1.0, (1, 0.0), (1, 0.0), None, eps=0.1,
                                 n_paths=5000)
-        assert est.value.a == pytest.approx(1 / np.sqrt(2 * PI), rel=1e-12)
+        assert est.value[0] == pytest.approx(1 / np.sqrt(2 * PI), rel=1e-12)
         assert est.stderr == pytest.approx(0.0, abs=1e-12)
 
     def test_r1_reduction_matches_scalar_reference(self):
@@ -102,7 +108,6 @@ class TestFkKernel:
         est = fk_kernel_regular(spec, t, (1, x), (1, y), noise, eps=0.2,
                                 n_paths=20_000)
         # independent scalar route on fresh paths
-        from mvsao.noise_model import mollified_profiles
         from mvsao.stochastic_paths import sample_bridge_ensemble, transition_density
         prof = mollified_profiles(noise, 0.2)[0, 0]
         centers = noise.cell_centers()
@@ -115,7 +120,7 @@ class TestFkKernel:
         se_ref = transition_density(DomainConfig(case=1), t, x, y) \
             * w.std(ddof=1) / np.sqrt(len(w))
         comb = np.hypot(est.stderr, se_ref)
-        assert abs(est.value.a - ref) <= 3 * comb
+        assert abs(est.value[0] - ref) <= 3 * comb
 
     @staticmethod
     def conjugate_setting():
@@ -132,8 +137,44 @@ class TestFkKernel:
                                n_paths=8000)
         ba = fk_kernel_regular(spec, 0.6, (2, -0.1), (1, 0.2), noise, eps=0.2,
                                n_paths=8000)
-        diff = ab.value + conj(ba.value).scale(-1.0)
-        assert field_abs(diff) <= 3 * np.hypot(ab.stderr, ba.stderr)
+        # K(a, b) is the conjugate of K(b, a): (a, b, c, d) -> (a, -b, -c, -d)
+        diff = ab.value - ba.value * np.array([1.0, -1.0, -1.0, -1.0])
+        assert np.linalg.norm(diff) <= 3 * np.hypot(ab.stderr, ba.stderr)
+        # a C run has no j or k part
+        for est in (ab, ba):
+            assert np.all(est.value[N_COMPONENTS["C"]:] == 0.0)
+
+    @pytest.mark.parametrize("kind", ["C", "H"])
+    def test_noise_entry_is_the_block_of_the_scaled_profile(self, kind):
+        # the stored entry (1, 2) is the block of its interpolated, scaled
+        # components; entry (2, 1), which a reversed jump reads, is its
+        # conjugate transpose
+        noise = sample_noise(kind, 2, 0.5, 0.5, (-5.0, 5.0, 2048), np.random.default_rng(13))
+        spec = ExperimentSpec(domain=DomainConfig(case=1, r=2), kind=kind, sigma2=0.5,
+                              upsilon2=0.5, ts=(1.0,), seed=14, x_max=4.0)
+        field = estimators._MollifiedNoise(spec, noise, 0.2)
+        profile = mollified_profiles(noise, 0.2)[pair_index(2)[1, 2]]
+        for z in (-0.73, 0.0, 1.31):
+            comps = (np.array([np.interp(z, noise.cell_centers(), p) for p in profile])
+                     * UNIT_NORMALIZATION[kind] * np.sqrt(0.5))
+            assert np.all(comps[N_COMPONENTS[kind]:] == 0.0)
+            upper = field.entry(1, 2, z)
+            np.testing.assert_allclose(upper, quaternion_block(*comps), rtol=1e-14, atol=0)
+            np.testing.assert_array_equal(field.entry(2, 1, z), upper.conj().T)
+
+    @pytest.mark.parametrize("noise_kind, noise_r, run_kind",
+                             [("C", 2, "H"), ("C", 1, "C")], ids=["C-field-H-run", "r1-field-r2-run"])
+    def test_rejects_noise_of_another_kind_or_r(self, noise_kind, noise_r, run_kind):
+        # a C field in an H run used to return c = d = 0, and an r = 1 field
+        # in an r = 2 run to raise IndexError
+        noise = sample_noise(noise_kind, noise_r, 0.5, 0.5, (-5.0, 5.0, 2048),
+                             np.random.default_rng(13))
+        spec = ExperimentSpec(domain=DomainConfig(case=1, r=2), kind=run_kind, sigma2=0.5,
+                              upsilon2=0.5, ts=(1.0,), seed=14, x_max=4.0, dt=2e-3)
+        want = (f"noise field 0 is {noise_kind} with r = {noise_r}, "
+                f"the run {run_kind} with r = 2")
+        with pytest.raises(ValueError, match=want):
+            fk_kernel_regular(spec, 0.6, (1, 0.2), (2, -0.1), noise, eps=0.2, n_paths=64)
 
     def test_rejects_bad_scales(self):
         spec = dirichlet_interval_spec()
@@ -157,9 +198,10 @@ class TestFkKernel:
         same = fk_kernel_regular(spec, 0.5, (1, 0.3), (1, 0.6), None, eps=0.1, n_paths=2000)
         want = transition_density(spec.domain, 0.5, 0.3, 0.6)
         assert same.stderr > 0
-        assert abs(same.value.a - want) <= 3 * same.stderr
+        assert abs(same.value[0] - want) <= 3 * same.stderr
+        assert np.all(same.value[1:] == 0.0)
         other = fk_kernel_regular(spec, 0.5, (1, 0.3), (2, 0.6), None, eps=0.1, n_paths=2000)
-        assert other.value.components == (0.0, 0.0, 0.0, 0.0) and other.stderr == 0.0
+        assert np.all(other.value == 0.0) and other.stderr == 0.0
 
     def test_chunk_memory(self):
         """The conjugate-symmetry test's ab call, one chunk of 8000 paths x
@@ -690,7 +732,7 @@ class TestUnbiasedStderr:
         with mock.patch.object(_PathBatch, "exponent_constant", lambda batch, colors: logs):
             est = fk_kernel_regular(dirichlet_interval_spec(), 1.0, (1, 0.5), (1, 0.5), None,
                                     eps=0.1, n_paths=len(logs))
-        assert est.stderr / est.value.a == pytest.approx(self.WANT, rel=1e-12)
+        assert est.stderr / est.value[0] == pytest.approx(self.WANT, rel=1e-12)
 
 
 class TestAccumulator:

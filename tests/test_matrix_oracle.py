@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -183,14 +185,18 @@ PINNED_SPECTRA = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_SPECTRA))
-def test_spectra_pinned(name):
-    """On the full spectrum and on the partial one of a trace at t >= 0.5."""
+def _pinned_operator(name):
     spec, seed, n, scale = _pinned_cases()[name]
     lo, hi = spec.spatial_bounds()
     field = sample_noise(spec.kind, spec.domain.r, 0.5, 0.5, (lo - 0.5, hi + 0.5, 2048),
                          np.random.default_rng(seed))
-    op = discretize(spec, field, n, eps=scale, zeta=scale)
+    return discretize(spec, field, n, eps=scale, zeta=scale)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SPECTRA))
+def test_spectra_pinned(name):
+    """On the full spectrum and on the partial one of a trace at t >= 0.5."""
+    op = _pinned_operator(name)
     dim, want = PINNED_SPECTRA[name]
     assert op.dim == dim
     for t_min in (None, 0.5):
@@ -198,6 +204,23 @@ def test_spectra_pinned(name):
         assert len(eigs) >= 8
         np.testing.assert_allclose(eigs[:8], want, rtol=1e-9,
                                    atol=1e-9 * np.abs(want).max())
+
+
+# sha256 of the band bytes of the pinned C and H operators, which write their
+# off-diagonal noise through noise_model.quaternion_block: a change to the
+# block's expressions that moves a single bit changes these
+PINNED_BAND_SHA256 = {
+    "white_C": "44ac1b2fb8bb5e2b3f1a9de1cfe9a90f7b8b963cbb64407d8ed40c306cb2e0b8",
+    "white_H": "9763672bf800420b1878530f16fedf2c189ed88b7e538750ad74e75bd393a31b",
+    "mollified_H3": "06f81073266b413bf858546b0a26c169347406d9b0ca97d95ba0982e683e49a6",
+    "sao_case2_C": "e31da06f96197284c96ca97d8c34ddeb3c9e30766866f205d46a7a9306da419a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BAND_SHA256))
+def test_band_bits_pinned(name):
+    band = _pinned_operator(name).band
+    assert hashlib.sha256(band.tobytes()).hexdigest() == PINNED_BAND_SHA256[name]
 
 
 def _lattice_operator(kind, seed, n=500):

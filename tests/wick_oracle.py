@@ -10,8 +10,8 @@ which checks constant_c without going through it.
 
 import numpy as np
 
-from mvsao.algebra import N_COMPONENTS, UNIT_NORMALIZATION
 from mvsao.combinatorics import reversed_jump
+from mvsao.noise_model import N_COMPONENTS, UNIT_NORMALIZATION
 
 
 def _quat_mul(x, y):
