@@ -61,7 +61,6 @@ from .jump_process import (  # draw_jumps_along: perfbench traces this binding
     JumpPath,
     draw_jumps_along,
     free_walk_times,
-    row_ranges,
     singular_jump_counts,
     singular_walk_times,
     walk_jump_counts,
@@ -319,18 +318,14 @@ class _PathBatch:
             self.v_exponent = -seg_v.sum(axis=(1, 2))
         # the paths are spent: free them before the walls are assembled
         folded.clear()
-        # per wall: each path's near-wall steps at ptr[s]:ptr[s + 1] of steps,
-        # in step order, and each distinct nonzero weight's colors and logs there
-        self.walls = []
-        for (_, _, terms), blocks in zip(walls, found):
-            # each segment holds its steps in (row, step) order, so a stable
-            # sort by row puts them in (row, global step) order
-            row = np.concatenate([piece[0] for piece in blocks])
-            order = np.argsort(row, kind="stable")
-            self.walls.append((np.searchsorted(row[order], np.arange(n + 1)),
-                               np.concatenate([piece[1] for piece in blocks])[order],
-                               [(held, np.concatenate([piece[2][j] for piece in blocks])[order])
-                                for j, (_, held) in enumerate(terms)]))
+        # per wall: the near-wall steps' rows and global steps in (segment,
+        # row, step) order, so each row's in step order, and each distinct
+        # nonzero weight's colors and logs there
+        self.walls = [(np.concatenate([piece[0] for piece in blocks]),
+                       np.concatenate([piece[1] for piece in blocks]),
+                       [(held, np.concatenate([piece[2][j] for piece in blocks]))
+                        for j, (_, held) in enumerate(terms)])
+                      for (_, _, terms), blocks in zip(walls, found)]
 
     def exponent_constant(self, colors: tuple[int, ...]) -> np.ndarray:
         """Every sample's -int diagonal + wall logs when segment k holds
@@ -341,13 +336,18 @@ class _PathBatch:
     def exponent_steps(self, rows: np.ndarray, step_colors: np.ndarray) -> np.ndarray:
         """Sample rows[i]'s -int diagonal + wall logs when its step m holds
         color step_colors[i, m]: the walls' logs gathered at the rows'
-        near-wall steps and summed per row."""
+        near-wall steps and summed per row, in step order (rows are
+        distinct)."""
         if self.step_values is None:
             out = self.v_exponent[rows]
         else:
             out = -(self.diagonal(step_colors, self.step_values[rows]).sum(axis=1) * self.dt)
-        for ptr, steps, terms in self.walls:
-            local, idx = row_ranges(ptr, rows)
+        position = np.full(self.n, -1)
+        position[rows] = np.arange(len(rows))
+        for row, steps, terms in self.walls:
+            local = position[row]
+            idx = np.flatnonzero(local >= 0)
+            local = local[idx]
             held = step_colors[local, steps[idx]] - 1
             for holds, logs in terms:
                 out = out + np.bincount(local, weights=np.where(holds[held], logs[idx], 0.0),
@@ -708,8 +708,17 @@ def fk_kernel_regular(spec: ExperimentSpec, t: float, a: tuple[int, float],
             still = counts == 0
             w[still, 0] = np.exp(batch.exponent_constant((i0,))[still])
         # without noise the off-diagonal entries, and so the jump product, vanish
-        for s in np.flatnonzero(counts) if field else ():
-            w[s] = _fk_single(batch, s, int(counts[s]), i0, j0, field, rng)
+        walks = [(s, *_fk_single(batch, s, int(counts[s]), i0, j0, field, rng))
+                 for s in (np.flatnonzero(counts) if field else ())]
+        walks = [walk for walk in walks if walk[1] is not None]
+        # the ending walks' exponents, a block_rows row block at a time
+        block = block_rows(batch.total_steps)
+        for lo in range(0, len(walks), block):
+            part = walks[lo:lo + block]
+            expo = batch.exponent_steps(np.array([s for s, _, _ in part]),
+                                        np.stack([colors for _, colors, _ in part]))
+            for (s, _, comps), e in zip(part, expo.tolist()):
+                w[s] = comps * math.exp(e)
         acc.add_batch(np.tile(np.arange(4), mchunk), w.ravel(), 0)
         del batch  # free this chunk's paths before the next chunk is drawn
     scale = math.exp((r - 1) * t) * transition_density(spec.domain, t, x0, y0)
@@ -751,23 +760,23 @@ class _MollifiedNoise:
 
 
 def _fk_single(batch: _PathBatch, s: int, n_jumps: int, i0: int, j0: int,
-               field: _MollifiedNoise, rng: np.random.Generator) -> np.ndarray:
-    """Sample s's weight components (a, b, c, d) when its walk, a batch of
-    one, jumps n_jumps > 0 times."""
+               field: _MollifiedNoise, rng: np.random.Generator):
+    """The step colors of sample s's walk, a batch of one that jumps
+    n_jumps > 0 times, and its weight components (a, b, c, d) before the
+    factor exp(exponent); (None, None) if the walk does not end in j0."""
     spec = batch.spec
     segments = ((spec.ts[0], i0),)
     drawn = free_walk_times(segments, np.array([[n_jumps]]), rng)
     path = JumpPath(draw_jumps_along(segments, spec.domain.r, *drawn, rng), 0)
     if path.endpoint_colors() != [j0]:
-        return np.zeros(4)
-    step_colors = path.color_at_steps(batch.dt, batch.seg_bounds)[None]
-    expo = batch.exponent_steps(np.array([s]), step_colors)[0]
+        return None, None
+    step_colors = path.color_at_steps(batch.dt, batch.seg_bounds)
     # the ordered product of off-diagonal noise blocks at the jump points
     prod = np.eye(2, dtype=complex)
     for (frm, to), z in zip(path.jumps, batch.jump_values(s, path.times, rng)):
         prod = prod @ field.entry(frm, to, z)
     comps = np.array([prod[0, 0].real, prod[0, 0].imag, prod[0, 1].real, prod[0, 1].imag])
-    return comps * (math.exp(expo) * (-1.0) ** n_jumps)
+    return step_colors, comps * (-1.0) ** n_jumps
 
 
 # --------------------------------------------------------------------------
