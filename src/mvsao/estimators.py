@@ -21,11 +21,11 @@ The colored walk and the self-intersection sampler are those of
 jump_process, drawn for all of a chunk's jumping samples at once.  All three
 estimators draw their paths as _PathBatch chunks and read from them the path
 values at jump times and one exponent, -int V + the wall logs, for colors
-held per segment (exponent_constant) or per step (exponent_steps); in the
-kernel's chunks, which run from x to y, V is V plus the diagonal noise.  The
-kernel multiplies its off-diagonal noise entries as the oracle does, as 2x2
-complex blocks (quaternion_block), and pools the components (a, b, c, d) of
-its weights through the moment routes' _Accumulator, one slot per component.
+held per segment (exponent_constant) or per step (exponent_steps, a row
+block per call); in the kernel's chunks, which run from x to y, V is V plus
+the diagonal noise.  The kernel multiplies its off-diagonal noise entries as
+the oracle does, as 2x2 complex blocks (quaternion_block), and pools its
+weights' components (a, b, c, d) through _Accumulator, one slot each.
 Both moment routes weigh the diagonal noise by the batch's one local-time
 norm (norm2_constant, norm2_steps): per color ||sum_k L_k * bump_{eps_k}||^2,
 which at eps = 0 is the white ||L||^2.
@@ -318,9 +318,8 @@ class _PathBatch:
             self.v_exponent = -seg_v.sum(axis=(1, 2))
         # the paths are spent: free them before the walls are assembled
         folded.clear()
-        # per wall: the near-wall steps' rows and global steps in (segment,
-        # row, step) order, so each row's in step order, and each distinct
-        # nonzero weight's colors and logs there
+        # per wall: the near-wall steps' rows, global steps and per-weight colors
+        # and logs, in the (segment, row, step) order found: each row's in step order
         self.walls = [(np.concatenate([piece[0] for piece in blocks]),
                        np.concatenate([piece[1] for piece in blocks]),
                        [(held, np.concatenate([piece[2][j] for piece in blocks]))
@@ -336,8 +335,8 @@ class _PathBatch:
     def exponent_steps(self, rows: np.ndarray, step_colors: np.ndarray) -> np.ndarray:
         """Sample rows[i]'s -int diagonal + wall logs when its step m holds
         color step_colors[i, m]: the walls' logs gathered at the rows'
-        near-wall steps and summed per row, in step order (rows are
-        distinct)."""
+        near-wall steps and summed per row in step order.  rows are distinct;
+        a call scans the walls' whole store, so callers pass row blocks."""
         if self.step_values is None:
             out = self.v_exponent[rows]
         else:
@@ -345,9 +344,8 @@ class _PathBatch:
         position = np.full(self.n, -1)
         position[rows] = np.arange(len(rows))
         for row, steps, terms in self.walls:
-            local = position[row]
-            idx = np.flatnonzero(local >= 0)
-            local = local[idx]
+            idx = np.flatnonzero(position[row] >= 0)
+            local = position[row[idx]]
             held = step_colors[local, steps[idx]] - 1
             for holds, logs in terms:
                 out = out + np.bincount(local, weights=np.where(holds[held], logs[idx], 0.0),
@@ -708,17 +706,14 @@ def fk_kernel_regular(spec: ExperimentSpec, t: float, a: tuple[int, float],
             still = counts == 0
             w[still, 0] = np.exp(batch.exponent_constant((i0,))[still])
         # without noise the off-diagonal entries, and so the jump product, vanish
-        walks = [(s, *_fk_single(batch, s, int(counts[s]), i0, j0, field, rng))
-                 for s in (np.flatnonzero(counts) if field else ())]
-        walks = [walk for walk in walks if walk[1] is not None]
-        # the ending walks' exponents, a block_rows row block at a time
+        walks = list(filter(None, (_fk_single(batch, s, int(counts[s]), i0, j0, field, rng)
+                                   for s in (np.flatnonzero(counts) if field else ()))))
         block = block_rows(batch.total_steps)
         for lo in range(0, len(walks), block):
-            part = walks[lo:lo + block]
-            expo = batch.exponent_steps(np.array([s for s, _, _ in part]),
-                                        np.stack([colors for _, colors, _ in part]))
-            for (s, _, comps), e in zip(part, expo.tolist()):
-                w[s] = comps * math.exp(e)
+            rows, colors, comps = zip(*walks[lo:lo + block])
+            expo = batch.exponent_steps(np.array(rows), np.stack(colors))
+            for s, c, e in zip(rows, comps, expo.tolist()):
+                w[s] = c * math.exp(e)
         acc.add_batch(np.tile(np.arange(4), mchunk), w.ravel(), 0)
         del batch  # free this chunk's paths before the next chunk is drawn
     scale = math.exp((r - 1) * t) * transition_density(spec.domain, t, x0, y0)
@@ -761,22 +756,22 @@ class _MollifiedNoise:
 
 def _fk_single(batch: _PathBatch, s: int, n_jumps: int, i0: int, j0: int,
                field: _MollifiedNoise, rng: np.random.Generator):
-    """The step colors of sample s's walk, a batch of one that jumps
+    """s, the step colors of sample s's walk, a batch of one that jumps
     n_jumps > 0 times, and its weight components (a, b, c, d) before the
-    factor exp(exponent); (None, None) if the walk does not end in j0."""
+    factor exp(exponent); None if the walk does not end in j0."""
     spec = batch.spec
     segments = ((spec.ts[0], i0),)
     drawn = free_walk_times(segments, np.array([[n_jumps]]), rng)
     path = JumpPath(draw_jumps_along(segments, spec.domain.r, *drawn, rng), 0)
     if path.endpoint_colors() != [j0]:
-        return None, None
+        return None
     step_colors = path.color_at_steps(batch.dt, batch.seg_bounds)
     # the ordered product of off-diagonal noise blocks at the jump points
     prod = np.eye(2, dtype=complex)
     for (frm, to), z in zip(path.jumps, batch.jump_values(s, path.times, rng)):
         prod = prod @ field.entry(frm, to, z)
     comps = np.array([prod[0, 0].real, prod[0, 0].imag, prod[0, 1].real, prod[0, 1].imag])
-    return step_colors, comps * (-1.0) ** n_jumps
+    return s, step_colors, comps * (-1.0) ** n_jumps
 
 
 # --------------------------------------------------------------------------

@@ -7,8 +7,8 @@ The reflected processes are simulated by folding a free Brownian path:
 on the half line Z = |x + W|, on the interval Z is the triangle-wave fold
 of x + W onto [0, theta].  Bridge endpoint conditioning is exact: the free
 endpoint W(t) is drawn from the Gaussian mixture over the image points of
-the target y, after which the folded endpoint equals y identically, so no
-rejection step is needed.
+the target y (one table, _images, also gives the transition density), after
+which the folded endpoint equals y identically, so no rejection is needed.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
-# image terms are kept until they fall below this fraction of the leading one
-_IMAGE_RTOL = 1e-15
 # a row block of path arrays this large fits in L2 (see block_rows)
 _BLOCK_BYTES = 1 << 20
 
@@ -43,16 +41,8 @@ class DomainConfig:
         if self.r < 1:
             raise ValueError("color count r must be >= 1")
 
-    def contains(self, x: float) -> bool:
-        if self.case == 1:
-            return True
-        if self.case == 2:
-            return x >= 0.0
-        return 0.0 <= x <= self.theta
-
 
 def gaussian_kernel(t: float, z) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
     return np.exp(-(z**2) / (2.0 * t)) / (_SQRT2PI * np.sqrt(t))
 
 
@@ -80,40 +70,28 @@ def block_rows(width: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * width))
 
 
-def _image_endpoints(domain: DomainConfig, x: float, y: float, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Free endpoints e with fold(x + e) = y, with their Gaussian weights."""
+def _images(domain: DomainConfig, t: float, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """The method of images: the free displacements e with fold(x + e) = y
+    and their Gaussian kernels, along a new last axis (x and y broadcast)."""
+    x = np.asarray(x, dtype=float)[..., None]
+    y = np.asarray(y, dtype=float)[..., None]
     if domain.case == 1:
-        e = np.array([y - x])
+        e = y - x
     elif domain.case == 2:
-        e = np.array([y - x, -y - x])
-    else:
-        th = domain.theta
-        span = 8.0 * np.sqrt(t) + 4.0 * th
-        nmax = int(np.ceil(span / (2.0 * th)))
-        ns = np.arange(-nmax, nmax + 1)
-        e = np.concatenate([y + 2.0 * ns * th - x, -y + 2.0 * ns * th - x])
-    w = gaussian_kernel(t, e)
-    keep = w >= _IMAGE_RTOL * w.max()
-    return e[keep], w[keep]
-
-
-def transition_density(domain: DomainConfig, t: float, x, y) -> np.ndarray | float:
-    """Transition kernel of Z; reflecting kernels via the method of images."""
-    if t <= 0:
-        raise ValueError("transition_density requires t > 0")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if domain.case == 1:
-        out = gaussian_kernel(t, x - y)
-    elif domain.case == 2:
-        out = gaussian_kernel(t, x - y) + gaussian_kernel(t, x + y)
+        e = np.concatenate([y - x, -y - x], axis=-1)
     else:
         th = domain.theta
         nmax = int(np.ceil((8.0 * np.sqrt(t) + 4.0 * th) / (2.0 * th)))
-        out = np.zeros(np.broadcast(x, y).shape)
-        for n in range(-nmax, nmax + 1):
-            out += gaussian_kernel(t, x - y + 2.0 * n * th)
-            out += gaussian_kernel(t, x + y + 2.0 * n * th)
+        shifts = 2.0 * np.arange(-nmax, nmax + 1) * th
+        e = np.concatenate([y + shifts - x, -y + shifts - x], axis=-1)
+    return e, gaussian_kernel(t, e)
+
+
+def transition_density(domain: DomainConfig, t: float, x, y) -> np.ndarray | float:
+    """Transition kernel of Z: the sum of its image kernels."""
+    if t <= 0:
+        raise ValueError("transition_density requires t > 0")
+    out = _images(domain, t, x, y)[1].sum(axis=-1)
     return out if out.ndim else float(out)
 
 
@@ -128,32 +106,33 @@ def sample_bridge_ensemble(domain: DomainConfig, x, y, t: float,
     unfolded free paths x + W are returned alongside (used for exact
     interpolation at off-grid times).
 
-    One uniform per row picks its image endpoint, by inversion of the
-    mixture's CDF for each run of rows with equal (x, y): for one (x, y)
-    this is the draw of rng.choice(p=weights).  The paths are then built in
-    row blocks of about _BLOCK_BYTES, each pass over a block running in
-    cache: the block's normals go into one reused buffer (block by block
-    they are the C-order draw of the whole array), are scaled and summed
-    into the output rows, which are pulled to their endpoints, shifted by x
-    and folded in place.
+    One uniform per row picks its image endpoint, by inversion of the row's
+    mixture CDF (one searchsorted for all rows, row i's CDF and uniform
+    shifted by i): for one (x, y) this is the draw of rng.choice(p=weights).
+    The paths are then built in row blocks of about _BLOCK_BYTES, each pass
+    over a block running in cache: the block's normals go into one reused
+    buffer (block by block they are the C-order draw of the whole array),
+    are scaled and summed into the output rows, which are pulled to their
+    endpoints, shifted by x and folded in place.
     """
     x = np.broadcast_to(np.asarray(x, dtype=float), (n_paths,))
     y = np.broadcast_to(np.asarray(y, dtype=float), (n_paths,))
-    cuts = np.flatnonzero((x[1:] != x[:-1]) | (y[1:] != y[:-1])) + 1
-    runs = list(zip(np.append(0, cuts), np.append(cuts, n_paths)))
-    for lo, _ in runs:
-        if not (domain.contains(x[lo]) and domain.contains(y[lo])):
-            raise ValueError(f"endpoints ({x[lo]}, {y[lo]}) outside the domain closure")
+    low, high = {1: (-np.inf, np.inf), 2: (0.0, np.inf), 3: (0.0, domain.theta)}[domain.case]
+    outside = np.flatnonzero(~((low <= x) & (x <= high) & (low <= y) & (y <= high)))
+    if len(outside):
+        i = outside[0]
+        raise ValueError(f"row {i}: endpoints ({x[i]}, {y[i]}) outside the domain closure")
     if dt <= 0 or dt > t:
         raise ValueError("need 0 < dt <= t")
     n_steps = max(1, int(round(t / dt)))
-    u = rng.random(n_paths)
-    ends = np.empty(n_paths)
-    for lo, hi in runs:
-        e, wts = _image_endpoints(domain, x[lo], y[lo], t)
-        cdf = (wts / wts.sum()).cumsum()
-        cdf /= cdf[-1]
-        ends[lo:hi] = e[cdf.searchsorted(u[lo:hi], side="right")]
+    e, kernels = _images(domain, t, x, y)
+    cdf = np.cumsum(kernels, axis=1)
+    cdf /= cdf[:, -1:]
+    row = np.arange(n_paths)
+    cdf += row[:, None]
+    # a key i + u that rounds up to i + 1 would fall in row i + 1
+    keys = np.minimum(row + rng.random(n_paths), np.nextafter(row + 1.0, 0.0))
+    ends = e.ravel()[cdf.ravel().searchsorted(keys, side="right")]
     step_sd = np.sqrt(t / n_steps)
     s = np.linspace(0.0, 1.0, n_steps + 1)[1:]
     out = np.empty((n_paths, n_steps + 1))
@@ -178,9 +157,7 @@ def sample_bridge_ensemble(domain: DomainConfig, x, y, t: float,
             np.abs(w, out=w)
         elif domain.case == 3:
             _fold(w, domain.theta)
-    if return_free:
-        return out, free
-    return out
+    return (out, free) if return_free else out
 
 
 def step_crossing_probs(values: np.ndarray, c: float, dt: float, side: str) -> np.ndarray:

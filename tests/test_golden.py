@@ -10,7 +10,8 @@ is meant to alter the estimator:
     PYTHONPATH=src python tests/test_golden.py
 
 prints each case's recorded and new estimate and stderr, with the change
-in combined standard errors, on stderr, and the new table on stdout.
+in combined standard errors and the largest relative change of its four
+values, on stderr, and the new table on stdout.
 """
 
 import math
@@ -46,14 +47,14 @@ CASES = {
 }
 
 EXPECTED = {
-    'white_dirichlet_n2': [('0.05173113457977435', '0.023017727332558423', '990', '0')],
-    'smooth_dirichlet_n1': [('0.22141940532540763', '0.020043201772092123', '2000', '0')],
-    'neumann_covariance': [('0.20096815413512026', '0.1672515967378036', '2992', '0')],
-    'white_mixed': [('1.459830361152393', '0.03915745161684551', '2000', '0')],
-    'smooth_mixed': [('1.4077188048567981', '0.04838499200965697', '2000', '0')],
+    'white_dirichlet_n2': [('0.051731134579774324', '0.023017727332558413', '990', '0')],
+    'smooth_dirichlet_n1': [('0.2214194053254076', '0.020043201772092116', '2000', '0')],
+    'neumann_covariance': [('0.20096815413512203', '0.16725159673780357', '2992', '0')],
+    'white_mixed': [('1.4598303611523924', '0.039157451616845494', '2000', '0')],
+    'smooth_mixed': [('1.4077188048567977', '0.04838499200965695', '2000', '0')],
     'sao_half_line': [('2.9716409251899036', '0.041879095804523765', '1998', '0')],
-    'white_discard': [('0.06310920520345326', '0.029190339383027473', '802', '188')],
-    'smooth_discard': [('0.22721710470060114', '0.02113270518289832', '1972', '28')],
+    'white_discard': [('0.06310920520345321', '0.029190339383027463', '802', '188')],
+    'smooth_discard': [('0.22721710470060108', '0.021132705182898316', '1972', '28')],
 }
 
 
@@ -74,14 +75,26 @@ def shift_in_se(old: tuple[str, str], new: tuple[str, str]) -> float:
     return (b - a) / math.hypot(sa, sb) if sa or sb else 0.0
 
 
+def relative_change(old, new) -> float:
+    """The largest |new - old| / |old| over paired value reprs, inf where a
+    zero moves."""
+    out = 0.0
+    for a, b in zip(map(float, old), map(float, new)):
+        if a != b:
+            out = max(out, abs(b - a) / abs(a) if a else math.inf)
+    return out
+
+
 if __name__ == "__main__":
     table = {name: pinned(name) for name in CASES}
-    sys.stderr.write(f"{'case':22s} {'recorded':>28s} {'new':>28s} {'shift/se':>9s}\n")
+    sys.stderr.write(f"{'case':22s} {'recorded':>28s} {'new':>28s} {'shift/se':>9s}"
+                     f" {'max rel':>9s}\n")
     for name, rows in table.items():
         for old, new in zip(EXPECTED.get(name, rows), rows):
             sys.stderr.write(f"{name:22s} {float(old[0]):13.6g} +- {float(old[1]):10.4g}"
                              f" {float(new[0]):13.6g} +- {float(new[1]):10.4g}"
-                             f" {shift_in_se(old[:2], new[:2]):+9.2f}\n")
+                             f" {shift_in_se(old[:2], new[:2]):+9.2f}"
+                             f" {relative_change(old, new):9.2g}\n")
     sys.stdout.write("EXPECTED = {\n")
     for name, rows in table.items():
         sys.stdout.write(f"    {name!r}: {rows!r},\n")

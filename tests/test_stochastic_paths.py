@@ -1,16 +1,18 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import erf
+from scipy.stats import chi2
 
 from mvsao.estimators import _PathBatch
 from mvsao.experiment import ExperimentSpec
 from mvsao.stochastic_paths import (
     DomainConfig,
-    _image_endpoints,
+    _images,
     block_rows,
     fold_to_domain,
     gaussian_kernel,
@@ -69,6 +71,15 @@ class TestBridges:
             sample_bridge_ensemble(HALF, -0.5, 1.0, 1.0, 0.01, 1, rng)
         with pytest.raises(ValueError):
             sample_bridge_ensemble(UNIT, 0.5, 1.2, 1.0, 0.01, 1, rng)
+        # per-row endpoints: the message names the first row outside and its (x, y)
+        for dom, bad in ((HALF, {3: (0.5, -1e-9)}), (UNIT, {2: (0.5, 1.0 + 1e-12), 4: (1.5, 0.5)}),
+                         (UNIT, {4: (-0.25, 0.5)})):
+            x, y = np.linspace(0.0, 1.0, 6), np.linspace(1.0, 0.0, 6)
+            for row, (x_bad, y_bad) in bad.items():
+                x[row], y[row] = x_bad, y_bad
+            row = min(bad)
+            with pytest.raises(ValueError, match=re.escape(f"row {row}: endpoints {bad[row]}")):
+                sample_bridge_ensemble(dom, x, y, 1.0, 0.01, 6, rng)
 
     def test_case2_bridge_marginal_matches_kernel(self):
         # one-point marginal of the reflected bridge versus the exact
@@ -123,6 +134,69 @@ class TestTransitionDensity:
     def test_t_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             transition_density(LINE, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("dom,t", [(LINE, 0.3), (HALF, 0.3), (HALF, 1e-4), (UNIT, 0.5),
+                                       (UNIT, 1e-4), (DomainConfig(case=3, theta=0.1), 1.0)])
+    def test_matches_the_image_loop(self, dom, t):
+        # the image table's sum against the loop over image pairs it replaced;
+        # theta = 0.1 at t = 1 takes 85 pairs
+        rng = np.random.default_rng(13)
+        hi = 2.0 if dom.theta is None else dom.theta
+        x = np.concatenate([[0.0, hi], rng.uniform(0.0, hi, 200)])
+        y = np.concatenate([[0.0, hi], x[2:] + rng.normal(0.0, 2.0 * math.sqrt(t), 200)])
+        x, y = fold_to_domain(x, dom), fold_to_domain(y, dom)
+        want = looped_density(dom, t, x, y)
+        assert want.min() > 0.0
+        np.testing.assert_allclose(transition_density(dom, t, x, y), want, rtol=1e-14, atol=0.0)
+        if dom.theta == 0.1:
+            assert _images(dom, t, x, y)[0].shape == (202, 170)
+
+
+def looped_density(domain, t, x, y):
+    """The method-of-images sum as a loop over the image pairs, the
+    reference for transition_density."""
+    if domain.case == 1:
+        return gaussian_kernel(t, x - y)
+    if domain.case == 2:
+        return gaussian_kernel(t, x - y) + gaussian_kernel(t, x + y)
+    th = domain.theta
+    nmax = int(np.ceil((8.0 * np.sqrt(t) + 4.0 * th) / (2.0 * th)))
+    out = np.zeros(np.broadcast(x, y).shape)
+    for n in range(-nmax, nmax + 1):
+        out += gaussian_kernel(t, x - y + 2.0 * n * th)
+        out += gaussian_kernel(t, x + y + 2.0 * n * th)
+    return out
+
+
+@pytest.mark.parametrize("dom,t", [(HALF, 0.1), (UNIT, 0.2)])
+def test_bridges_draw_each_rows_image(dom, t):
+    """Rows with distinct (x, y) near the walls draw their image endpoint
+    from their own normalised kernels: a chi-square test of the drawn image
+    index, with the exact covariance of independent per-row draws (images
+    expected fewer than 5 times pooled, the pool joined to the likeliest
+    image if it is expected fewer than 5 times itself)."""
+    n = 20_000
+    rng = np.random.default_rng(17)
+    x, y = rng.uniform(0.0, 0.3, (2, n))
+    if dom.case == 3:  # each end near either wall
+        x, y = (np.where(rng.random(n) < 0.5, v, dom.theta - v) for v in (x, y))
+    _, free = sample_bridge_ensemble(dom, x, y, t, t, n, rng, return_free=True)
+    e, kernels = _images(dom, t, x, y)
+    p = kernels / kernels.sum(axis=1, keepdims=True)
+    drawn = np.abs(free[:, -1:] - x[:, None] - e).argmin(axis=1)
+    expected = p.sum(axis=0)
+    label = np.where(expected >= 5.0, np.arange(len(expected)), -1)
+    if expected[label < 0].sum() < 5.0:
+        label[label < 0] = expected.argmax()
+    _, label = np.unique(label, return_inverse=True)
+    onehot = np.eye(label.max() + 1)[label]
+    probs = p @ onehot
+    dev = np.bincount(label[drawn], minlength=onehot.shape[1]) - probs.sum(axis=0)
+    cov = np.diag(probs.sum(axis=0)) - probs.T @ probs
+    # the categories' counts sum to n: the last one is left out
+    stat = dev[:-1] @ np.linalg.solve(cov[:-1, :-1], dev[:-1])
+    assert onehot.shape[1] >= (2 if dom.case == 2 else 3)
+    assert chi2.sf(stat, onehot.shape[1] - 1) > 1e-3
 
 
 class TestLocalTime:
@@ -313,7 +387,7 @@ def test_fold_matches_mod_formula_bit_for_bit(theta):
 def reference_bridges(domain, x, y, t, dt, n, rng, return_free=False):
     """sample_bridge_ensemble as one draw of the whole (n, steps) array,
     out of place: the reference for its row blocks."""
-    e, wts = _image_endpoints(domain, x, y, t)
+    e, wts = _images(domain, t, x, y)
     ends = e[rng.choice(len(e), size=n, p=wts / wts.sum())]
     n_steps = max(1, int(round(t / dt)))
     incs = rng.standard_normal((n, n_steps)) * np.sqrt(t / n_steps)
