@@ -4,8 +4,8 @@ Subcommands: trace | moment | covariance | oracle.  Configs are
 strict JSON: unknown keys are rejected and the physics inputs (variances,
 times) have no defaults.  Every result row carries the canonical config
 hash and the seed, and a fixed (config, seed, workers) triple reproduces
-the output file byte for byte; wall times therefore go to stderr and the
-wall_time column is only filled when --timing is passed.
+the output file byte for byte, so the wall_time column is only filled
+when --timing is passed (stderr gets each estimate, never a time).
 """
 
 from __future__ import annotations
@@ -121,12 +121,9 @@ def parse_config(cfg: dict, overrides: dict | None = None) -> dict:
 
 def _parse_config(cfg: dict, overrides: dict) -> dict:
     _check_keys(cfg, _TOP_KEYS, "config")
-    if overrides.get("seed") is not None:
-        cfg["seed"] = overrides["seed"]
-    if overrides.get("t") is not None:
-        cfg["t"] = overrides["t"]
-    if overrides.get("paths") is not None:
-        cfg["paths"] = overrides["paths"]
+    for key in ("seed", "t", "paths"):
+        if overrides.get(key) is not None:
+            cfg[key] = overrides[key]
     if overrides.get("preset") or cfg.get("preset"):
         name = overrides.get("preset") or cfg.get("preset")
         if name != "sao":
@@ -187,11 +184,10 @@ def _parse_config(cfg: dict, overrides: dict) -> dict:
         seed=seed, potential=potential,
         alphas=_boundary_vector(cfg.get("alpha"), r, "alpha"),
         betas=_boundary_vector(cfg.get("beta"), r, "beta"),
-        eps=eps, zetas=zetas, n_paths=_integer(cfg.get("paths", 10_000), "paths"),
-        dt=_positive_number(cfg, "dt"), h=_positive_number(cfg, "h"),
+        eps=eps, zetas=zetas, dt=_positive_number(cfg, "dt"), h=_positive_number(cfg, "h"),
         x_max=_positive_number(cfg, "x_max"),
-        n_quad=_integer(cfg.get("n_quad", 48), "n_quad"),
-        n_max=_integer(cfg.get("n_max", 12), "n_max"))
+        **{field: _integer(cfg[key], key) for key, field in
+           (("paths", "n_paths"), ("n_quad", "n_quad"), ("n_max", "n_max")) if key in cfg})
 
     out = {"experiment": kind, "spec": spec, "white": noise == "white"}
     if kind == "covariance":

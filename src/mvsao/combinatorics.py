@@ -21,8 +21,6 @@ import numpy as np
 Jump = tuple[int, int]
 Matching = tuple[tuple[int, int], ...]
 
-N_MAX_DEFAULT = 12
-
 
 class MatchingSizeError(ValueError):
     """Raised for odd sizes or sizes above the configured enumeration cap."""
@@ -32,7 +30,7 @@ def reversed_jump(j: Jump) -> Jump:
     return (j[1], j[0])
 
 
-def enumerate_matchings(n: int, n_max: int = N_MAX_DEFAULT) -> list[Matching]:
+def enumerate_matchings(n: int, n_max: int) -> list[Matching]:
     """All perfect matchings of {0..n-1}, in canonical order.
 
     The recursion pairs the smallest free index with every remaining index,

@@ -11,7 +11,11 @@ from mvsao.combinatorics import (
     reversed_jump,
     validate_matching,
 )
+from mvsao.experiment import ExperimentSpec
 from wick_oracle import pairing_moment_mc
+
+# the enumeration cap of a run that does not set n_max
+N_MAX = ExperimentSpec.n_max
 
 # The paper's binary-sequence route to the quaternion weight, kept here as a
 # reference for constant_c.  A binary sequence for n jumps has entries
@@ -129,11 +133,11 @@ def random_jumps(n, r, rng):
 
 class TestEnumeration:
     def test_base_cases(self):
-        assert enumerate_matchings(0) == [()]
-        assert enumerate_matchings(2) == [((0, 1),)]
+        assert enumerate_matchings(0, N_MAX) == [()]
+        assert enumerate_matchings(2, N_MAX) == [((0, 1),)]
 
     def test_n4_by_hand(self):
-        got = set(frozenset(map(frozenset, p)) for p in enumerate_matchings(4))
+        got = set(frozenset(map(frozenset, p)) for p in enumerate_matchings(4, N_MAX))
         want = {
             frozenset({frozenset({0, 1}), frozenset({2, 3})}),
             frozenset({frozenset({0, 2}), frozenset({1, 3})}),
@@ -142,20 +146,20 @@ class TestEnumeration:
         assert got == want
 
     def test_double_factorial_counts(self):
-        assert len(enumerate_matchings(6)) == 15
-        assert len(enumerate_matchings(8)) == 105
+        assert len(enumerate_matchings(6, N_MAX)) == 15
+        assert len(enumerate_matchings(8, N_MAX)) == 105
 
     def test_validity_and_uniqueness(self):
-        ms = enumerate_matchings(8)
+        ms = enumerate_matchings(8, N_MAX)
         for p in ms:
             validate_matching(p, 8)
         assert len(set(ms)) == len(ms)
 
     def test_size_limits(self):
         with pytest.raises(MatchingSizeError):
-            enumerate_matchings(3)
+            enumerate_matchings(3, N_MAX)
         with pytest.raises(MatchingSizeError):
-            enumerate_matchings(14)
+            enumerate_matchings(14, N_MAX)
         assert len(enumerate_matchings(14, n_max=14)) == 135135
 
     def test_random_matching_valid(self):
@@ -211,7 +215,7 @@ class TestConstantC:
         cases = 0
         for n in (0, 2, 4):
             for jumps in product(moves, repeat=n):
-                for p in enumerate_matchings(n):
+                for p in enumerate_matchings(n, N_MAX):
                     for kind in ("R", "C", "H"):
                         assert constant_c(kind, jumps, p) == reference_c(kind, jumps, p), (
                             kind, jumps, p)

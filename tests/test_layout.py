@@ -126,7 +126,7 @@ def test_package_members_are_read_in_the_package():
 # that tests and benchmarks may need to cover: a change that adds one raises
 # this number where a reviewer sees it, and a change that removes one lowers
 # it, so the slack cannot be spent unseen later.
-SETTABLE_VALUES = 39
+SETTABLE_VALUES = 38
 
 
 def settable_values():
