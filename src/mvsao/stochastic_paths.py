@@ -125,14 +125,17 @@ def sample_bridge_ensemble(domain: DomainConfig, x, y, t: float,
     if dt <= 0 or dt > t:
         raise ValueError("need 0 < dt <= t")
     n_steps = max(1, int(round(t / dt)))
-    e, kernels = _images(domain, t, x, y)
+    # one (x, y) for every row (scalars, or a stride-0 row view) needs one table
+    one = x.strides == y.strides == (0,)
+    e, kernels = _images(domain, t, x[:1] if one else x, y[:1] if one else y)
     cdf = np.cumsum(kernels, axis=1)
     cdf /= cdf[:, -1:]
     row = np.arange(n_paths)
-    cdf += row[:, None]
+    cdf = cdf + row[:, None]
     # a key i + u that rounds up to i + 1 would fall in row i + 1
     keys = np.minimum(row + rng.random(n_paths), np.nextafter(row + 1.0, 0.0))
-    ends = e.ravel()[cdf.ravel().searchsorted(keys, side="right")]
+    pick = cdf.ravel().searchsorted(keys, side="right") - row * cdf.shape[1]
+    ends = np.broadcast_to(e, cdf.shape)[row, pick]
     step_sd = np.sqrt(t / n_steps)
     s = np.linspace(0.0, 1.0, n_steps + 1)[1:]
     out = np.empty((n_paths, n_steps + 1))

@@ -199,6 +199,19 @@ def test_bridges_draw_each_rows_image(dom, t):
     assert chi2.sf(stat, onehot.shape[1] - 1) > 1e-3
 
 
+@pytest.mark.parametrize("dom", [LINE, HALF, UNIT])
+def test_one_start_draws_the_bits_of_per_row_starts(dom):
+    """Scalars or a stride-0 row view share one image table; the draws are
+    bit for bit those of rows that each hold the same (x, y)."""
+    x, y, n = 0.05, 0.9, 300
+    rows = [sample_bridge_ensemble(dom, xs, ys, 0.5, 0.01, n, np.random.default_rng(5),
+                                   return_free=True)
+            for xs, ys in ((x, y), (np.broadcast_to(x, n), np.broadcast_to(y, n)),
+                           (np.full(n, x), np.full(n, y)))]
+    for paths, free in rows[:2]:
+        assert np.array_equal(paths, rows[2][0]) and np.array_equal(free, rows[2][1])
+
+
 class TestLocalTime:
     """The step histograms of a batch (_PathBatch) and their norm, the one
     local time."""
