@@ -42,7 +42,6 @@ _TOP_KEYS = {"experiment", "case", "theta", "r", "field", "potential", "alpha",
              "beta", "sigma2", "upsilon2", "t", "noise", "paths", "dt", "h",
              "x_max", "n_quad", "n_max", "seed", "covariance", "oracle",
              "preset"}
-_POTENTIAL_KEYS = {"kind", "kappa", "nu", "table_x", "table_v"}
 _NOISE_KEYS = {"eps", "zeta"}
 _COV_KEYS = {"t1", "t2"}
 _ORACLE_KEYS = {"draws", "grid", "noise_archive", "spectra_out"}
@@ -155,15 +154,17 @@ def _parse_config(cfg: dict, overrides: dict) -> dict:
     domain = DomainConfig(case=case, theta=theta if case == 3 else None, r=r)
     field = cfg.get("field", "R")
 
-    pot_raw = cfg.get("potential", {"kind": "zero"})
-    _check_keys(pot_raw, _POTENTIAL_KEYS, "potential")
-    potential = PotentialSpec(
-        kind=pot_raw.get("kind", "zero"),
-        kappa=float(_finite(pot_raw.get("kappa", 1.0), "potential.kappa")),
-        nu=float(_finite(pot_raw.get("nu", 0.0), "potential.nu")),
-        table_x=tuple(_finite(v, "potential.table_x") for v in pot_raw.get("table_x", ())),
-        table_v=tuple(tuple(_finite(v, "potential.table_v") for v in row)
-                      for row in pot_raw.get("table_v", ())))
+    pot_raw = cfg.get("potential", {})
+    # PotentialSpec holds the defaults: only the keys the config gives are passed
+    convert = {
+        "kind": lambda v: v,
+        "kappa": lambda v: float(_finite(v, "potential.kappa")),
+        "nu": lambda v: float(_finite(v, "potential.nu")),
+        "table_x": lambda v: tuple(_finite(x, "potential.table_x") for x in v),
+        "table_v": lambda v: tuple(tuple(_finite(x, "potential.table_v") for x in row)
+                                   for row in v)}
+    _check_keys(pot_raw, set(convert), "potential")
+    potential = PotentialSpec(**{key: convert[key](v) for key, v in pot_raw.items()})
 
     ts = tuple(float(_finite(v, "t")) for v in _require(cfg, "t"))
     sigma2 = float(_finite(_require(cfg, "sigma2"), "sigma2"))
