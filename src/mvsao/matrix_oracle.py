@@ -12,12 +12,16 @@ mass, which keeps Robin rows second-order accurate.  Quaternion eigenvalues
 are de-duplicated since the embedding doubles every multiplicity.
 
 The ensemble eigensolves only the eigenvalues up to lambda_min + 50 / min t,
-the ones a trace can see, with one band reduction per draw; its spectra
-archives hold those alone.
+the ones a trace can see, by shift-invert block Lanczos on the banded
+Cholesky factor (_low_spectrum): while few eigenvalues lie that low, a draw
+costs time linear in the grid.  Its spectra archives hold those eigenvalues
+alone.  The full spectrum, and the low one past the Lanczos budget, come
+from one band reduction.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +42,16 @@ from .records import ArchiveError, read_records, write_records
 _NOISE_CELLS_PER_SCALE = 16  # noise cells per smallest mollification scale
 # eigenvalues past lambda_min + _TRACE_CUTOFF / t weigh below e^-50 in Tr e^{-tH}
 _TRACE_CUTOFF = 50.0
+# _low_spectrum: Ritz values count as converged within this share of the
+# spectrum's scale; the start block's generator; the steps between Ritz
+# checks, each a dense eigensolve of T; the basis rows, per sqrt(n (u + 1)),
+# past which one band reduction is cheaper (on the unit interval with u = 2,
+# a run that ended at 2.7 cost 1.4 times the band reduction at n = 996, and
+# one that ended at 1.3 cost 0.4 times it at n = 3996)
+_LANCZOS_TOL = 1e-12
+_LANCZOS_START_SEED = 0
+_LANCZOS_CHECK_EVERY = 3
+_LANCZOS_BUDGET = 3.0
 
 
 @dataclass
@@ -196,8 +210,9 @@ def _noise_values(spec: ExperimentSpec, noise: NoiseField, nodes: np.ndarray,
     return amp[:, None, None] * out
 
 
-def ground_bound(op: DiscreteOperator) -> float:
-    """Upper bound U on the lowest eigenvalue, with U - lambda_min < 1.
+def ground_bracket(op: DiscreteOperator) -> tuple[float, np.ndarray, float]:
+    """(sigma, the banded Cholesky factor of A - sigma I, U) with
+    sigma < lambda_min <= U and U - lambda_min < 1.
 
     A - sigma I has a banded Cholesky factor exactly when sigma < lambda_min,
     so bisection on that test between the Gershgorin lower bound and the
@@ -214,30 +229,159 @@ def ground_bound(op: DiscreteOperator) -> float:
     lo, hi = float((diag - radius).min()), float(diag.min())
     pbtrf, = scipy.linalg.get_lapack_funcs(("pbtrf",), (op.band,))
     shifted = op.band.copy()
+    factor = None
     while hi - lo >= 1.0:
         mid = 0.5 * (lo + hi)
         shifted[u] = diag - mid
-        if pbtrf(shifted)[1] == 0:
-            lo = mid
+        chol, info = pbtrf(shifted)
+        if info == 0:
+            lo, factor = mid, chol
         else:
             hi = mid
-    return hi
+    if factor is None:
+        # A - lo I is only semidefinite at the Gershgorin bound itself
+        lo -= 1.0
+        shifted[u] = diag - lo
+        factor, info = pbtrf(shifted)
+        if info:
+            raise RuntimeError(f"no Cholesky factor of the band matrix below its "
+                               f"Gershgorin bound {lo:.6g}")
+    return lo, factor, hi
+
+
+def _kramers(v: np.ndarray) -> np.ndarray:
+    """J(v0, v1) = (-conj v1, conj v0) on each consecutive pair along the
+    last axis: the map of the H embedding (and of the projected matrix's
+    basis order) that commutes with every quaternion 2x2 block."""
+    pairs = v.reshape(v.shape[:-1] + (-1, 2))
+    out = np.empty_like(pairs)
+    np.negative(pairs[..., 1].conj(), out=out[..., 0])
+    np.conjugate(pairs[..., 0], out=out[..., 1])
+    return out.reshape(v.shape)
+
+
+def _low_spectrum(op: DiscreteOperator, sigma: float, factor: np.ndarray,
+                  bound: float, cut: float) -> np.ndarray | None:
+    """Ascending eigenvalues up to cut, by block Lanczos on (A - sigma I)^-1
+    applied through the banded Cholesky factor (Ericsson & Ruhe, Math. Comp.
+    1980), whose top eigenvalues 1 / (lambda - sigma) are the lowest lambda.
+
+    The block is r vectors wide: with r colors an eigenvalue has up to r
+    copies (the solutions of the three-term recurrence that satisfy the
+    first wall form an r-dimensional space), and a Krylov space holds one
+    copy per start vector.  The start block comes from a fixed generator, so
+    a draw's spectrum depends on its operator alone.  Every new block is
+    orthogonalized against the current and the previous block, which hold
+    nearly all of it, then against the whole basis.  Over H the basis holds
+    each vector q with its Kramers partner J q (Dongarra, Gabriel, Koelling
+    & Wilkinson, Lin. Alg. Appl. 1984): the projected matrix T then has
+    the quaternion structure, so its eigenvalues come in exact pairs and
+    each pair is one quaternion eigenvalue, with no copy split by the cut.
+
+    A Ritz value theta with residual norm rho (the next block's rows of T
+    times its vector) lies within rho of an eigenvalue of the inverse, so
+    within about rho / theta^2 of one of A.  The iteration stops when every
+    Ritz value up to cut, and the first one past it, is that close to an
+    eigenvalue within _LANCZOS_TOL * max(|sigma|, |cut|).  With many
+    eigenvalues below cut the basis outgrows its budget (_LANCZOS_BUDGET),
+    and so does one that spans the whole space: then it returns None."""
+    pbtrs, = scipy.linalg.get_lapack_funcs(("pbtrs",), (op.band,))
+    u = op.band.shape[0] - 1
+    s = 2 if op.kind == "H" else 1   # basis rows per start vector
+    r = max(1, u // s)
+    n = op.dim
+    start = np.random.default_rng(_LANCZOS_START_SEED)
+    dtype = op.band.dtype
+
+    def draw(k):
+        z = start.standard_normal((k, n))
+        return z + 1j * start.standard_normal((k, n)) if dtype.kind == "c" else z
+
+    # rows: the basis, row j + 1 = J row j over H; T[:, j]: op V[j] in the basis
+    V = np.empty((min(n, int(_LANCZOS_BUDGET * np.sqrt(n * (u + 1)))), n), dtype)
+    T = np.zeros((len(V) + s * r,) * 2, dtype)
+    tol = _LANCZOS_TOL * max(abs(sigma), abs(cut))
+    mu_cut = 1.0 / (cut - sigma)
+    m, near, block, W = 0, 0, [], draw(r)
+    for step in itertools.count(1):
+        m0 = m
+        if m0 + s * r > len(V):
+            return None
+        sizes = np.linalg.norm(W, axis=1)
+        coef = np.zeros((len(W), m0), dtype)
+        # the pass over the whole basis removes what rounding left elsewhere
+        for lo in (near, 0):
+            c = (W.conj() @ V[lo:m0].T).conj()
+            W -= c @ V[lo:m0]
+            coef[:, lo:] += c
+        for i, (w, size) in enumerate(zip(W, sizes)):
+            if block:
+                T[:m0, block[i]] = coef[i]
+            for _ in range(2 if m > m0 else 0):
+                d = V[m0:m].conj() @ w
+                w -= d @ V[m0:m]
+                if block:
+                    T[m0:m, block[i]] += d
+            norm = np.linalg.norm(w)
+            if norm <= 1e-13 * size:
+                # an invariant subspace: go on with a fresh direction
+                w = draw(1)[0]
+                size = np.linalg.norm(w)
+                for _ in range(2):
+                    w -= (V[:m].conj() @ w) @ V[:m]
+                if np.linalg.norm(w) <= 1e-8 * size:
+                    return None
+                norm, w = 0.0, w / np.linalg.norm(w)
+            else:
+                w = w / norm
+            if block:
+                T[m, block[i]] = norm
+            V[m] = w
+            if s == 2:
+                V[m + 1] = _kramers(w)
+            m += s
+        for j in block if s == 2 else ():
+            T[:m, j + 1] = _kramers(T[:m, j])
+        if block and step % _LANCZOS_CHECK_EVERY == 0:
+            theta, Y = np.linalg.eigh(T[:m0, :m0])
+            rho = np.linalg.norm(T[m0:m, :m0] @ Y, axis=0)
+            if s == 2:
+                theta, rho = theta[::2], rho.reshape(-1, 2).max(axis=1)
+            theta, rho = theta[::-1], rho[::-1]
+            k = int(np.count_nonzero(theta >= mu_cut))
+            if 4 * s * k > len(V):
+                # runs keeping 8 to 62 eigenvalues took 5 to 2.4 rows for
+                # each: at 4 for each this one would end near its budget
+                return None
+            if k < len(theta) and np.all(rho[:k + 1] <= tol * theta[:k + 1] ** 2):
+                eigs = sigma + 1.0 / theta[:k]
+                if not (k and sigma < eigs[0] <= bound + tol):
+                    raise RuntimeError(
+                        f"lowest Lanczos eigenvalue {eigs[:1]} of the {n}x{n} band matrix "
+                        f"lies outside its bracket ({sigma:.6g}, {bound:.6g}]")
+                return eigs
+        near, block = (block or [0])[0], list(range(m0, m, s))
+        W = pbtrs(factor, V[m0:m:s].T)[0].T
 
 
 def eigenvalues(op: DiscreteOperator, t_min: float | None = None) -> np.ndarray:
     """Ascending spectrum; quaternion spectra are de-duplicated by halving
     the doubled multiplicities of the complex embedding.
 
-    With t_min, only the eigenvalues up to ground_bound + _TRACE_CUTOFF /
-    t_min: in a trace at any t >= t_min the rest weigh less than
-    e^-_TRACE_CUTOFF of the lowest.  A cutoff that splits a quaternion pair
-    drops the unpaired top value, whose partner lies past the cutoff."""
+    With t_min, only the eigenvalues up to U + _TRACE_CUTOFF / t_min, U the
+    upper end of ground_bracket: in a trace at any t >= t_min the rest weigh
+    less than e^-_TRACE_CUTOFF of the lowest.  They come from _low_spectrum,
+    or, when that gives up, from one band reduction."""
     select = {}
     if t_min is not None:
         if t_min <= 0:
             raise ValueError("eigenvalues requires t_min > 0")
-        select = {"select": "v",
-                  "select_range": (-np.inf, ground_bound(op) + _TRACE_CUTOFF / t_min)}
+        sigma, factor, bound = ground_bracket(op)
+        cut = bound + _TRACE_CUTOFF / t_min
+        low = _low_spectrum(op, sigma, factor, bound, cut)
+        if low is not None:
+            return low
+        select = {"select": "v", "select_range": (-np.inf, cut)}
     try:
         eigs = scipy.linalg.eig_banded(op.band, eigvals_only=True, **select)
     except scipy.linalg.LinAlgError as exc:
@@ -247,6 +391,8 @@ def eigenvalues(op: DiscreteOperator, t_min: float | None = None) -> np.ndarray:
     if op.kind != "H":
         return eigs
     spread = float(np.abs(eigs).max(initial=1.0))
+    # a cutoff between the two embedding copies of a quaternion eigenvalue
+    # leaves a lone copy below it, whose partner lies past the cutoff
     pairs = eigs[:len(eigs) // 2 * 2].reshape(-1, 2)
     if np.abs(pairs[:, 0] - pairs[:, 1]).max(initial=0.0) > 1e-6 * spread:
         raise RuntimeError("quaternion embedding lost its even multiplicities")

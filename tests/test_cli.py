@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvsao
 from mvsao.cli import (
     _TOP_KEYS,
     CSV_COLUMNS,
@@ -337,6 +340,22 @@ class TestRunner:
             main(["selftest"])
         assert exc.value.code == 2
         assert "invalid choice: 'selftest'" in capsys.readouterr().err
+
+
+def test_oracle_run_leaves_scipy_sparse_unloaded(tmp_path):
+    """An oracle run in a fresh interpreter imports no scipy.sparse, which
+    costs about 33 ms of start-up on its own."""
+    cfg = write_config(tmp_path, dict(BASE_CONFIG, experiment="oracle", r=2, field="H",
+                                      noise="white", sigma2=0.5, upsilon2=0.5,
+                                      oracle={"draws": 2, "grid": 64}))
+    src = str(Path(mvsao.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); from mvsao.cli import main; "
+            f"code = main(['oracle', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'out.csv')!r}]); "
+            "print(code, 'scipy.sparse' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.split() == ["0", "False"]
 
 
 def test_write_results_rejects_bad_format(tmp_path):

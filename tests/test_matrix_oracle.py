@@ -1,16 +1,18 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from mvsao import matrix_oracle
 from mvsao.experiment import DIRICHLET, ExperimentSpec, PotentialSpec
 from mvsao.matrix_oracle import (
     DiscreteOperator,
     default_noise_grid,
     discretize,
     eigenvalues,
-    ground_bound,
+    ground_bracket,
     load_spectra,
     oracle_moment,
     save_spectra,
@@ -231,27 +233,45 @@ def _lattice_operator(kind, seed, n=500):
     return discretize(spec, field, n)
 
 
+def _lanczos_only():
+    """Within it the partial spectrum can only come from _low_spectrum."""
+    return mock.patch("scipy.linalg.eig_banded", side_effect=AssertionError("band reduction"))
+
+
 class TestPartialSpectrum:
     @pytest.mark.parametrize("kind", ["R", "C", "H"])
     def test_returns_every_eigenvalue_the_trace_sees(self, kind):
-        t = 0.5
-        for seed in (21, 22):
+        for seed, t in ((21, 0.5), (22, 0.5), (22, 0.1)):
             op = _lattice_operator(kind, seed)
             full = eigenvalues(op)
-            bound = ground_bound(op)
-            assert full[0] <= bound < full[0] + 1.0
-            part = eigenvalues(op, t)
-            assert np.all(full[:len(part)] <= bound + 50.0 / t)
-            assert len(part) >= np.count_nonzero(full <= full[0] + 50.0 / t)
+            sigma, _, bound = ground_bracket(op)
+            assert sigma < full[0] <= bound < full[0] + 1.0
+            with _lanczos_only():
+                part = eigenvalues(op, t)
+            assert len(part) == np.count_nonzero(full <= bound + 50.0 / t)
             np.testing.assert_allclose(part, full[:len(part)], rtol=1e-9)
 
+    def test_cut_between_quaternion_pairs(self):
+        """A cutoff between two Kramers pairs keeps every pair below it,
+        one copy each: the Kramers-restricted basis holds one copy per pair."""
+        op = _lattice_operator("H", 23, n=128)
+        full = eigenvalues(op)
+        bound = ground_bracket(op)[2]
+        for k in range(10):
+            t_min = 50.0 / (0.5 * (full[k] + full[k + 1]) - bound)
+            with _lanczos_only():
+                part = eigenvalues(op, t_min)
+            np.testing.assert_allclose(part, full[:k + 1], rtol=1e-9,
+                                       atol=1e-9 * np.abs(full[:k + 1]).max())
+
     def test_cutoff_inside_a_quaternion_pair(self):
-        """A cutoff between the two embedding copies of one eigenvalue keeps
+        """When the basis outgrows its budget the band reduction serves, and
+        a cutoff between the two embedding copies of one eigenvalue keeps
         the pairs below it: the lone copy below the cutoff is dropped."""
         op = _lattice_operator("H", 23, n=128)
         embedded = scipy.linalg.eig_banded(op.band, eigvals_only=True)
         full = eigenvalues(op)
-        bound = ground_bound(op)
+        bound = ground_bracket(op)[2]
         split = 0
         for k in range(1, 30):
             lo, hi = embedded[2 * k], embedded[2 * k + 1]
@@ -264,14 +284,77 @@ class TestPartialSpectrum:
             kept = scipy.linalg.eig_banded(op.band, eigvals_only=True, select="v",
                                            select_range=(-np.inf, bound + 50.0 / t_min))
             split += len(kept) % 2
-            part = eigenvalues(op, t_min)
+            with mock.patch.object(matrix_oracle, "_LANCZOS_BUDGET", 0.0):
+                part = eigenvalues(op, t_min)
             assert len(part) == len(kept) // 2 and len(part) in (k, k + 1)
             np.testing.assert_allclose(part, full[:len(part)], rtol=1e-9)
         assert split > 0
 
+    def test_many_eigenvalues_take_the_band_reduction(self):
+        """Past its budget the Lanczos basis gives up and one band reduction
+        returns the same eigenvalues: the sao potential on a long half line
+        keeps over a hundred."""
+        spec = make_spec(case=2, r=1, kind="C", alphas=(DIRICHLET,), x_max=30.0,
+                         potential=PotentialSpec(kind="sao"))
+        op = discretize(spec, None, 600)
+        sigma, factor, bound = ground_bracket(op)
+        assert matrix_oracle._low_spectrum(op, sigma, factor, bound, bound + 100.0) is None
+        want = _below_cut(op, 0.5)
+        assert len(want) > 100
+        np.testing.assert_allclose(eigenvalues(op, 0.5), want, rtol=1e-9,
+                                   atol=1e-9 * np.abs(want).max())
+
     def test_t_min_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             eigenvalues(_lattice_operator("R", 24, n=64), 0.0)
+
+    def test_dense_reference_at_grid_2000(self):
+        """Against the dense solve, independent of any banded routine."""
+        spec = make_spec(r=1, theta=1.0, sigma2=0.5, upsilon2=0.5, ts=(0.5,))
+        field = sample_noise("R", 1, 0.5, 0.5, (0.0, 1.0, 4096), np.random.default_rng(25))
+        op = discretize(spec, field, 2000)
+        dense = np.linalg.eigvalsh(_dense(op))
+        want = dense[dense <= ground_bracket(op)[2] + 50.0 / 0.5]
+        np.testing.assert_allclose(eigenvalues(op, 0.5), want, rtol=1e-9,
+                                   atol=1e-9 * np.abs(want).max())
+
+
+def _below_cut(op, t_min):
+    """The de-duplicated full spectrum up to the partial route's cutoff."""
+    full = eigenvalues(op)
+    return full[full <= ground_bracket(op)[2] + 50.0 / t_min]
+
+
+def _degenerate_cases():
+    """Operators whose eigenvalues repeat, with the copies of each.
+    Without noise the colors decouple, so each eigenvalue of a
+    color-symmetric operator has r copies, the most the recurrence allows."""
+    cases = [pytest.param(discretize(make_spec(r=r, kind=kind, theta=1.0), None, 120), r,
+                          id=f"symmetric_{kind}_r{r}") for kind in "RCH" for r in (2, 3)]
+    # x -> pi - x maps the operator to itself: even and odd eigenfunctions
+    cases.append(pytest.param(discretize(DIRICHLET_PI, None, 400), 1, id="reflection_R"))
+    table = PotentialSpec(kind="tabulated", table_x=(0.0, PI / 2, PI),
+                          table_v=((2.0, -1.0, 2.0), (2.0, -1.0, 2.0)))
+    cases.append(pytest.param(discretize(make_spec(r=2, kind="C", potential=table), None, 300),
+                              2, id="reflection_tabulated_C"))
+    d = DIRICHLET
+    for kind in "RCH":
+        spec = make_spec(r=2, kind=kind, theta=1.0, alphas=(d, 0.7), betas=(-1.0, d))
+        cases.append(pytest.param(discretize(spec, None, 150), 1, id=f"mixed_walls_{kind}"))
+    return cases
+
+
+@pytest.mark.parametrize("op,copies", _degenerate_cases())
+def test_partial_spectrum_keeps_every_copy(op, copies):
+    want = _below_cut(op, 0.5)
+    with _lanczos_only():
+        got = eigenvalues(op, 0.5)
+    assert len(got) == len(want)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+    if copies > 1:
+        # each eigenvalue below the cut shows up exactly `copies` times
+        groups = got[:len(got) // copies * copies].reshape(-1, copies)
+        assert np.ptp(groups, axis=1).max() < 1e-8 * np.abs(want).max()
 
 
 class TestSemigroup:
@@ -328,6 +411,16 @@ class TestValidation:
 
 
 class TestOracleMoment:
+    @pytest.mark.parametrize("kind", ["R", "C", "H"])
+    def test_zero_noise_colors_add_up(self, kind):
+        """With sigma2 = upsilon2 = 0 the r colors are r copies of the scalar
+        operator, so the ensemble reads r times the scalar trace."""
+        rng = np.random.default_rng(8)
+        spec = make_spec(r=3, kind=kind, theta=1.0, ts=(0.5,))
+        est = oracle_moment(spec, n_draws=2, n_grid=150, rng=rng)
+        scalar = eigenvalues(discretize(make_spec(theta=1.0, ts=(0.5,)), None, 150))
+        assert est.value == pytest.approx(3 * trace_semigroup(scalar, 0.5), rel=1e-9)
+
     def test_zero_noise_zero_variance(self):
         spec = make_spec(sigma2=0.0, upsilon2=0.0, ts=(1.0,), theta=1.0)
         rng = np.random.default_rng(4)
