@@ -12,11 +12,11 @@ mass, which keeps Robin rows second-order accurate.  Quaternion eigenvalues
 are de-duplicated since the embedding doubles every multiplicity.
 
 The ensemble eigensolves only the eigenvalues up to lambda_min + 50 / min t,
-the ones a trace can see, by shift-invert block Lanczos on the banded
-Cholesky factor (_low_spectrum): while few eigenvalues lie that low, a draw
-costs time linear in the grid.  Its spectra archives hold those eigenvalues
-alone.  The full spectrum, and the low one past the Lanczos budget, come
-from one band reduction.
+the ones a trace can see.  While few eigenvalues lie that low (a Weyl count
+of the band, _count_below, says how many), shift-invert block Lanczos on the
+banded Cholesky factor finds them (_low_spectrum) at a cost linear in the
+grid; otherwise, and for the full spectrum, one band reduction serves.  Its
+spectra archives hold those eigenvalues alone.
 """
 
 from __future__ import annotations
@@ -44,14 +44,17 @@ _NOISE_CELLS_PER_SCALE = 16  # noise cells per smallest mollification scale
 _TRACE_CUTOFF = 50.0
 # _low_spectrum: Ritz values count as converged within this share of the
 # spectrum's scale; the start block's generator; the steps between Ritz
-# checks, each a dense eigensolve of T; the basis rows, per sqrt(n (u + 1)),
-# past which one band reduction is cheaper (on the unit interval with u = 2,
-# a run that ended at 2.7 cost 1.4 times the band reduction at n = 996, and
-# one that ended at 1.3 cost 0.4 times it at n = 3996)
+# checks, each a dense eigensolve of T
 _LANCZOS_TOL = 1e-12
 _LANCZOS_START_SEED = 0
 _LANCZOS_CHECK_EVERY = 3
-_LANCZOS_BUDGET = 3.0
+# eigenvalues() takes the Lanczos route while the basis a run needs stays
+# within this many times sqrt(n (u + 1)) rows, and the band reduction past
+# it.  Measured on the unit interval and on the sao potential at x_max 10
+# and 30, over R, C and H with n = 124 to 7998: each route was the faster,
+# or within 10 % of it, on the side the rule gives it, except R at n = 996
+# with a basis of 1.2 sqrt(n (u + 1)) rows (Lanczos 20 ms, band 12 ms).
+_LANCZOS_BUDGET = 2.0
 
 
 @dataclass
@@ -260,8 +263,23 @@ def _kramers(v: np.ndarray) -> np.ndarray:
     return out.reshape(v.shape)
 
 
+def _count_below(op: DiscreteOperator, cut: float) -> float:
+    """Weyl estimate of the band matrix's eigenvalues up to cut, embedding
+    copies included.
+
+    Row i is taken as a chain of its own diagonal d_i with the grid's
+    nearest-neighbour coupling -c, the outermost band's typical entry: that
+    chain's spectrum d_i - 2 c cos(theta) lies up to cut for a share
+    arccos((d_i - cut) / 2c) / pi of theta in (0, pi), and the shares of all
+    rows sum to the count (within a few of it on the oracle's operators)."""
+    u = op.band.shape[0] - 1
+    c = np.median(np.abs(op.band[0, u:]))
+    shares = np.arccos(np.clip((op.band[u].real - cut) / (2.0 * c), -1.0, 1.0))
+    return float(shares.sum() / np.pi)
+
+
 def _low_spectrum(op: DiscreteOperator, sigma: float, factor: np.ndarray,
-                  bound: float, cut: float) -> np.ndarray | None:
+                  bound: float, cut: float, rows: int) -> np.ndarray:
     """Ascending eigenvalues up to cut, by block Lanczos on (A - sigma I)^-1
     applied through the banded Cholesky factor (Ericsson & Ruhe, Math. Comp.
     1980), whose top eigenvalues 1 / (lambda - sigma) are the lowest lambda.
@@ -282,9 +300,8 @@ def _low_spectrum(op: DiscreteOperator, sigma: float, factor: np.ndarray,
     times its vector) lies within rho of an eigenvalue of the inverse, so
     within about rho / theta^2 of one of A.  The iteration stops when every
     Ritz value up to cut, and the first one past it, is that close to an
-    eigenvalue within _LANCZOS_TOL * max(|sigma|, |cut|).  With many
-    eigenvalues below cut the basis outgrows its budget (_LANCZOS_BUDGET),
-    and so does one that spans the whole space: then it returns None."""
+    eigenvalue within _LANCZOS_TOL * max(|sigma|, |cut|).  RuntimeError
+    when that takes more than `rows` basis rows."""
     pbtrs, = scipy.linalg.get_lapack_funcs(("pbtrs",), (op.band,))
     u = op.band.shape[0] - 1
     s = 2 if op.kind == "H" else 1   # basis rows per start vector
@@ -298,7 +315,7 @@ def _low_spectrum(op: DiscreteOperator, sigma: float, factor: np.ndarray,
         return z + 1j * start.standard_normal((k, n)) if dtype.kind == "c" else z
 
     # rows: the basis, row j + 1 = J row j over H; T[:, j]: op V[j] in the basis
-    V = np.empty((min(n, int(_LANCZOS_BUDGET * np.sqrt(n * (u + 1)))), n), dtype)
+    V = np.empty((min(n, rows), n), dtype)
     T = np.zeros((len(V) + s * r,) * 2, dtype)
     tol = _LANCZOS_TOL * max(abs(sigma), abs(cut))
     mu_cut = 1.0 / (cut - sigma)
@@ -306,7 +323,8 @@ def _low_spectrum(op: DiscreteOperator, sigma: float, factor: np.ndarray,
     for step in itertools.count(1):
         m0 = m
         if m0 + s * r > len(V):
-            return None
+            raise RuntimeError(f"Lanczos on the {n}x{n} band matrix did not converge "
+                               f"within {len(V)} basis rows")
         sizes = np.linalg.norm(W, axis=1)
         coef = np.zeros((len(W), m0), dtype)
         # the pass over the whole basis removes what rounding left elsewhere
@@ -330,7 +348,8 @@ def _low_spectrum(op: DiscreteOperator, sigma: float, factor: np.ndarray,
                 for _ in range(2):
                     w -= (V[:m].conj() @ w) @ V[:m]
                 if np.linalg.norm(w) <= 1e-8 * size:
-                    return None
+                    raise RuntimeError(f"Lanczos basis spans the {n}x{n} band matrix's "
+                                       "space without converging")
                 norm, w = 0.0, w / np.linalg.norm(w)
             else:
                 w = w / norm
@@ -349,10 +368,6 @@ def _low_spectrum(op: DiscreteOperator, sigma: float, factor: np.ndarray,
                 theta, rho = theta[::2], rho.reshape(-1, 2).max(axis=1)
             theta, rho = theta[::-1], rho[::-1]
             k = int(np.count_nonzero(theta >= mu_cut))
-            if 4 * s * k > len(V):
-                # runs keeping 8 to 62 eigenvalues took 5 to 2.4 rows for
-                # each: at 4 for each this one would end near its budget
-                return None
             if k < len(theta) and np.all(rho[:k + 1] <= tol * theta[:k + 1] ** 2):
                 eigs = sigma + 1.0 / theta[:k]
                 if not (k and sigma < eigs[0] <= bound + tol):
@@ -370,17 +385,22 @@ def eigenvalues(op: DiscreteOperator, t_min: float | None = None) -> np.ndarray:
 
     With t_min, only the eigenvalues up to U + _TRACE_CUTOFF / t_min, U the
     upper end of ground_bracket: in a trace at any t >= t_min the rest weigh
-    less than e^-_TRACE_CUTOFF of the lowest.  They come from _low_spectrum,
-    or, when that gives up, from one band reduction."""
+    less than e^-_TRACE_CUTOFF of the lowest.  They come from _low_spectrum
+    while its basis would stay within _LANCZOS_BUDGET, from one band
+    reduction otherwise."""
     select = {}
     if t_min is not None:
         if t_min <= 0:
             raise ValueError("eigenvalues requires t_min > 0")
         sigma, factor, bound = ground_bracket(op)
         cut = bound + _TRACE_CUTOFF / t_min
-        low = _low_spectrum(op, sigma, factor, bound, cut)
-        if low is not None:
-            return low
+        u = op.band.shape[0] - 1
+        # the basis a Lanczos run needs: about 2 rows per eigenvalue below
+        # the cut plus 12 blocks (runs from 7 to 500 eigenvalues used at
+        # most 1.1 times this); a run may take twice it
+        rows = 2.0 * _count_below(op, cut) + 12 * u
+        if rows <= _LANCZOS_BUDGET * np.sqrt(op.dim * (u + 1)):
+            return _low_spectrum(op, sigma, factor, bound, cut, int(2 * rows))
         select = {"select": "v", "select_range": (-np.inf, cut)}
     try:
         eigs = scipy.linalg.eig_banded(op.band, eigvals_only=True, **select)

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 from unittest import mock
 
@@ -233,9 +234,13 @@ def _lattice_operator(kind, seed, n=500):
     return discretize(spec, field, n)
 
 
+@contextlib.contextmanager
 def _lanczos_only():
-    """Within it the partial spectrum can only come from _low_spectrum."""
-    return mock.patch("scipy.linalg.eig_banded", side_effect=AssertionError("band reduction"))
+    """Within it the partial spectrum can only come from _low_spectrum,
+    whatever the route's cost estimate says."""
+    with mock.patch.object(matrix_oracle, "_LANCZOS_BUDGET", np.inf), \
+            mock.patch("scipy.linalg.eig_banded", side_effect=AssertionError("band reduction")):
+        yield
 
 
 class TestPartialSpectrum:
@@ -265,9 +270,9 @@ class TestPartialSpectrum:
                                        atol=1e-9 * np.abs(full[:k + 1]).max())
 
     def test_cutoff_inside_a_quaternion_pair(self):
-        """When the basis outgrows its budget the band reduction serves, and
-        a cutoff between the two embedding copies of one eigenvalue keeps
-        the pairs below it: the lone copy below the cutoff is dropped."""
+        """When the route takes the band reduction, a cutoff between the two
+        embedding copies of one eigenvalue keeps the pairs below it: the
+        lone copy below the cutoff is dropped."""
         op = _lattice_operator("H", 23, n=128)
         embedded = scipy.linalg.eig_banded(op.band, eigvals_only=True)
         full = eigenvalues(op)
@@ -291,18 +296,72 @@ class TestPartialSpectrum:
         assert split > 0
 
     def test_many_eigenvalues_take_the_band_reduction(self):
-        """Past its budget the Lanczos basis gives up and one band reduction
-        returns the same eigenvalues: the sao potential on a long half line
-        keeps over a hundred."""
+        """The sao potential on a long half line keeps over a hundred
+        eigenvalues: the route goes to one band reduction without a
+        Lanczos attempt."""
         spec = make_spec(case=2, r=1, kind="C", alphas=(DIRICHLET,), x_max=30.0,
                          potential=PotentialSpec(kind="sao"))
         op = discretize(spec, None, 600)
-        sigma, factor, bound = ground_bracket(op)
-        assert matrix_oracle._low_spectrum(op, sigma, factor, bound, bound + 100.0) is None
         want = _below_cut(op, 0.5)
         assert len(want) > 100
-        np.testing.assert_allclose(eigenvalues(op, 0.5), want, rtol=1e-9,
-                                   atol=1e-9 * np.abs(want).max())
+        with mock.patch.object(matrix_oracle, "_low_spectrum",
+                               side_effect=AssertionError("Lanczos attempt")):
+            got = eigenvalues(op, 0.5)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+    @pytest.mark.parametrize("kind", ["R", "C", "H"])
+    def test_weyl_count(self, kind):
+        """The route's estimate of the eigenvalues below a cut, embedding
+        copies counted, on a noisy short interval and on a long half line."""
+        sao = make_spec(case=2, r=2, kind=kind, alphas=(DIRICHLET,) * 2, x_max=20.0,
+                        potential=PotentialSpec(kind="sao"))
+        for op in (_lattice_operator(kind, 26), discretize(sao, None, 400)):
+            embedded = scipy.linalg.eig_banded(op.band, eigvals_only=True)
+            for cut in embedded[0] + np.array([10.0, 100.0, 500.0]):
+                count = np.count_nonzero(embedded <= cut)
+                assert abs(matrix_oracle._count_below(op, cut) - count) <= 0.05 * count + 3
+
+    def test_unconverged_run_raises(self):
+        op = _lattice_operator("R", 27)
+        sigma, factor, bound = ground_bracket(op)
+        with pytest.raises(RuntimeError, match="did not converge within 8 basis rows"):
+            matrix_oracle._low_spectrum(op, sigma, factor, bound, bound + 100.0, 8)
+
+    @pytest.mark.parametrize("kind", ["R", "C", "H"])
+    def test_start_block_reaches_every_copy(self, kind):
+        """(A - sigma I)^-1 acts on an eigenspace as a scalar, so the block
+        Krylov space holds as many copies of an eigenvalue as the start
+        block's projection onto its eigenspace has rank: rounding aside, a
+        block narrower than r would miss copies.  A color-symmetric r = 3
+        operator has 3 copies of each eigenvalue (6 in the H embedding)."""
+        op = discretize(make_spec(r=3, kind=kind, theta=1.0), None, 120)
+        solved = []
+        get = scipy.linalg.get_lapack_funcs
+
+        def spy(names, arrays):
+            funcs = get(names, arrays)
+            if names != ("pbtrs",):
+                return funcs
+
+            def pbtrs(factor, rhs):
+                solved.append(np.array(rhs))
+                return funcs[0](factor, rhs)
+            return (pbtrs,)
+
+        with _lanczos_only(), mock.patch.object(scipy.linalg, "get_lapack_funcs", spy):
+            eigs = eigenvalues(op, 0.5)
+        start = solved[0].T
+        if kind == "H":
+            start = np.vstack([start, matrix_oracle._kramers(start)])
+        copies = 6 if kind == "H" else 3
+        embedded, vectors = np.linalg.eigh(_dense(op))
+        below = len(eigs) * (2 if kind == "H" else 1)
+        assert below >= 2 * copies
+        for k in range(0, below, copies):
+            space = vectors[:, k:k + copies]
+            assert np.ptp(embedded[k:k + copies]) < 1e-8 * abs(embedded[k])
+            reach = np.linalg.svd(space.conj().T @ start.T, compute_uv=False)
+            assert len(reach) == copies and reach.min() > 1e-3 * reach.max()
 
     def test_t_min_nonpositive_rejected(self):
         with pytest.raises(ValueError):
