@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import replace
@@ -322,6 +323,16 @@ def write_results(records: list[dict], out_path, fmt: str) -> None:
         raise ConfigError(f"unknown output format {fmt!r}")
 
 
+def _check_out_path(path: str) -> None:
+    """Fail before the run on an output path that cannot be written: its
+    directory must exist and the path must not be a directory."""
+    if os.path.isdir(path):
+        raise ConfigError(f"--out {path!r} is a directory")
+    folder = os.path.dirname(path)
+    if folder and not os.path.isdir(folder):
+        raise ConfigError(f"--out {path!r}: no directory {folder!r}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mvsao",
@@ -359,7 +370,10 @@ def main(argv=None) -> int:
             "preset": args.preset,
         }
         parsed = parse_config(raw, overrides)
+        _check_out_path(args.out)
         records = run(parsed, workers=args.workers, timing=args.timing)
+        if records:
+            write_results(records, args.out, args.format)
     except (ConfigError, ArchiveError, OSError, json.JSONDecodeError,
             UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -368,11 +382,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if records:
-        write_results(records, args.out, args.format)
-        for rec in records:
-            print(f"{rec['experiment_id']}: {rec['estimate']:.6g} "
-                  f"+- {rec['stderr']:.2g}", file=sys.stderr)
+    for rec in records:
+        print(f"{rec['experiment_id']}: {rec['estimate']:.6g} "
+              f"+- {rec['stderr']:.2g}", file=sys.stderr)
     return 0
 
 

@@ -237,7 +237,16 @@ class _PathBatch:
         its -int diagonal per color, and seg_exponent[:, k, c - 1], every
         sample's exponent over segment k held in color c: -int diagonal,
         then the lower wall's logs, then the upper wall's, each summed in
-        step order.  Then what exponent_steps reads besides it."""
+        step order.  Then what exponent_steps reads besides it.
+
+        Per row block and weighted wall, the near-wall steps are found,
+        gathered, cut and logged once, on 1-D arrays: one comparison of
+        the block with the wall's reach, one flatnonzero over the steps
+        with an end inside it, two takes of their ends' distances a and b,
+        then q = step_crossing_probs(a, b, dt) > 1e-17 and log_wall_factor
+        on the steps kept.  The paths lie in the closed domain, so a and b
+        are the steps' signed distances, and an end on the wall gives
+        q = 1 and a Dirichlet log of -inf."""
         spec, n, r, dt = self.spec, self.n, self.spec.domain.r, self.dt
         pot = spec.potential
         self.diagonal = diagonal or partial(pot.values, r=r)
@@ -263,10 +272,15 @@ class _PathBatch:
         reach = math.sqrt(_WALL_REACH_DT * dt)
         row_type, step_type = (np.min_scalar_type(m - 1) for m in (n, self.total_steps))
         for k, f in enumerate(folded):
-            # a row block holds the bin buffer and about three more arrays of
-            # its size (near-wall masks and gathers), so four fit in cache
-            rows = block_rows(4 * f.shape[1])
-            buf = np.empty((min(rows, n), f.shape[1] - 1))
+            steps = f.shape[1] - 1
+            # a row block holds about two float arrays of its size: the bin
+            # buffer, the walls' two bool masks and the near-wall steps'
+            # gathers (or the diagonal's values), so they fit in cache
+            rows = block_rows(2 * f.shape[1])
+            buf = np.empty((min(rows, n), steps))
+            if walls:
+                close_buf = np.empty((len(buf), steps + 1), bool)
+                near_buf = np.empty((len(buf), steps), bool)
             for lo in range(0, n, rows):
                 block = f[lo:lo + rows]
                 values = block[:, :-1]
@@ -294,18 +308,37 @@ class _PathBatch:
                     # precision, and a step with both ends sqrt(_WALL_REACH_DT
                     # dt) or more from the wall has q <= exp(-40) < 1e-17: q
                     # is computed only for steps with an end nearer than that
-                    close = block < point + reach if side == "lower" else block > point - reach
-                    near = close[:, :-1] | close[:, 1:]
-                    row, step = np.divmod(np.flatnonzero(near), near.shape[1])
-                    ends = np.stack((block[:, :-1][near], block[:, 1:][near]), axis=1)
-                    keep = step_crossing_probs(ends, point, dt, side=side)[:, 0] > 1e-17
-                    row, step, d = row[keep], step[keep], np.abs(ends[keep] - point)
-                    logs = [log_wall_factor(d[:, 0], d[:, 1], dt, alpha) for alpha, _ in terms]
+                    close = close_buf[:len(block)]
+                    if side == "lower":
+                        np.less(block, point + reach, out=close)
+                    else:
+                        np.greater(block, point - reach, out=close)
+                    idx = np.flatnonzero(np.logical_or(close[:, :-1], close[:, 1:],
+                                                       out=near_buf[:len(block)]))
+                    row = idx // steps
+                    # the block is a contiguous row slice steps + 1 wide, so
+                    # step idx of row idx // steps starts at flat idx + row
+                    end = np.add(idx, row, out=idx)
+                    a = block.ravel().take(end)
+                    end += 1
+                    b = block.ravel().take(end)
+                    # the ends lie in the closed domain: |end - wall| is the
+                    # signed distance, and an end on the wall gives q = 1
+                    a -= point
+                    np.abs(a, out=a)
+                    b -= point
+                    np.abs(b, out=b)
+                    keep = step_crossing_probs(a, b, dt) > 1e-17
+                    if not keep.all():
+                        kept = np.flatnonzero(keep)
+                        row, end, a, b = row[kept], end[kept], a[kept], b[kept]
+                    logs = [log_wall_factor(a, b, dt, alpha) for alpha, _ in terms]
                     for (_, held), w in zip(terms, logs):
                         sums = np.bincount(row, weights=w, minlength=len(block))
                         cells[:, held] += sums[:, None]
-                    out.append(((row + lo).astype(row_type),
-                                (step + self.seg_bounds[k]).astype(step_type), logs))
+                    # step m of the segment ends at flat row (steps + 1) + m + 1
+                    end -= row * (steps + 1) + 1 - self.seg_bounds[k]
+                    out.append(((row + lo).astype(row_type), end.astype(step_type), logs))
         if bins:
             self.full_hist = self.seg_hist.sum(axis=1)
         # per-step colors read the step values (left ends) of a color-dependent

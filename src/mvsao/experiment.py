@@ -33,8 +33,13 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in ("zero", "linear", "sao", "tabulated"):
             raise ValueError(f"unknown potential kind {self.kind!r}")
-        if self.kind == "tabulated" and (not self.table_x or not self.table_v):
-            raise ValueError("tabulated potential needs table_x and table_v")
+        if self.kind == "tabulated":
+            if not self.table_x or not self.table_v:
+                raise ValueError("tabulated potential needs table_x and table_v")
+            if any(b <= a for a, b in zip(self.table_x, self.table_x[1:])):
+                raise ValueError("tabulated table_x must be strictly increasing")
+            if any(len(row) != len(self.table_x) for row in self.table_v):
+                raise ValueError("every tabulated table_v row must be as long as table_x")
 
     def values(self, colors, x, r: int) -> np.ndarray:
         """V(color, x) evaluated elementwise on broadcastable arrays."""
@@ -97,6 +102,9 @@ class ExperimentSpec:
         if self.n_paths < 1 or self.n_quad < 1 or self.n_max < 0:
             raise ValueError("need paths >= 1, n_quad >= 1 and n_max >= 0")
         r = self.domain.r
+        if self.potential.kind == "tabulated" and len(self.potential.table_v) != r:
+            raise ValueError(f"a tabulated potential needs one table_v row per color, "
+                             f"got {len(self.potential.table_v)} for r = {r}")
         if self.domain.case in (2, 3):
             if self.alphas is None or len(self.alphas) != r:
                 raise ValueError("cases 2 and 3 need one alpha per color")

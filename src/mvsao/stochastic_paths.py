@@ -163,25 +163,17 @@ def sample_bridge_ensemble(domain: DomainConfig, x, y, t: float,
     return (out, free) if return_free else out
 
 
-def step_crossing_probs(values: np.ndarray, c: float, dt: float, side: str) -> np.ndarray:
-    """Per-step q = exp(-2 d1 d2 / dt), d1 and d2 the distances of
-    consecutive points to the boundary level c: the chance that a free
-    Brownian bridge between them touches c, and the image share of a
-    reflected step's kernel (see log_wall_factor).  Points at or beyond the
-    boundary give one.  values has shape (..., n_steps + 1).
+def step_crossing_probs(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
+    """Per-step q = exp(-2 a b / dt) elementwise, a and b the distances of a
+    step's two ends to a wall: the chance that a free Brownian bridge
+    between them touches the wall, and the image share of a reflected
+    step's kernel (see log_wall_factor).  An end on the wall (a zero
+    distance) gives exactly one.
     """
-    if side == "lower":
-        d1 = values[..., :-1] - c
-        d2 = values[..., 1:] - c
-    elif side == "upper":
-        d1 = c - values[..., :-1]
-        d2 = c - values[..., 1:]
-    else:
-        raise ValueError("side must be 'lower' or 'upper'")
-    inside = (d1 > 0.0) & (d2 > 0.0)
-    with np.errstate(over="ignore"):
-        p = np.exp(-2.0 * d1 * d2 / dt)
-    return np.where(inside, p, 1.0)
+    q = np.multiply(a, -2.0)
+    q *= b
+    q /= dt
+    return np.exp(q, out=q)
 
 
 def log_wall_factor(a, b, dt: float, alpha: float) -> np.ndarray:

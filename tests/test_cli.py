@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -225,6 +226,16 @@ class TestRunner:
             {"alpha": [True]}, {"noise": {"eps": [0.0], "zeta": [True]}})]
         bad += [("oracle", dict(BASE_CONFIG, noise="white", oracle=oracle)) for oracle in (
             {"draws": 2.5, "grid": 50}, {"draws": 2, "grid": 50.0}, {"draws": True, "grid": 50})]
+        # a tabulated potential must fit the run: one table_v row per color,
+        # each as long as table_x, and table_x strictly increasing
+        table = {"kind": "tabulated", "table_x": [0.0, 0.5, 1.0]}
+        bad += [("trace", dict(BASE_CONFIG, r=r, potential=dict(table, **change)))
+                for r, change in ((2, {"table_v": [[0.0, 1.0, 0.0]]}),
+                                  (1, {"table_v": [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]}),
+                                  (1, {"table_v": [[0.0, 1.0]]}),
+                                  (2, {"table_v": [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0, 2.0]]}),
+                                  (1, {"table_x": [0.0, 1.0, 0.5], "table_v": [[0.0, 1.0, 0.0]]}),
+                                  (1, {"table_x": [0.0, 0.5, 0.5], "table_v": [[0.0, 1.0, 0.0]]}))]
         # json reads NaN and Infinity; every number must be finite
         nan, inf = float("nan"), float("inf")
         small = dict(json.loads((CONFIGS / "interval_white_cross.json").read_text()),
@@ -319,6 +330,18 @@ class TestRunner:
         cfg = dict(BASE_CONFIG, noise="white", oracle={"grid": 50, "noise_archive": str(good)})
         assert main(["oracle", "--config", str(write_config(tmp_path, cfg)),
                      "--out", str(tmp_path / "o.csv")]) == 0
+
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        """An output path in a missing directory, or naming a directory, fails
+        with exit 2 before the run; so does a write that fails."""
+        cfgp = str(write_config(tmp_path, BASE_CONFIG))
+        with mock.patch("mvsao.cli.run", side_effect=AssertionError("ran")):
+            for out in (tmp_path / "missing" / "x.csv", tmp_path):
+                assert main(["trace", "--config", cfgp, "--out", str(out)]) == 2
+                assert capsys.readouterr().err.startswith(f"error: --out '{out}'")
+        with mock.patch("mvsao.cli.write_results", side_effect=PermissionError("denied")):
+            assert main(["trace", "--config", cfgp, "--out", str(tmp_path / "x.csv")]) == 2
+            assert capsys.readouterr().err == "error: denied\n"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_estimate_exit_code(self, tmp_path, capsys):

@@ -469,14 +469,14 @@ def dense_wall_terms(spec, folded, dt):
     path: the reference for the near-wall cut."""
     bounds = np.cumsum([0] + [f.shape[1] - 1 for f in folded])
     terms = []
-    walls = [(0.0, "lower", spec.alphas), (spec.domain.theta, "upper", spec.betas)]
-    for point, side, weights in walls[:spec.domain.case - 1]:
+    walls = [(0.0, spec.alphas), (spec.domain.theta, spec.betas)]
+    for point, weights in walls[:spec.domain.case - 1]:
         weights = np.asarray(weights, dtype=float)
         near = []
         for f, lo in zip(folded, bounds):
-            rows, cols = np.nonzero(step_crossing_probs(f, point, dt, side=side) > 1e-17)
-            near.append((rows, lo + cols, np.abs(f[rows, cols] - point),
-                         np.abs(f[rows, cols + 1] - point)))
+            a, b = np.abs(f[:, :-1] - point), np.abs(f[:, 1:] - point)
+            rows, cols = np.nonzero(step_crossing_probs(a, b, dt) > 1e-17)
+            near.append((rows, lo + cols, a[rows, cols], b[rows, cols]))
         for alpha in np.unique(weights[weights != 0.0]):
             logs = np.zeros((folded[0].shape[0], bounds[-1]))
             for rows, steps, a, b in near:
@@ -569,6 +569,95 @@ class TestNearWallCut:
         # some steps just inside sqrt(20 dt) carry one
         terms = dense_wall_terms(spec, folded, dt)
         assert terms and all((logs == 0.0).any() and (logs != 0.0).any() for _, logs in terms)
+
+
+def parent_rule_walls(spec, folded, dt):
+    """Per wall, as _PathBatch.walls holds them: the rows, global steps and
+    per-weight logs of the steps whose q exceeds 1e-17, and the exponents
+    per segment and color, from the rule applied to every step of the whole
+    arrays: the signed distances d1, d2 of a step's ends to the wall,
+    q = exp(-2 d1 d2 / dt) where both are positive and 1 where either is
+    not, and the log factor of |d1|, |d2|."""
+    bounds = np.cumsum([0] + [f.shape[1] - 1 for f in folded])
+    exponent = np.zeros((len(folded[0]), len(folded), spec.domain.r))
+    walls = []
+    sides = [(0.0, 1.0, spec.alphas), (spec.domain.theta, -1.0, spec.betas)]
+    for point, sign, weights in sides[:spec.domain.case - 1]:
+        weights = np.asarray(weights, dtype=float)
+        if not weights.any():
+            continue
+        alphas = np.unique(weights[weights != 0.0])
+        found = []
+        for k, f in enumerate(folded):
+            d1, d2 = sign * (f[:, :-1] - point), sign * (f[:, 1:] - point)
+            inside = (d1 > 0.0) & (d2 > 0.0)
+            with np.errstate(over="ignore"):
+                q = np.where(inside, np.exp(-2.0 * d1 * d2 / dt), 1.0)
+            rows, cols = np.nonzero(q > 1e-17)
+            a, b = np.abs(f[rows, cols] - point), np.abs(f[rows, cols + 1] - point)
+            logs = [log_wall_factor(a, b, dt, alpha) for alpha in alphas]
+            for alpha, w in zip(alphas, logs):
+                exponent[:, k, weights == alpha] += np.bincount(
+                    rows, weights=w, minlength=len(f))[:, None]
+            found.append((rows, cols + bounds[k], logs))
+        walls.append((np.concatenate([piece[0] for piece in found]),
+                      np.concatenate([piece[1] for piece in found]),
+                      [(weights == alpha, np.concatenate([piece[2][j] for piece in found]))
+                       for j, alpha in enumerate(alphas)]))
+    return walls, exponent
+
+
+def cut_paths(domain, dt, n_rows, n_steps, rng):
+    """Frozen paths in the closed domain whose ends lie on a wall, a hair
+    off it, on both sides of the 1e-17 cut (2 a b / dt = -log 1e-17 for
+    a = b) and anywhere within twice the near-wall reach of a wall."""
+    cut = np.sqrt(-np.log(1e-17) * dt / 2.0)
+    dists = np.concatenate([[0.0, 5e-324, 1e-12],
+                            cut * (1.0 + np.array([-1e-9, -1e-12, 1e-12, 1e-9])),
+                            rng.uniform(0.0, 2.0 * np.sqrt(20.0 * dt), 30)])
+    d = rng.choice(dists, size=(n_rows, n_steps + 1))
+    # rows held on either side of the cut, whose every step is on that side
+    d[:2] = cut * (1.0 + np.array([[-1e-9], [1e-9]]))
+    if domain.case == 2:
+        return d
+    return np.where(rng.random(d.shape) < 0.5, d, domain.theta - d)
+
+
+class TestNearWallPassBitExact:
+    """The near-wall pass keeps exactly the steps whose q exceeds 1e-17, in
+    (segment, row, step) order, with the logs and the exponents of the rule
+    applied to every step of the whole arrays, bit for bit, in row blocks
+    whose height does not divide the row count."""
+
+    @pytest.mark.parametrize("case,alphas,betas", [
+        (3, (1.0, 1.0), (-1.0, -1.0)), (3, (DIRICHLET,) * 2, (DIRICHLET,) * 2),
+        (3, (0.7, DIRICHLET), (DIRICHLET, -1.0)), (3, (0.0, 0.0), (1.0, 0.0)),
+        (2, (-1.0, 1.0), None), (2, (DIRICHLET, DIRICHLET), None)])
+    def test_walls_and_exponents_equal_the_rule(self, case, alphas, betas):
+        dt = 1e-3
+        domain = DomainConfig(case=case, theta=1.0 if case == 3 else None, r=2)
+        spec = ExperimentSpec(domain=domain, kind="R", sigma2=0.0, upsilon2=0.0,
+                              ts=(0.03, 0.02), seed=1, alphas=alphas, betas=betas,
+                              x_max=4.0, dt=dt)
+        rng = np.random.default_rng(43)
+        folded = [cut_paths(domain, dt, 33, m, rng) for m in spec.step_counts()]
+        # blocks of 7 rows: 33 rows leave a last block of 5
+        with mock.patch("mvsao.estimators.block_rows", lambda width: 7):
+            batch = frozen_batch(spec, folded)
+        walls, exponent = parent_rule_walls(spec, folded, dt)
+        assert np.array_equal(batch.seg_exponent, exponent)
+        assert len(batch.walls) == len(walls)
+        for (rows, steps, terms), (want_rows, want_steps, want_terms) in zip(batch.walls, walls):
+            assert np.array_equal(rows, want_rows) and np.array_equal(steps, want_steps)
+            assert len(terms) == len(want_terms)
+            for (held, logs), (want_held, want_logs) in zip(terms, want_terms):
+                assert np.array_equal(held, want_held)
+                assert logs.tobytes() == want_logs.tobytes()
+            # the cut is not vacuous: the rows held beside it, every step on
+            # the wall (Dirichlet: a log of -inf) and the last block all count
+            assert 0 in rows and 1 not in rows and 32 in rows
+        if DIRICHLET in alphas:
+            assert any(np.isneginf(logs).any() for _, logs in batch.walls[0][2])
 
 
 class TestNarrowStepBins:

@@ -366,12 +366,15 @@ class TestInterpolateFree:
 
 
 def test_crossing_probs_basic():
-    vals = np.array([0.5, 0.4, -0.1, 0.3])
-    p = step_crossing_probs(vals, 0.0, 0.01, side="lower")
-    assert p[1] == 1.0 and p[2] == 1.0
-    assert 0.0 < p[0] < 1e-8
-    up = step_crossing_probs(np.array([0.95, 1.0]), 1.0, 0.01, side="upper")
-    assert up[0] == 1.0
+    """q = exp(-2ab/dt) of each step's wall distances a and b: 1-D in gives
+    the same shape out, and an end on the wall gives exactly 1."""
+    a = np.array([0.0, 0.1, 0.0, 5e-324, 0.02, 0.4, 0.05])
+    b = np.array([0.4, 0.0, 0.0, 0.1, 0.05, 0.3, 0.07])
+    q = step_crossing_probs(a, b, 0.01)
+    assert q.shape == a.shape
+    assert (q[:4] == 1.0).all()
+    assert q.tobytes() == np.exp(-2.0 * a * b / 0.01).tobytes()
+    assert 0.0 < q[5] < 1e-8 < q[4] < 1.0
 
 
 def mod_fold(values, theta):
