@@ -212,7 +212,7 @@ def _parse_config(cfg: dict, overrides: dict) -> dict:
         }
         opts = out["oracle"]
         check_grid(spec, opts["grid"], *oracle_scales(spec))
-        if opts["noise_archive"] is None:
+        if not opts["noise_archive"]:
             check_draws(opts["draws"])
     else:
         # each path estimate as run builds it: one per time of a trace, all
@@ -240,54 +240,41 @@ def _trace_spec(spec: ExperimentSpec, idx: int) -> ExperimentSpec:
                    zetas=None if spec.zetas is None else (spec.zetas[idx],))
 
 
-def _record(experiment_id: str, kind: str, ts, est: MomentEstimate,
-            wall_time: float | None, seed: int, config_hash: str) -> dict:
-    padded = list(ts) + [None] * (4 - len(ts))
-    return {
-        "experiment_id": experiment_id, "kind": kind,
-        "t1": padded[0], "t2": padded[1], "t3": padded[2], "t4": padded[3],
-        "estimate": est.value, "stderr": est.stderr, "n_paths": est.n_paths,
-        "n_discarded": est.n_discarded, "seed": seed,
-        "config_hash": config_hash,
-        "wall_time": None if wall_time is None else round(wall_time, 3),
-        "discard_rate": est.discard_rate,
-        "max_weight_share": est.max_weight_share,
-        "warnings": list(est.warnings),
-    }
-
-
 def run(parsed: dict, workers: int = 1, timing: bool = False) -> list[dict]:
     """Execute the experiment and return result records."""
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     kind = parsed["experiment"]
     spec: ExperimentSpec = parsed["spec"]
+    run_hash = spec.config_hash()
     records = []
 
-    def clock(fn):
+    def record(ts, estimate) -> None:
+        """Run estimate() and append its record, the estimate at times ts."""
         t0 = time.perf_counter()
-        out = fn()
-        return out, (time.perf_counter() - t0 if timing else None)
+        est: MomentEstimate = estimate()
+        padded = list(ts) + [None] * (4 - len(ts))
+        records.append({
+            "experiment_id": f"{kind}-{run_hash}-{len(records)}", "kind": kind,
+            "t1": padded[0], "t2": padded[1], "t3": padded[2], "t4": padded[3],
+            "estimate": est.value, "stderr": est.stderr, "n_paths": est.n_paths,
+            "n_discarded": est.n_discarded, "seed": spec.seed, "config_hash": run_hash,
+            "wall_time": round(time.perf_counter() - t0, 3) if timing else None,
+            "discard_rate": est.discard_rate,
+            "max_weight_share": est.max_weight_share,
+            "warnings": list(est.warnings),
+        })
 
-    run_hash = spec.config_hash()
+    runner = whitenoise_trace_moment if parsed["white"] else smooth_trace_moment
     if kind == "trace":
         for idx, t in enumerate(spec.ts):
             sub = replace(_trace_spec(spec, idx), seed=child_seed(spec.seed, idx))
-            runner = (whitenoise_trace_moment if parsed["white"]
-                      else smooth_trace_moment)
-            est, wall = clock(lambda: runner(sub, workers=workers))
-            records.append(_record(f"trace-{run_hash}-{idx}", "trace",
-                                   (t,), est, wall, spec.seed, run_hash))
+            record((t,), lambda: runner(sub, workers=workers))
     elif kind == "moment":
-        runner = whitenoise_trace_moment if parsed["white"] else smooth_trace_moment
-        est, wall = clock(lambda: runner(spec, workers=workers))
-        records.append(_record(f"moment-{run_hash}-0", "moment",
-                               spec.ts, est, wall, spec.seed, run_hash))
+        record(spec.ts, lambda: runner(spec, workers=workers))
     elif kind == "covariance":
         t1, t2 = parsed["covariance"]
-        est, wall = clock(lambda: rigidity_covariance(spec, t1, t2, workers=workers))
-        records.append(_record(f"covariance-{run_hash}-0", "covariance",
-                               (t1, t2), est, wall, spec.seed, run_hash))
+        record((t1, t2), lambda: rigidity_covariance(spec, t1, t2, workers=workers))
     elif kind == "oracle":
         opts = parsed["oracle"]
         fields = None
@@ -298,11 +285,9 @@ def run(parsed: dict, workers: int = 1, timing: bool = False) -> list[dict]:
             except ValueError as exc:
                 raise ConfigError(f"{opts['noise_archive']}: {exc}") from exc
         rng = np.random.default_rng(spec.seed)
-        est, wall = clock(lambda: oracle_moment(
-            spec, opts["draws"], opts["grid"], rng, noise_fields=fields,
-            spectra_path=opts["spectra_out"]))
-        records.append(_record(f"oracle-{run_hash}-0", "oracle",
-                               spec.ts, est, wall, spec.seed, run_hash))
+        record(spec.ts, lambda: oracle_moment(spec, opts["draws"], opts["grid"], rng,
+                                              noise_fields=fields,
+                                              spectra_path=opts["spectra_out"]))
     else:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     return records
@@ -323,14 +308,26 @@ def write_results(records: list[dict], out_path, fmt: str) -> None:
         raise ConfigError(f"unknown output format {fmt!r}")
 
 
-def _check_out_path(path: str) -> None:
-    """Fail before the run on an output path that cannot be written: its
-    directory must exist and the path must not be a directory."""
-    if os.path.isdir(path):
-        raise ConfigError(f"--out {path!r} is a directory")
-    folder = os.path.dirname(path)
-    if folder and not os.path.isdir(folder):
-        raise ConfigError(f"--out {path!r}: no directory {folder!r}")
+def _check_outputs(out: str, parsed: dict) -> None:
+    """Fail before the run on an output path that cannot be written or that
+    would overwrite another file of the run: each output's directory must
+    exist, and it must name neither a directory, nor the oracle's noise
+    archive, nor the other output."""
+    opts = parsed.get("oracle", {})
+    archive = opts.get("noise_archive")
+    taken = {os.path.realpath(archive): "oracle.noise_archive"} if archive else {}
+    for name, path in (("--out", out), ("oracle.spectra_out", opts.get("spectra_out"))):
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise ConfigError(f"{name} {path!r} is a directory")
+        folder = os.path.dirname(path)
+        if folder and not os.path.isdir(folder):
+            raise ConfigError(f"{name} {path!r}: no directory {folder!r}")
+        real = os.path.realpath(path)
+        if real in taken:
+            raise ConfigError(f"{name} {path!r} is the file of {taken[real]}")
+        taken[real] = name
 
 
 def main(argv=None) -> int:
@@ -370,7 +367,7 @@ def main(argv=None) -> int:
             "preset": args.preset,
         }
         parsed = parse_config(raw, overrides)
-        _check_out_path(args.out)
+        _check_outputs(args.out, parsed)
         records = run(parsed, workers=args.workers, timing=args.timing)
         if records:
             write_results(records, args.out, args.format)

@@ -172,17 +172,17 @@ class _PathBatch:
     needs precomputed and vectorized.
 
     It keeps only what the weights read: the step bins and histograms and
-    the segments' mollifier kernels (unless bins is off), and the exponent
-    -int diagonal(colors, Z) + wall logs (default diagonal spec.potential)
-    per segment and color; for per-step colors, the walls' logs at the
-    near-wall steps alone, and the step values only for a color-dependent
-    diagonal.  The unfolded paths are kept only with keep_free
-    (jump_values).  All of it is built in one pass over (segment,
-    block_rows row block), so no temporary spans more than one block."""
+    the segments' mollifier kernels, and the exponent -int diagonal(colors,
+    Z) + wall logs (default diagonal spec.potential) per segment and color;
+    for per-step colors, the walls' logs at the near-wall steps alone, and
+    the step values only for a color-dependent diagonal.  The unfolded
+    paths, which jump_values reads at jump times, are kept only when a jump
+    can read them: r > 1 and some zeta > 0.  All of it is built in one pass
+    over (segment, block_rows row block), so no temporary spans more than
+    one block."""
 
     def __init__(self, spec: ExperimentSpec, xs, n: int,
-                 rng: np.random.Generator, keep_free: bool = False,
-                 ys=None, diagonal=None, bins: bool = True):
+                 rng: np.random.Generator, ys=None, diagonal=None):
         """xs (ys, default xs) holds the segments' start (end) points: one
         per segment, or one row of them per path, shape (n, segments)."""
         self.spec = spec
@@ -195,6 +195,7 @@ class _PathBatch:
         self.seg_bounds = np.concatenate([[0], np.cumsum(self.seg_steps)])
         xs = np.broadcast_to(np.asarray(xs, dtype=float), (n, len(spec.ts)))
         ys = xs if ys is None else np.broadcast_to(np.asarray(ys, dtype=float), xs.shape)
+        keep_free = spec.domain.r > 1 and any(spec.zeta_vector())
         folded = []
         self.free = []
         for x, y, t in zip(xs.T, ys.T, spec.ts):
@@ -204,14 +205,8 @@ class _PathBatch:
                 paths, free = paths
                 self.free.append(free)
             folded.append(paths)
-        if bins:
-            self._bin_range(folded)
-        self._build(folded, diagonal, bins)
-
-    def _bin_range(self, folded: list[np.ndarray]):
-        """The segments' mollifier kernels, the bin range of the steps' left
-        ends and the arrays that _build fills with their bins."""
-        spec, n = self.spec, self.n
+        # the segments' mollifier kernels, the bin range of the steps' left
+        # ends and the arrays that _build fills with their bins
         self.kernels = [_mollifier_kernel(e, self.h) for e in spec.eps_vector()]
         # step m of segment k counts into row k r + color - 1 of norm2_steps
         self.step_row = np.repeat(np.arange(len(folded)) * spec.domain.r - 1, self.seg_steps)
@@ -231,8 +226,9 @@ class _PathBatch:
         self.step_bins = np.empty((n, self.total_steps), np.min_scalar_type(self.n_bins - 1))
         # per-segment histograms of step counts
         self.seg_hist = np.empty((n, len(folded), self.n_bins))
+        self._build(folded, diagonal)
 
-    def _build(self, folded: list[np.ndarray], diagonal, bins: bool):
+    def _build(self, folded: list[np.ndarray], diagonal):
         """Per (segment, row block): the block's step bins and histograms,
         its -int diagonal per color, and seg_exponent[:, k, c - 1], every
         sample's exponent over segment k held in color c: -int diagonal,
@@ -284,20 +280,19 @@ class _PathBatch:
             for lo in range(0, n, rows):
                 block = f[lo:lo + rows]
                 values = block[:, :-1]
-                if bins:
-                    # bins are integer-valued doubles far below 2**53, so
-                    # shifting them before the cast is exact
-                    b = np.divide(values, self.h, out=buf[:len(values)])
-                    np.floor(b, out=b)
-                    b -= self.bin_offset
-                    np.clip(b, 0, self.n_bins - 1, out=b)
-                    into = self.step_bins[lo:lo + rows, self.seg_bounds[k]:self.seg_bounds[k + 1]]
-                    into[...] = b
-                    # the block's flat (row, bin) indices reuse buf: b is spent
-                    flat = np.add(into, (np.arange(len(b)) * self.n_bins)[:, None],
-                                  out=buf[:len(b)].view(np.int64))
-                    self.seg_hist[lo:lo + rows, k] = np.bincount(
-                        flat.ravel(), minlength=len(b) * self.n_bins).reshape(len(b), self.n_bins)
+                # bins are integer-valued doubles far below 2**53, so
+                # shifting them before the cast is exact
+                b = np.divide(values, self.h, out=buf[:len(values)])
+                np.floor(b, out=b)
+                b -= self.bin_offset
+                np.clip(b, 0, self.n_bins - 1, out=b)
+                into = self.step_bins[lo:lo + rows, self.seg_bounds[k]:self.seg_bounds[k + 1]]
+                into[...] = b
+                # the block's flat (row, bin) indices reuse buf: b is spent
+                flat = np.add(into, (np.arange(len(b)) * self.n_bins)[:, None],
+                              out=buf[:len(b)].view(np.int64))
+                self.seg_hist[lo:lo + rows, k] = np.bincount(
+                    flat.ravel(), minlength=len(b) * self.n_bins).reshape(len(b), self.n_bins)
                 if by_color or pot.kind != "zero":
                     for i in colors:
                         seg_v[lo:lo + rows, k, i - 1] = self.diagonal(i, values).sum(axis=1) * dt
@@ -339,8 +334,7 @@ class _PathBatch:
                     # step m of the segment ends at flat row (steps + 1) + m + 1
                     end -= row * (steps + 1) + 1 - self.seg_bounds[k]
                     out.append(((row + lo).astype(row_type), end.astype(step_type), logs))
-        if bins:
-            self.full_hist = self.seg_hist.sum(axis=1)
+        self.full_hist = self.seg_hist.sum(axis=1)
         # per-step colors read the step values (left ends) of a color-dependent
         # diagonal, else each sample's color-free -int V
         self.step_values = None
@@ -445,7 +439,6 @@ class FieldEstimate:
 
     value: np.ndarray
     stderr: float
-    n_paths: int
 
 
 class _Accumulator:
@@ -531,7 +524,7 @@ def _chunk_stats(args) -> _Accumulator:
     for chunk_idx, lo in enumerate(range(0, len(xs), size)):
         rng = derived_rng(spec.seed, stream, first_node, chunk_idx)
         rows = xs[lo:lo + size]
-        batch = _PathBatch(spec, rows, len(rows), rng, keep_free=not white)
+        batch = _PathBatch(spec, rows, len(rows), rng)
         w, keep = _moment_weights(spec, batch, pat, rng, white)
         acc.add_batch(node[lo:lo + size][keep], w[keep], int(batch.n - keep.sum()))
     return acc
@@ -694,21 +687,21 @@ def _matchings(n: int, n_max: int):
 # regular-noise kernel estimator
 # --------------------------------------------------------------------------
 
-def fk_kernel_regular(spec: ExperimentSpec, t: float, a: tuple[int, float],
-                      b: tuple[int, float], noise: NoiseField | None, eps: float,
-                      n_paths: int | None = None) -> FieldEstimate:
-    """Kernel of the mollified-noise semigroup at (a, b), estimated from
-    conditioned paths against one frozen noise realization (none: no noise).
+def fk_kernel_regular(spec: ExperimentSpec, a: tuple[int, float], b: tuple[int, float],
+                      noise: NoiseField | None) -> FieldEstimate:
+    """Kernel at (a, b) of the mollified-noise semigroup at spec's one time,
+    estimated from spec.n_paths conditioned paths against one frozen noise
+    realization (none: no noise), its diagonal mollified at spec.eps and its
+    off-diagonal entries at spec.zetas.
 
     The walk's endpoint conditioning is an indicator on free walks; the
     jump-product functional multiplies mollified off-diagonal noise values
     at the jump points with sign (-1)^N and the rate normalization.  The
     paths are _PathBatch chunks whose diagonal is V plus the diagonal noise.
     """
-    if eps <= 0:
-        raise ValueError("regular-noise kernel needs eps > 0")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if len(spec.ts) != 1:
+        raise ValueError(f"the kernel runs at one time, got ts = {spec.ts}")
+    (t,) = spec.ts
     r = spec.domain.r
     if noise is not None and (noise.kind, noise.r) != (spec.kind, r):
         raise ValueError(f"noise field 0 is {noise.kind} with r = {noise.r}, the run "
@@ -717,21 +710,17 @@ def fk_kernel_regular(spec: ExperimentSpec, t: float, a: tuple[int, float],
     j0, y0 = int(b[0]), float(b[1])
     if not (1 <= i0 <= r and 1 <= j0 <= r):
         raise ValueError(f"colors must lie in 1..{r}, got {i0} and {j0}")
-    n_paths = spec.n_paths if n_paths is None else n_paths
-    if n_paths < 1:
-        raise ValueError(f"need n_paths >= 1, got {n_paths}")
     # the moment estimators' dt rule: a dt that does not divide t is rejected
-    sub = replace(spec, ts=(t,), eps=None, zetas=None)
-    chunk_size = _chunk_rows(sub)
-    field = _MollifiedNoise(spec, noise, eps) if noise is not None else None
+    chunk_size = _chunk_rows(spec)
+    field = _MollifiedNoise(spec, noise) if noise is not None else None
 
     # one accumulator slot per component: the key of weight w[s, c] is c
     acc = _Accumulator(4)
-    for chunk_idx, done in enumerate(range(0, n_paths, chunk_size)):
-        mchunk = min(chunk_size, n_paths - done)
+    for chunk_idx, done in enumerate(range(0, spec.n_paths, chunk_size)):
+        mchunk = min(chunk_size, spec.n_paths - done)
         rng = derived_rng(spec.seed, _STREAM_FK, 0, chunk_idx)
-        batch = _PathBatch(sub, (x0,), mchunk, rng, keep_free=field is not None, ys=(y0,),
-                           diagonal=field.diagonal if field else None, bins=False)
+        batch = _PathBatch(spec, (x0,), mchunk, rng, ys=(y0,),
+                           diagonal=field.diagonal if field else None)
         counts = walk_jump_counts(r, (t,), mchunk, rng)[:, 0]
         w = np.zeros((mchunk, 4))
         # a walk without jumps draws no random numbers and holds color i0
@@ -750,18 +739,22 @@ def fk_kernel_regular(spec: ExperimentSpec, t: float, a: tuple[int, float],
         acc.add_batch(np.tile(np.arange(4), mchunk), w.ravel(), 0)
         del batch  # free this chunk's paths before the next chunk is drawn
     scale = math.exp((r - 1) * t) * transition_density(spec.domain, t, x0, y0)
-    se = math.sqrt(acc.m2.sum() / max(n_paths - 1, 1) / n_paths)
-    return FieldEstimate(value=scale * acc.mean, stderr=scale * se, n_paths=n_paths)
+    se = math.sqrt(acc.m2.sum() / max(spec.n_paths - 1, 1) / spec.n_paths)
+    return FieldEstimate(value=scale * acc.mean, stderr=scale * se)
 
 
 class _MollifiedNoise:
-    """A frozen noise realization mollified at scale eps, read at path points."""
+    """A frozen noise realization read at path points: its diagonal entries
+    mollified at the spec's eps, its off-diagonal entries at its zeta."""
 
-    def __init__(self, spec: ExperimentSpec, noise: NoiseField, eps: float):
+    def __init__(self, spec: ExperimentSpec, noise: NoiseField):
         self.spec = spec
         self.centers = noise.cell_centers()
-        profiles = mollified_profiles(noise, eps)
-        self.pair = {key: profiles[k] for key, k in pair_index(spec.domain.r).items()}
+        (eps,), (zeta,) = spec.eps_vector(), spec.zeta_vector()
+        pairs = pair_index(spec.domain.r)
+        scale = {(i, j): eps if i == j else zeta for i, j in pairs}
+        profiles = {s: mollified_profiles(noise, s) for s in set(scale.values())}
+        self.pair = {key: profiles[scale[key]][k] for key, k in pairs.items()}
         self.norm = UNIT_NORMALIZATION[spec.kind] * np.sqrt(spec.upsilon2)
 
     def diagonal(self, colors, x) -> np.ndarray:
@@ -792,10 +785,9 @@ def _fk_single(batch: _PathBatch, s: int, n_jumps: int, i0: int, j0: int,
     """s, the step colors of sample s's walk, a batch of one that jumps
     n_jumps > 0 times, and its weight components (a, b, c, d) before the
     factor exp(exponent); None if the walk does not end in j0."""
-    spec = batch.spec
-    segments = ((spec.ts[0], i0),)
+    segments = ((batch.spec.ts[0], i0),)
     drawn = free_walk_times(segments, np.array([[n_jumps]]), rng)
-    path = JumpPath(draw_jumps_along(segments, spec.domain.r, *drawn, rng), 0)
+    path = JumpPath(draw_jumps_along(segments, batch.spec.domain.r, *drawn, rng), 0)
     if path.endpoint_colors() != [j0]:
         return None
     step_colors = path.color_at_steps(batch.dt, batch.seg_bounds)
@@ -824,22 +816,15 @@ def rigidity_covariance(spec: ExperimentSpec, t1: float, t2: float,
     seeds; the error bar is the delta-method combination.
     """
     check_covariance_times(t1, t2)
-    spec2 = replace(spec, ts=(t1, t2), eps=None, zetas=None,
-                    seed=child_seed(spec.seed, 0))
-    spec1a = replace(spec, ts=(t1,), eps=None, zetas=None,
-                     seed=child_seed(spec.seed, 1))
-    spec1b = replace(spec, ts=(t2,), eps=None, zetas=None,
-                     seed=child_seed(spec.seed, 2))
-    m2 = whitenoise_trace_moment(spec2, workers=workers)
-    m1a = whitenoise_trace_moment(spec1a, workers=workers)
-    m1b = whitenoise_trace_moment(spec1b, workers=workers)
+    parts = [whitenoise_trace_moment(replace(spec, ts=ts, seed=child_seed(spec.seed, k)),
+                                     workers=workers)
+             for k, ts in enumerate([(t1, t2), (t1,), (t2,)])]
+    m2, m1a, m1b = parts
     cov = m2.value - m1a.value * m1b.value
     var = (m2.stderr**2 + (m1b.value * m1a.stderr) ** 2
            + (m1a.value * m1b.stderr) ** 2)
     return MomentEstimate(value=cov, stderr=float(np.sqrt(var)),
-                          n_paths=m2.n_paths + m1a.n_paths + m1b.n_paths,
-                          n_discarded=m2.n_discarded + m1a.n_discarded + m1b.n_discarded,
+                          n_paths=sum(m.n_paths for m in parts),
+                          n_discarded=sum(m.n_discarded for m in parts),
                           seed=spec.seed, config_hash=spec.config_hash(),
-                          max_weight_share=max(m2.max_weight_share,
-                                               m1a.max_weight_share,
-                                               m1b.max_weight_share))
+                          max_weight_share=max(m.max_weight_share for m in parts))

@@ -93,9 +93,19 @@ class NoiseField:
     increments: np.ndarray
 
     def __post_init__(self):
-        expected = len(pair_index(self.r))
-        if self.increments.shape[0] != expected or self.increments.shape[1] != 4:
-            raise ValueError("increments must have shape (n_pairs, 4, n_cells)")
+        if self.kind not in ("R", "C", "H"):
+            raise ValueError(f"kind {self.kind!r} is not R, C or H")
+        if type(self.r) is not int or self.r < 1:
+            raise ValueError(f"r = {self.r!r} is not an integer >= 1")
+        scalars = (self.sigma2, self.upsilon2, self.x_lo, self.dx)
+        if not all(isinstance(v, (int, float)) and abs(v) < np.inf for v in scalars):
+            raise ValueError(f"sigma2, upsilon2, x_lo, dx = {scalars}: need finite numbers")
+        if self.dx <= 0:
+            raise ValueError(f"cell width dx = {self.dx} is not positive")
+        pairs = self.r * (self.r + 1) // 2
+        if self.increments.ndim != 3 or self.increments.shape[:2] != (pairs, 4):
+            raise ValueError(f"increments of shape {self.increments.shape}, not "
+                             f"({pairs}, 4, cells) for r = {self.r}")
 
     @property
     def n_cells(self) -> int:
@@ -186,22 +196,29 @@ def lattice_white_values(field: NoiseField, edges: np.ndarray) -> np.ndarray:
     return out
 
 
+# the keys of a noise record's header besides its record tag
+_NOISE_HEADER = ("kind", "r", "sigma2", "upsilon2", "x_lo", "dx")
+
+
 def save_noise(path, fields: list[NoiseField]) -> None:
-    records = []
-    for f in fields:
-        header = {"record": "noise", "kind": f.kind, "r": f.r, "sigma2": f.sigma2,
-                  "upsilon2": f.upsilon2, "x_lo": f.x_lo, "dx": f.dx}
-        records.append((header, f.increments))
-    write_records(path, records)
+    headers = [{"record": "noise", **{key: getattr(f, key) for key in _NOISE_HEADER}}
+               for f in fields]
+    write_records(path, [(header, f.increments) for header, f in zip(headers, fields)])
 
 
 def load_noise(path) -> list[NoiseField]:
+    """The noise fields of an archive; ArchiveError naming the file for a
+    record that is not a well-formed noise record."""
     out = []
-    for header, payload in read_records(path):
+    for k, (header, payload) in enumerate(read_records(path)):
         if header.get("record") != "noise":
             raise ArchiveError(f"{path}: expected a noise record, got {header.get('record')!r}")
-        out.append(NoiseField(kind=header["kind"], r=header["r"],
-                              sigma2=header["sigma2"], upsilon2=header["upsilon2"],
-                              x_lo=header["x_lo"], dx=header["dx"],
-                              increments=payload))
+        missing = [key for key in _NOISE_HEADER if key not in header]
+        if missing:
+            raise ArchiveError(f"{path}: noise record {k} lacks {missing}")
+        try:
+            out.append(NoiseField(increments=payload,
+                                  **{key: header[key] for key in _NOISE_HEADER}))
+        except ValueError as exc:
+            raise ArchiveError(f"{path}: noise record {k}: {exc}") from exc
     return out

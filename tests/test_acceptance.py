@@ -104,9 +104,8 @@ class TestCriterion2KernelAnchor:
     def test_heat_kernel_value(self):
         spec = ExperimentSpec(domain=DomainConfig(case=1, r=1), kind="R",
                               sigma2=0.0, upsilon2=0.0, ts=(1.0,), seed=102,
-                              x_max=8.0)
-        est = fk_kernel_regular(spec, 1.0, (1, 0.0), (1, 0.0), None, eps=0.1,
-                                n_paths=100_000)
+                              x_max=8.0, n_paths=100_000)
+        est = fk_kernel_regular(spec, (1, 0.0), (1, 0.0), None)
         want = 1.0 / np.sqrt(2 * PI)
         assert abs(est.value[0] - want) <= 3 * est.stderr + 1e-12
         report("criterion 2 (kernel anchor)",

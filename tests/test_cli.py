@@ -23,8 +23,8 @@ from mvsao.cli import (
 )
 from mvsao.experiment import DIRICHLET
 from mvsao.matrix_oracle import oracle_scales
-from mvsao.noise_model import sample_noise, save_noise
-from mvsao.records import ArchiveError, read_records
+from mvsao.noise_model import load_noise, sample_noise, save_noise
+from mvsao.records import ArchiveError, read_records, write_records
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -330,6 +330,61 @@ class TestRunner:
         cfg = dict(BASE_CONFIG, noise="white", oracle={"grid": 50, "noise_archive": str(good)})
         assert main(["oracle", "--config", str(write_config(tmp_path, cfg)),
                      "--out", str(tmp_path / "o.csv")]) == 0
+        capsys.readouterr()
+        # an empty archive path reads no archive, so it needs two draws or more
+        cfg = dict(BASE_CONFIG, noise="white", oracle={"draws": 1, "grid": 50, "noise_archive": ""})
+        assert main(["oracle", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == "error: need at least 2 draws for a standard error\n"
+
+    def test_malformed_noise_record_exit_code(self, tmp_path, capsys):
+        """A noise record whose header lacks a key or holds a bad value, or
+        whose payload does not fit r, exits 2 naming the archive (a missing
+        dx, r = "2" and a short payload were a KeyError, a TypeError and a
+        ValueError)."""
+        header = {"record": "noise", "kind": "R", "r": 2, "sigma2": 0.5, "upsilon2": 0.5,
+                  "x_lo": 0.0, "dx": 1 / 8}
+        no_dx = {key: v for key, v in header.items() if key != "dx"}
+        for k, (head, shape, want) in enumerate([
+                (no_dx, (3, 4, 8), r"lacks \['dx'\]"),
+                (header, (2, 4, 8), r"increments of shape \(2, 4, 8\), not \(3, 4, cells\)"),
+                (dict(header, r="2"), (3, 4, 8), "r = '2' is not an integer"),
+                (dict(header, kind="Q"), (3, 4, 8), "kind 'Q' is not R, C or H"),
+                (dict(header, x_lo=None), (3, 4, 8), "need finite numbers"),
+                (dict(header, dx=0.0), (3, 4, 8), "dx = 0.0 is not positive")]):
+            path = tmp_path / f"bad{k}.mvsao"
+            write_records(path, [(head, np.zeros(shape))])
+            with pytest.raises(ArchiveError, match=want):
+                load_noise(path)
+            cfg = dict(BASE_CONFIG, r=2, noise="white",
+                       oracle={"grid": 50, "noise_archive": str(path)})
+            assert main(["oracle", "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(tmp_path / "o.csv")]) == 2, head
+            assert capsys.readouterr().err.startswith(f"error: {path}: noise record 0")
+
+    def test_outputs_checked_before_the_run(self, tmp_path, capsys):
+        """An oracle.spectra_out in a missing directory fails before the run,
+        as --out does; an output naming the noise archive is rejected and
+        leaves the archive as it was."""
+        archive = tmp_path / "noise.mvsao"
+        save_noise(archive, [sample_noise("R", 1, 0.5, 0.5, (0.0, 1.0, 64),
+                                          np.random.default_rng(0))])
+        blob = archive.read_bytes()
+        oracle = {"grid": 50, "noise_archive": str(archive)}
+        cases = [(dict(oracle, spectra_out="/nonexistent/dir/s.mvsao"), tmp_path / "o.csv",
+                  "error: oracle.spectra_out '/nonexistent/dir/s.mvsao': no directory"),
+                 (oracle, archive, f"error: --out '{archive}' is the file of "
+                                   "oracle.noise_archive"),
+                 (dict(oracle, spectra_out=f"{tmp_path}/./noise.mvsao"), tmp_path / "o.csv",
+                  f"error: oracle.spectra_out '{tmp_path}/./noise.mvsao' is the file of "
+                  "oracle.noise_archive")]
+        for k, (opts, out, want) in enumerate(cases):
+            cfg = write_config(tmp_path, dict(BASE_CONFIG, noise="white", oracle=opts),
+                               f"cfg{k}.json")
+            with mock.patch("mvsao.cli.run", side_effect=AssertionError("ran")):
+                assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == 2, opts
+            assert capsys.readouterr().err.startswith(want)
+            assert archive.read_bytes() == blob
 
     def test_unwritable_out_exit_code(self, tmp_path, capsys):
         """An output path in a missing directory, or naming a directory, fails

@@ -90,9 +90,8 @@ class TestFkKernel:
     def test_heat_kernel_anchor_exact(self):
         spec = ExperimentSpec(domain=DomainConfig(case=1, r=1), kind="R",
                               sigma2=0.0, upsilon2=0.0, ts=(1.0,), seed=3,
-                              x_max=8.0)
-        est = fk_kernel_regular(spec, 1.0, (1, 0.0), (1, 0.0), None, eps=0.1,
-                                n_paths=5000)
+                              x_max=8.0, n_paths=5000)
+        est = fk_kernel_regular(spec, (1, 0.0), (1, 0.0), None)
         assert est.value[0] == pytest.approx(1 / np.sqrt(2 * PI), rel=1e-12)
         assert est.stderr == pytest.approx(0.0, abs=1e-12)
 
@@ -103,10 +102,9 @@ class TestFkKernel:
         noise = sample_noise("R", 1, 1.0, 0.0, (-6.0, 6.0, 4096), rng)
         spec = ExperimentSpec(domain=DomainConfig(case=1, r=1), kind="R",
                               sigma2=1.0, upsilon2=0.0, ts=(1.0,), seed=12,
-                              x_max=6.0, dt=2e-3)
+                              x_max=6.0, dt=2e-3, eps=(0.2,), n_paths=20_000)
         t, x, y = 1.0, 0.1, -0.2
-        est = fk_kernel_regular(spec, t, (1, x), (1, y), noise, eps=0.2,
-                                n_paths=20_000)
+        est = fk_kernel_regular(spec, (1, x), (1, y), noise)
         # independent scalar route on fresh paths
         from mvsao.stochastic_paths import sample_bridge_ensemble, transition_density
         prof = mollified_profiles(noise, 0.2)[0, 0]
@@ -126,17 +124,16 @@ class TestFkKernel:
     def conjugate_setting():
         noise = sample_noise("C", 2, 0.5, 0.5, (-5.0, 5.0, 2048), np.random.default_rng(13))
         spec = ExperimentSpec(domain=DomainConfig(case=1, r=2), kind="C",
-                              sigma2=0.5, upsilon2=0.5, ts=(1.0,),
+                              sigma2=0.5, upsilon2=0.5, ts=(0.6,),
                               potential=PotentialSpec(kind="linear", kappa=1.0),
-                              seed=14, x_max=4.0, dt=2e-3)
+                              seed=14, x_max=4.0, dt=2e-3, eps=(0.2,), zetas=(0.2,),
+                              n_paths=8000)
         return spec, noise
 
     def test_kernel_conjugate_symmetry(self):
         spec, noise = self.conjugate_setting()
-        ab = fk_kernel_regular(spec, 0.6, (1, 0.2), (2, -0.1), noise, eps=0.2,
-                               n_paths=8000)
-        ba = fk_kernel_regular(spec, 0.6, (2, -0.1), (1, 0.2), noise, eps=0.2,
-                               n_paths=8000)
+        ab = fk_kernel_regular(spec, (1, 0.2), (2, -0.1), noise)
+        ba = fk_kernel_regular(spec, (2, -0.1), (1, 0.2), noise)
         # K(a, b) is the conjugate of K(b, a): (a, b, c, d) -> (a, -b, -c, -d)
         diff = ab.value - ba.value * np.array([1.0, -1.0, -1.0, -1.0])
         assert np.linalg.norm(diff) <= 3 * np.hypot(ab.stderr, ba.stderr)
@@ -147,12 +144,15 @@ class TestFkKernel:
     @pytest.mark.parametrize("kind", ["C", "H"])
     def test_noise_entry_is_the_block_of_the_scaled_profile(self, kind):
         # the stored entry (1, 2) is the block of its interpolated, scaled
-        # components; entry (2, 1), which a reversed jump reads, is its
-        # conjugate transpose
+        # components mollified at zeta; entry (2, 1), which a reversed jump
+        # reads, is its conjugate transpose.  The diagonal reads its profile
+        # at eps, as the oracle's noise values do
+        eps = 0.35
         noise = sample_noise(kind, 2, 0.5, 0.5, (-5.0, 5.0, 2048), np.random.default_rng(13))
         spec = ExperimentSpec(domain=DomainConfig(case=1, r=2), kind=kind, sigma2=0.5,
-                              upsilon2=0.5, ts=(1.0,), seed=14, x_max=4.0)
-        field = estimators._MollifiedNoise(spec, noise, 0.2)
+                              upsilon2=0.5, ts=(1.0,), seed=14, x_max=4.0, eps=(eps,),
+                              zetas=(0.2,))
+        field = estimators._MollifiedNoise(spec, noise)
         profile = mollified_profiles(noise, 0.2)[pair_index(2)[1, 2]]
         for z in (-0.73, 0.0, 1.31):
             comps = (np.array([np.interp(z, noise.cell_centers(), p) for p in profile])
@@ -161,6 +161,12 @@ class TestFkKernel:
             upper = field.entry(1, 2, z)
             np.testing.assert_allclose(upper, quaternion_block(*comps), rtol=1e-14, atol=0)
             np.testing.assert_array_equal(field.entry(2, 1, z), upper.conj().T)
+        diagonal = mollified_profiles(noise, eps)
+        x = np.array([-0.73, 0.0, 1.31])
+        for i in (1, 2):
+            want = np.sqrt(0.5) * np.interp(x, noise.cell_centers(),
+                                            diagonal[pair_index(2)[i, i]][0])
+            np.testing.assert_array_equal(field.diagonal(i, x), want)
 
     @pytest.mark.parametrize("noise_kind, noise_r, run_kind",
                              [("C", 2, "H"), ("C", 1, "C")], ids=["C-field-H-run", "r1-field-r2-run"])
@@ -170,37 +176,46 @@ class TestFkKernel:
         noise = sample_noise(noise_kind, noise_r, 0.5, 0.5, (-5.0, 5.0, 2048),
                              np.random.default_rng(13))
         spec = ExperimentSpec(domain=DomainConfig(case=1, r=2), kind=run_kind, sigma2=0.5,
-                              upsilon2=0.5, ts=(1.0,), seed=14, x_max=4.0, dt=2e-3)
+                              upsilon2=0.5, ts=(0.6,), seed=14, x_max=4.0, dt=2e-3,
+                              eps=(0.2,), zetas=(0.2,), n_paths=64)
         want = (f"noise field 0 is {noise_kind} with r = {noise_r}, "
                 f"the run {run_kind} with r = 2")
         with pytest.raises(ValueError, match=want):
-            fk_kernel_regular(spec, 0.6, (1, 0.2), (2, -0.1), noise, eps=0.2, n_paths=64)
+            fk_kernel_regular(spec, (1, 0.2), (2, -0.1), noise)
 
     def test_rejects_bad_scales(self):
-        spec = dirichlet_interval_spec()
-        with pytest.raises(ValueError):
-            fk_kernel_regular(spec, 1.0, (1, 0.1), (1, 0.1), None, eps=0.0)
-        with pytest.raises(ValueError):
-            fk_kernel_regular(spec, -1.0, (1, 0.1), (1, 0.1), None, eps=0.1)
+        # a zero (or absent) scale cannot mollify the noise the kernel is given
+        spec, noise = self.conjugate_setting()
+        for eps, zetas in ((None, None), ((0.0,), (0.2,)), ((0.2,), (0.0,))):
+            with pytest.raises(ValueError, match="requires eps > 0"):
+                fk_kernel_regular(replace(spec, eps=eps, zetas=zetas), (1, 0.2), (2, -0.1), noise)
+        with pytest.raises(ValueError, match="times must be positive"):
+            fk_kernel_regular(replace(spec, ts=(-1.0,)), (1, 0.2), (2, -0.1), noise)
+
+    def test_rejects_more_than_one_time(self):
+        spec = two_color_spec(ts=(0.5, 0.5), alphas=(0.0, 0.0), betas=(0.0, 0.0))
+        with pytest.raises(ValueError, match="one time"):
+            fk_kernel_regular(spec, (1, 0.5), (1, 0.5), None)
 
     @pytest.mark.parametrize("a, b, n_paths", [((0, 0.5), (1, 0.5), 64), ((1, 0.5), (3, 0.5), 64),
                                                 ((1, 0.5), (1, 0.5), 0), ((1, 0.5), (1, 0.5), -4)],
                              ids=["color-0", "color-3", "no-paths", "negative-paths"])
     def test_rejects_bad_colors_and_path_counts(self, a, b, n_paths):
-        spec = two_color_spec(alphas=(0.0, 0.0), betas=(0.0, 0.0))
-        with pytest.raises(ValueError):
-            fk_kernel_regular(spec, 0.5, a, b, None, eps=0.1, n_paths=n_paths)
+        # the spec rejects the path counts, the kernel the colors
+        with pytest.raises(ValueError, match="colors must lie in 1..2|need paths >= 1"):
+            spec = two_color_spec(alphas=(0.0, 0.0), betas=(0.0, 0.0), n_paths=n_paths)
+            fk_kernel_regular(spec, a, b, None)
 
     def test_noise_free_kernel_is_diagonal_heat_kernel(self):
         # without noise the semigroup acts on each color alone: a path that
         # jumps weighs 0, so the diagonal kernel is p_t and the other is 0
-        spec = two_color_spec(alphas=(0.0, 0.0), betas=(0.0, 0.0))
-        same = fk_kernel_regular(spec, 0.5, (1, 0.3), (1, 0.6), None, eps=0.1, n_paths=2000)
+        spec = two_color_spec(alphas=(0.0, 0.0), betas=(0.0, 0.0), n_paths=2000)
+        same = fk_kernel_regular(spec, (1, 0.3), (1, 0.6), None)
         want = transition_density(spec.domain, 0.5, 0.3, 0.6)
         assert same.stderr > 0
         assert abs(same.value[0] - want) <= 3 * same.stderr
         assert np.all(same.value[1:] == 0.0)
-        other = fk_kernel_regular(spec, 0.5, (1, 0.3), (2, 0.6), None, eps=0.1, n_paths=2000)
+        other = fk_kernel_regular(spec, (1, 0.3), (2, 0.6), None)
         assert np.all(other.value == 0.0) and other.stderr == 0.0
 
     def test_chunk_memory(self):
@@ -210,7 +225,7 @@ class TestFkKernel:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            fk_kernel_regular(spec, 0.6, (1, 0.2), (2, -0.1), noise, eps=0.2, n_paths=8000)
+            fk_kernel_regular(spec, (1, 0.2), (2, -0.1), noise)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -218,9 +233,9 @@ class TestFkKernel:
 
     def test_non_dividing_dt_rejected(self):
         # the moment estimators' dt rule: no silent rescaling to t / round(t / dt)
-        spec = dirichlet_interval_spec(dt=3e-3)
+        spec = dirichlet_interval_spec(dt=3e-3, n_paths=64)
         with pytest.raises(ValueError, match="does not divide"):
-            fk_kernel_regular(spec, 1.0, (1, 0.1), (1, 0.1), None, eps=0.1, n_paths=64)
+            fk_kernel_regular(spec, (1, 0.1), (1, 0.1), None)
 
 
 class TestSmoothMoment:
@@ -718,19 +733,20 @@ class TestLeanBatch:
 
     @pytest.mark.parametrize("potential", [PotentialSpec(), PotentialSpec(kind="sao"), TABLE],
                              ids=["zero", "sao", "tabulated"])
-    @pytest.mark.parametrize("keep_free", [False, True], ids=["white", "smooth"])
-    def test_arrays_match_whole_array_build(self, potential, keep_free):
-        # the smooth route's batch pads the bins by its mollifier width
-        eps = (0.1, 0.1) if keep_free else None
+    @pytest.mark.parametrize("smooth", [False, True], ids=["white", "smooth"])
+    def test_arrays_match_whole_array_build(self, potential, smooth):
+        # the smooth route's batch pads the bins by its mollifier width and
+        # keeps the unfolded paths its jumps read
+        eps = (0.1, 0.1) if smooth else None
         spec = two_color_spec(ts=(0.3, 0.2), dt=2e-4, potential=potential, eps=eps, zetas=eps,
                               alphas=(0.7, DIRICHLET), betas=(DIRICHLET, -1.0))
         n = 150  # two row blocks or more per segment
-        batch = _PathBatch(spec, (0.05, 0.6), n, np.random.default_rng(4), keep_free=keep_free)
+        batch = _PathBatch(spec, (0.05, 0.6), n, np.random.default_rng(4))
         want = reference_batch(spec, (0.05, 0.6), n, np.random.default_rng(4))
         for name in ("step_bins", "seg_hist", "full_hist"):
             got = getattr(batch, name)
             assert got.dtype == want[name].dtype and got.tobytes() == want[name].tobytes(), name
-        assert len(batch.free) == (2 if keep_free else 0)
+        assert len(batch.free) == (2 if smooth else 0)
         for got, ref in zip(batch.free, want["free"]):
             assert got.tobytes() == ref.tobytes()
         assert not hasattr(batch, "folded")
@@ -742,25 +758,53 @@ class TestLeanBatch:
 
     @pytest.mark.parametrize("segments", [1, 2])
     def test_kernel_inputs(self, segments):
-        """The kernel's inputs: bridges to the endpoints ys, a color-dependent
-        diagonal function (with a zero potential) and no bins."""
+        """The kernel's inputs: bridges to the endpoints ys and a
+        color-dependent diagonal function (with a zero potential)."""
         ts, xs, ys = (0.3, 0.2)[:segments], (0.05, 0.6)[:segments], (0.9, 0.3)[:segments]
-        spec = two_color_spec(ts=ts, dt=2e-4, alphas=(0.7, DIRICHLET), betas=(DIRICHLET, -1.0))
+        scales = (0.1,) * segments
+        spec = two_color_spec(ts=ts, dt=2e-4, alphas=(0.7, DIRICHLET), betas=(DIRICHLET, -1.0),
+                              eps=scales, zetas=scales)
 
         def diagonal(colors, x):
             return np.cos(np.asarray(colors) * x)
 
         n = 150
-        batch = _PathBatch(spec, xs, n, np.random.default_rng(4), keep_free=True, ys=ys,
-                           diagonal=diagonal, bins=False)
+        batch = _PathBatch(spec, xs, n, np.random.default_rng(4), ys=ys, diagonal=diagonal)
         want = reference_batch(spec, xs, n, np.random.default_rng(4), ys=ys)
-        assert not any(hasattr(batch, name) for name in ("step_bins", "seg_hist", "full_hist"))
+        for name in ("step_bins", "seg_hist", "full_hist"):
+            assert getattr(batch, name).tobytes() == want[name].tobytes(), name
+        assert len(batch.free) == segments
         for got, ref in zip(batch.free, want["free"]):
             assert got.tobytes() == ref.tobytes()
         for f, y in zip(want["folded"], ys):
             assert np.allclose(f[:, -1], y, rtol=0, atol=1e-12)
         assert batch.step_values.tobytes() == want["step_values"].tobytes()
         assert_exponent_matches_dense(batch, want["folded"], diagonal)
+
+    def test_unfolded_paths_kept_exactly_when_a_jump_reads_them(self):
+        """Jump values are read only on jumps (r > 1) that carry mollified
+        off-diagonal noise (zeta > 0): a white batch, an r = 1 smooth batch
+        and an r = 1 kernel's batches with noise keep no unfolded path."""
+        rng = np.random.default_rng(4)
+        white = two_color_spec(ts=(0.3, 0.2), dt=1e-3)
+        smooth = replace(white, eps=(0.1, 0.1), zetas=(0.1, 0.1))
+        assert _PathBatch(white, (0.3, 0.6), 8, rng).free == []
+        assert len(_PathBatch(smooth, (0.3, 0.6), 8, rng).free) == 2
+        assert _PathBatch(dirichlet_interval_spec(), (1.0,), 8, rng).free == []
+        built = []
+
+        class Recorded(_PathBatch):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                built.append(self)
+
+        noise = sample_noise("R", 1, 1.0, 0.0, (-4.0, 4.0, 1024), np.random.default_rng(11))
+        spec = ExperimentSpec(domain=DomainConfig(case=1, r=1), kind="R", sigma2=1.0,
+                              upsilon2=0.0, ts=(0.5,), seed=12, x_max=3.0, eps=(0.2,),
+                              zetas=(0.2,), n_paths=64)
+        with mock.patch("mvsao.estimators._PathBatch", Recorded):
+            fk_kernel_regular(spec, (1, 0.1), (1, -0.2), noise)
+        assert len(built) == 1 and built[0].free == []
 
     def test_neumann_white_chunk_memory(self):
         """A Neumann white chunk of 500 paths x 2500 steps (a 10 MB path
@@ -789,7 +833,7 @@ class TestLeanBatch:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            batch = _PathBatch(spec, (0.05,), 1250, rng, keep_free=True)
+            batch = _PathBatch(spec, (0.05,), 1250, rng)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -819,8 +863,8 @@ class TestUnbiasedStderr:
         # r = 1: no walk jumps, so every weight is exp(exponent_constant)
         logs = np.log(self.W)
         with mock.patch.object(_PathBatch, "exponent_constant", lambda batch, colors: logs):
-            est = fk_kernel_regular(dirichlet_interval_spec(), 1.0, (1, 0.5), (1, 0.5), None,
-                                    eps=0.1, n_paths=len(logs))
+            est = fk_kernel_regular(dirichlet_interval_spec(n_paths=len(logs)), (1, 0.5),
+                                    (1, 0.5), None)
         assert est.stderr / est.value[0] == pytest.approx(self.WANT, rel=1e-12)
 
 
@@ -872,6 +916,16 @@ class TestRigidityCovariance:
     def test_t_range_validated(self):
         with pytest.raises(ValueError):
             rigidity_covariance(two_color_spec(), 0.5, 1.5)
+
+    @pytest.mark.parametrize("scales", [dict(eps=(0.1,)), dict(zetas=(0.1,))],
+                             ids=["eps", "zeta"])
+    def test_rejects_mollified_spec(self, scales):
+        # the covariance takes the white route: a mollified spec is an error,
+        # not a white run
+        spec = two_color_spec(alphas=(0.0, 0.0), betas=(0.0, 0.0), n_paths=64, **scales)
+        with mock.patch("mvsao.estimators._chunk_stats",
+                        side_effect=AssertionError("ran")), pytest.raises(ValueError):
+            rigidity_covariance(spec, 0.5, 0.25)
 
 
 class TestRichardson:

@@ -116,7 +116,7 @@ def frozen_batch(spec, folded, diagonal=None):
     draws = iter(folded)
     with mock.patch("mvsao.estimators.sample_bridge_ensemble", lambda *a, **kw: next(draws)):
         return _PathBatch(spec, tuple(f[0, 0] for f in folded), len(folded[0]), None,
-                          diagonal=diagonal, bins=False)
+                          diagonal=diagonal)
 
 
 def frozen_weights(path, dt, domain, alphas, betas=None, cuts=()):

@@ -34,37 +34,39 @@ def _interval_noise(kind, r, hi, seed):
 
 def heat_kernel_line():
     spec = ExperimentSpec(domain=DomainConfig(case=1, r=1), kind="R", sigma2=0.0,
-                          upsilon2=0.0, ts=(1.0,), seed=102, x_max=8.0)
-    return fk_kernel_regular(spec, 1.0, (1, 0.0), (1, 0.0), None, eps=0.1, n_paths=4000)
+                          upsilon2=0.0, ts=(1.0,), seed=102, x_max=8.0, n_paths=4000)
+    return fk_kernel_regular(spec, (1, 0.0), (1, 0.0), None)
 
 
 def scalar_noise_line():
     noise = sample_noise("R", 1, 1.0, 0.0, (-6.0, 6.0, 4096), np.random.default_rng(11))
     spec = ExperimentSpec(domain=DomainConfig(case=1, r=1), kind="R", sigma2=1.0,
-                          upsilon2=0.0, ts=(1.0,), seed=12, x_max=6.0, dt=2e-3)
-    return fk_kernel_regular(spec, 1.0, (1, 0.1), (1, -0.2), noise, eps=0.2, n_paths=4000)
+                          upsilon2=0.0, ts=(1.0,), seed=12, x_max=6.0, dt=2e-3,
+                          eps=(0.2,), n_paths=4000)
+    return fk_kernel_regular(spec, (1, 0.1), (1, -0.2), noise)
 
 
 def complex_linear_line():
     noise = sample_noise("C", 2, 0.5, 0.5, (-5.0, 5.0, 2048), np.random.default_rng(13))
     spec = ExperimentSpec(domain=DomainConfig(case=1, r=2), kind="C", sigma2=0.5,
-                          upsilon2=0.5, ts=(1.0,), seed=14, x_max=4.0, dt=2e-3,
-                          potential=PotentialSpec(kind="linear", kappa=1.0))
-    return fk_kernel_regular(spec, 0.6, (1, 0.2), (2, -0.1), noise, eps=0.2, n_paths=8000)
+                          upsilon2=0.5, ts=(0.6,), seed=14, x_max=4.0, dt=2e-3,
+                          potential=PotentialSpec(kind="linear", kappa=1.0),
+                          eps=(0.2,), zetas=(0.2,), n_paths=8000)
+    return fk_kernel_regular(spec, (1, 0.2), (2, -0.1), noise)
 
 
 def complex_mixed_walls():
     spec = ExperimentSpec(domain=DomainConfig(case=3, theta=1.0, r=2), kind="C", sigma2=0.5,
-                          upsilon2=0.5, ts=(0.3,), seed=5, alphas=(0.7, D), betas=(D, -1.0))
-    return fk_kernel_regular(spec, 0.3, (1, 0.4), (2, 0.6), _interval_noise("C", 2, 1.5, 4),
-                             eps=0.05, n_paths=3000)
+                          upsilon2=0.5, ts=(0.3,), seed=5, alphas=(0.7, D), betas=(D, -1.0),
+                          eps=(0.05,), zetas=(0.05,), n_paths=3000)
+    return fk_kernel_regular(spec, (1, 0.4), (2, 0.6), _interval_noise("C", 2, 1.5, 4))
 
 
 def complex_dirichlet():
     spec = ExperimentSpec(domain=DomainConfig(case=3, theta=1.0, r=2), kind="C", sigma2=0.5,
-                          upsilon2=0.5, ts=(1.0,), seed=5, alphas=(D, D), betas=(D, D))
-    return fk_kernel_regular(spec, 1.0, (1, 0.5), (1, 0.5), _interval_noise("C", 2, 1.5, 4),
-                             eps=0.1, n_paths=4000)
+                          upsilon2=0.5, ts=(1.0,), seed=5, alphas=(D, D), betas=(D, D),
+                          eps=(0.1,), zetas=(0.1,), n_paths=4000)
+    return fk_kernel_regular(spec, (1, 0.5), (1, 0.5), _interval_noise("C", 2, 1.5, 4))
 
 
 def quaternion_tabulated():
@@ -72,9 +74,9 @@ def quaternion_tabulated():
                         table_v=((0.0, 1.0, 0.5), (1.0, 0.0, 2.0), (0.3, 0.3, 0.3)))
     spec = ExperimentSpec(domain=DomainConfig(case=3, theta=2.0, r=3), kind="H", sigma2=0.25,
                           upsilon2=0.5, ts=(0.5,), seed=9, alphas=(0.5, D, 0.0),
-                          betas=(0.0, -1.0, D), potential=pot)
-    return fk_kernel_regular(spec, 0.5, (1, 0.7), (3, 1.2), _interval_noise("H", 3, 2.5, 7),
-                             eps=0.1, n_paths=3000)
+                          betas=(0.0, -1.0, D), potential=pot, eps=(0.1,), zetas=(0.1,),
+                          n_paths=3000)
+    return fk_kernel_regular(spec, (1, 0.7), (3, 1.2), _interval_noise("H", 3, 2.5, 7))
 
 
 CASES = [heat_kernel_line, scalar_noise_line, complex_linear_line, complex_mixed_walls,
